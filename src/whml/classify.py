@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .contour import FREDHOLM_TOL, build_loop, min_modulus, winding_number
-from .errors import DomainError, NotFredholmError
+from .errors import DomainError
 from .reports import ClassificationReport
 from .symbols import Regime, SpectralParams
 from .transcend import alpha_c as compute_alpha_c
@@ -111,10 +111,8 @@ def classify(alpha: float, p: float, s: float, mode: str = "theorem",
         notes.append(f"numeric loop min modulus {mm:.3e} (tolerance {FREDHOLM_TOL:g})")
         if mm <= FREDHOLM_TOL:
             return dict(fredholm=False)
-        try:
-            w = winding_number(loop)
-        except NotFredholmError:
-            return dict(fredholm=False)
+        # reads the cached minimum modulus, which clears the same tolerance
+        w = winding_number(loop)
         shift = 0 if sp.regime is Regime.LOW else 1
         return dict(fredholm=True, winding=w, index=-w - shift,
                     kernel_trivial=None, invertible=None)

@@ -2,8 +2,10 @@
 the verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 I/O failure.  Suite fan-out is capped by WHML_THREADS (default: hardware
-count).
+3 I/O failure, 4 numerical failure (a quadrature, extrapolation or loop
+refinement missed its tolerance, or a loop passed too close to the origin
+for a winding number); codes 2 to 4 print a one-line message to stderr.
+Suite fan-out is capped by WHML_THREADS (default: hardware count).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .classify import classify
-from .contour import build_loop, export_loop, fredholm_index, min_modulus, winding_number
-from .errors import DomainError, NotFredholmError, PoleError
+from .contour import build_loop, export_loop, min_modulus, winding_number
+from .errors import AccuracyError, DomainError, NotFredholmError
 from .symbols import SpectralParams
 from .transcend import alpha_c
 from .verify import SUITES, run_suite
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
 
 
 def _write_artifact(path: str, payload: bytes) -> None:
@@ -52,6 +55,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_alphac(args) -> int:
     if args.grid is not None:
+        if args.grid < 1:
+            raise DomainError(f"--grid must be at least 1, got {args.grid}")
         alphas = np.linspace(0.0, 1.0, args.grid + 2)[1:-1]
         lines = ["alpha,alpha_c"]
         lines += [f"{a:.17g},{alpha_c(float(a), args.tol):.17g}" for a in alphas]
@@ -84,7 +89,7 @@ def _cmd_index(args) -> int:
     except NotFredholmError:
         print(f"NOT_FREDHOLM min_modulus={min_modulus(loop):.6e}")
         return EXIT_OK
-    print(f"winding {w} index {fredholm_index(loop)}")
+    print(f"winding {w} index {-w}")
     return EXIT_OK
 
 
@@ -178,9 +183,12 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DomainError, PoleError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (AccuracyError, NotFredholmError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except _IoFailure as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -6,20 +6,22 @@ The loop lives on a six-segment closed contour.  Four segments are exact
 loop-function interpolants with the Mellin factor.  Each curved segment is
 compactified through xi = tan(pi (t - 1/2)) so the infinite junctions are
 honest endpoint limits, then refined until adjacent phase increments are
-small enough for branch-safe unwrapping.
+small enough for branch-safe unwrapping.  Every segment is evaluated as one
+array of parameters, and each refinement pass bisects all of a segment's
+offending intervals at once.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotFredholmError, ResolutionError
+from .specfun import scalar_or_array
 from .symbols import (
     SpectralParams,
     c1p_inf,
@@ -48,6 +50,9 @@ _MAX_POINTS = 10 ** 6
 _PHASE_CAP = math.pi / 2.0
 _JUNCTION_TOL = 1e-6
 _XI_SATURATION = 1e8
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_POLISH_STEPS = 60
+_POLISH_DEPTH = 5
 
 
 class Segment(enum.Enum):
@@ -77,71 +82,112 @@ class ContourPoint:
     value: complex
 
 
-@dataclass(frozen=True)
 class SymbolLoop:
-    """Ordered closed polyline of symbol values with its continuity audit."""
+    """Ordered closed polyline of symbol values with its continuity audit.
 
-    points: tuple
-    closure_gap: float
-    junction_gaps: tuple
-    # segment evaluators kept for sub-grid polish; not part of identity
-    segment_eval: dict = field(default=None, repr=False, compare=False)
+    The samples are held as arrays (segment index into SEGMENT_ORDER, t,
+    value); `points` gives the same samples as ContourPoint records, built
+    on first use.  `segment_eval` maps each segment to its evaluator for the
+    sub-grid polish of the minimum modulus, which min_modulus caches.
+    """
+
+    def __init__(self, points, closure_gap, junction_gaps, segment_eval=None):
+        self._points = tuple(points)
+        self._arrays = None
+        self.closure_gap = closure_gap
+        self.junction_gaps = tuple(junction_gaps)
+        self.segment_eval = segment_eval
+        self._min_modulus = None
+
+    @classmethod
+    def from_arrays(cls, segment_index, t, values, closure_gap, junction_gaps,
+                    segment_eval=None) -> "SymbolLoop":
+        loop = cls((), closure_gap, junction_gaps, segment_eval)
+        loop._points = None
+        loop._arrays = _read_only(segment_index, t, values)
+        return loop
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            seg_index, t, values = self._arrays
+            segments = [SEGMENT_ORDER[k] for k in seg_index.tolist()]
+            self._points = tuple(map(ContourPoint, segments, t.tolist(), values.tolist()))
+        return self._points
+
+    def arrays(self) -> tuple:
+        """Read-only (segment index, t, value) arrays in traversal order."""
+        if self._arrays is None:
+            pts = self._points
+            self._arrays = _read_only([SEGMENT_ORDER.index(pt.segment) for pt in pts],
+                                      [pt.t for pt in pts], [pt.value for pt in pts])
+        return self._arrays
 
     def values(self) -> np.ndarray:
-        return np.array([pt.value for pt in self.points])
+        """Read-only array of the point values, in traversal order."""
+        return self.arrays()[2]
 
 
-def _xi_line(t: float) -> float:
+def _read_only(segment_index, t, values) -> tuple:
+    out = (np.asarray(segment_index, dtype=np.intp), np.asarray(t, dtype=float),
+           np.asarray(values, dtype=complex))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _xi_line(t):
     """Compactified coordinate for a full line, t in [0, 1] -> xi."""
-    if t <= 0.0:
-        return -math.inf
-    if t >= 1.0:
-        return math.inf
-    return math.tan(math.pi * (t - 0.5))
+    return np.where(t <= 0.0, -np.inf,
+                    np.where(t >= 1.0, np.inf, np.tan(np.pi * (t - 0.5))))
 
 
-def _lambda_down(t: float) -> float:
+def _lambda_down(t):
     """Half-line coordinate running from +inf (t=0) to 0 (t=1)."""
-    if t <= 0.0:
-        return math.inf
-    if t >= 1.0:
-        return 0.0
-    return math.tan(math.pi * (1.0 - t) / 2.0)
+    return np.where(t <= 0.0, np.inf,
+                    np.where(t >= 1.0, 0.0, np.tan(np.pi * (1.0 - t) / 2.0)))
 
 
-def _lambda_up(t: float) -> float:
+def _lambda_up(t):
     """Half-line coordinate running from 0 (t=0) to +inf (t=1)."""
     return _lambda_down(1.0 - t)
 
 
-def _boundary_value(xi: float, sp: SpectralParams) -> complex:
-    """Symbol on the boundary segment: c1p + (mellin term) * c2p."""
-    if xi == math.inf or xi > _XI_SATURATION:
-        return wh_c1(-math.inf, sp)
-    if xi == -math.inf or xi < -_XI_SATURATION:
-        return wh_c1(math.inf, sp)
-    return c1p_inf(xi, sp) + gamma1_mellin_term(xi, sp) * c2p_inf(xi, sp)
+def _boundary_value(xi, sp: SpectralParams):
+    """Symbol on the boundary segment: c1p + (mellin term) * c2p, with the
+    one-sided limits beyond |xi| = _XI_SATURATION."""
+    inner = np.abs(xi) <= _XI_SATURATION
+    x = xi[inner]
+    out = np.empty(xi.shape, dtype=complex)
+    out[inner] = c1p_inf(x, sp) + gamma1_mellin_term(x, sp) * c2p_inf(x, sp)
+    if not inner.all():
+        out[~inner] = wh_c1(np.where(xi[~inner] > 0.0, -np.inf, np.inf), sp)
+    return out
 
 
-def eval_segment(seg: Segment, t: float, sp: SpectralParams) -> complex:
-    """Value of the generalized symbol at parameter t of one segment."""
-    if not (0.0 <= t <= 1.0):
+# segments on which the symbol is the constant c1(xi) at one xi
+_CONSTANT_XI = {Segment.G2P: -math.inf, Segment.G4: 0.0, Segment.G2M: math.inf}
+
+
+def eval_segment(seg: Segment, t, sp: SpectralParams):
+    """Value of the generalized symbol at parameter t of one segment.
+    Accepts an array of t and returns the array of values."""
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((ta >= 0.0) & (ta <= 1.0)):
         raise DomainError("segment parameter must lie in [0, 1]")
     if seg is Segment.G1:
-        return _boundary_value(_xi_line(t), sp)
-    if seg is Segment.G2P:
-        return wh_c1(-math.inf, sp)
-    if seg is Segment.G3P:
-        lam = _lambda_down(t)
-        return wh_c1(-lam, sp) if lam < _XI_SATURATION else wh_c1(-math.inf, sp)
-    if seg is Segment.G4:
-        return wh_c1(0.0, sp)
-    if seg is Segment.G3M:
-        lam = _lambda_up(t)
-        return wh_c1(lam, sp) if lam < _XI_SATURATION else wh_c1(math.inf, sp)
-    if seg is Segment.G2M:
-        return wh_c1(math.inf, sp)
-    raise DomainError(f"unknown segment {seg!r}")
+        out = _boundary_value(_xi_line(ta), sp)
+    elif seg is Segment.G3P:
+        lam = _lambda_down(ta)
+        out = wh_c1(np.where(lam < _XI_SATURATION, -lam, -np.inf), sp)
+    elif seg is Segment.G3M:
+        lam = _lambda_up(ta)
+        out = wh_c1(np.where(lam < _XI_SATURATION, lam, np.inf), sp)
+    elif seg in _CONSTANT_XI:
+        out = np.full(ta.shape, wh_c1(_CONSTANT_XI[seg], sp))
+    else:
+        raise DomainError(f"unknown segment {seg!r}")
+    return scalar_or_array(out.reshape(np.shape(t)))
 
 
 def _segment_functions(sp: SpectralParams) -> dict:
@@ -153,23 +199,56 @@ def _validation_functions(n: int) -> dict:
 
     Its two one-sided limits coincide, so the boundary and multiplier
     segments are constant and the whole loop reduces to the unit-circle
-    curve, traversed clockwise n times.
+    curve, traversed clockwise n times.  Each map accepts an array of t.
     """
 
-    def c(xi: float) -> complex:
-        if math.isinf(xi):
-            return 1.0 + 0j
-        z = complex(xi, 1.0) / complex(xi, -1.0)
-        return z ** n
+    def c(xi):
+        finite = np.isfinite(xi)
+        xf = np.where(finite, xi, 0.0)
+        return np.where(finite, ((xf + 1j) / (xf - 1j)) ** n, 1.0 + 0j)
+
+    def one(t):
+        return np.ones(np.shape(t), dtype=complex)
 
     return {
-        Segment.G1: lambda t: 1.0 + 0j,
-        Segment.G2P: lambda t: 1.0 + 0j,
-        Segment.G3P: lambda t: c(-_lambda_down(t)),
-        Segment.G4: lambda t: c(0.0),
-        Segment.G3M: lambda t: c(_lambda_up(t)),
-        Segment.G2M: lambda t: 1.0 + 0j,
+        Segment.G1: one,
+        Segment.G2P: one,
+        Segment.G3P: lambda t: c(-_lambda_down(np.asarray(t, dtype=float))),
+        Segment.G4: lambda t: c(np.zeros(np.shape(t))),
+        Segment.G3M: lambda t: c(_lambda_up(np.asarray(t, dtype=float))),
+        Segment.G2M: one,
     }
+
+
+def _refine(f, t: np.ndarray, budget: int):
+    """Bisect every interval whose phase increment is not branch-safe, in
+    one batched pass per level, until none is left.
+
+    An interval is split when its endpoint values differ in phase by at
+    least _PHASE_CAP (or one of them is zero) and it is wider than 1e-12.
+    Each decision depends only on the interval's own endpoints, so the
+    final grid does not depend on the order of the splits.  Raises once
+    more than `budget` points would be added.
+    """
+    v = f(t)
+    added = 0
+    while True:
+        v0, v1 = v[:-1], v[1:]
+        nonzero = (v0 != 0) & (v1 != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dphi = np.where(nonzero, np.abs(np.angle(v1 / v0)), math.pi)
+        idx = np.flatnonzero((dphi >= _PHASE_CAP) & (np.diff(t) > 1e-12))
+        if idx.size == 0:
+            return t, v, added
+        added += idx.size
+        if added > budget:
+            raise ResolutionError(
+                "phase refinement exhausted the point budget; "
+                "the loop may pass through the origin"
+            )
+        tm = 0.5 * (t[idx] + t[idx + 1])
+        t = np.insert(t, idx + 1, tm)
+        v = np.insert(v, idx + 1, f(tm))
 
 
 def _assemble(seg_funcs: dict, n_base: int) -> SymbolLoop:
@@ -183,56 +262,27 @@ def _assemble(seg_funcs: dict, n_base: int) -> SymbolLoop:
         Segment.G3M: n_base,
         Segment.G2M: max(2, n_base // 8),
     }
+    budget = _MAX_POINTS - sum(counts.values())
     per_segment = {}
-    total = 0
     for seg in SEGMENT_ORDER:
-        f = seg_funcs[seg]
-        ts = list(np.linspace(0.0, 1.0, counts[seg]))
-        vals = [f(t) for t in ts]
-        # adaptive refinement: insert midpoints until phase increments are
-        # branch-safe (or the budget runs out)
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i < len(ts) - 1:
-                v0, v1 = vals[i], vals[i + 1]
-                if v0 != 0 and v1 != 0:
-                    dphi = abs(cmath.phase(v1 / v0))
-                else:
-                    dphi = math.pi
-                gap = ts[i + 1] - ts[i]
-                if dphi >= _PHASE_CAP and gap > 1e-12:
-                    tm = 0.5 * (ts[i] + ts[i + 1])
-                    ts.insert(i + 1, tm)
-                    vals.insert(i + 1, f(tm))
-                    total += 1
-                    changed = True
-                    if total + sum(counts.values()) > _MAX_POINTS:
-                        raise ResolutionError(
-                            "phase refinement exhausted the point budget; "
-                            "the loop may pass through the origin"
-                        )
-                else:
-                    i += 1
-        per_segment[seg] = (ts, vals)
-        total += counts[seg]
+        t, v, added = _refine(seg_funcs[seg], np.linspace(0.0, 1.0, counts[seg]), budget)
+        budget -= added
+        per_segment[seg] = (t, v)
 
-    points = []
     junction_gaps = []
     for idx, seg in enumerate(SEGMENT_ORDER):
-        ts, vals = per_segment[seg]
         nxt = SEGMENT_ORDER[(idx + 1) % len(SEGMENT_ORDER)]
-        gap = abs(vals[-1] - per_segment[nxt][1][0])
-        junction_gaps.append(gap)
-        points.extend(ContourPoint(seg, t, v) for t, v in zip(ts, vals))
-    closure_gap = abs(points[-1].value - points[0].value)
-
+        junction_gaps.append(float(abs(per_segment[seg][1][-1] - per_segment[nxt][1][0])))
     if any(g > _JUNCTION_TOL for g in junction_gaps):
         raise ResolutionError(
             f"junction gaps {junction_gaps} exceed {_JUNCTION_TOL}"
         )
-    return SymbolLoop(tuple(points), closure_gap, tuple(junction_gaps), seg_funcs)
+    t = np.concatenate([per_segment[seg][0] for seg in SEGMENT_ORDER])
+    values = np.concatenate([per_segment[seg][1] for seg in SEGMENT_ORDER])
+    seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)),
+                          [len(per_segment[seg][0]) for seg in SEGMENT_ORDER])
+    return SymbolLoop.from_arrays(seg_index, t, values, float(abs(values[-1] - values[0])),
+                                  junction_gaps, seg_funcs)
 
 
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
@@ -249,40 +299,78 @@ def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
 
 def min_modulus(loop: SymbolLoop) -> float:
     """Minimum |value| over the refined loop, polished by a golden-section
-    search inside the bracketing parameter interval of the discrete argmin."""
-    pts = loop.points
-    mods = np.abs(loop.values())
+    search inside the bracketing parameter interval of the discrete argmin.
+
+    The polished value is cached on the loop, so a second call (and
+    winding_number) costs no evaluations.
+    """
+    if loop._min_modulus is None:
+        loop._min_modulus = _polished_min_modulus(loop)
+    return loop._min_modulus
+
+
+def _polished_min_modulus(loop: SymbolLoop) -> float:
+    seg_index, t, values = loop.arrays()
+    mods = np.abs(values)
     i = int(np.argmin(mods))
     best = float(mods[i])
 
-    seg = pts[i].segment
-    left = pts[i - 1] if i > 0 and pts[i - 1].segment is seg else pts[i]
-    right = pts[i + 1] if i + 1 < len(pts) and pts[i + 1].segment is seg else pts[i]
-    a, b = left.t, right.t
+    k = seg_index[i]
+    lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
+    hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
+    a, b = float(t[lo]), float(t[hi])
     if b <= a:
         return best
 
     # polish by re-evaluating along the same segment when evaluators exist
-    f = loop.segment_eval.get(seg) if loop.segment_eval else None
+    f = loop.segment_eval.get(SEGMENT_ORDER[k]) if loop.segment_eval else None
     if f is None:
         return best
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = abs(f(x1)), abs(f(x2))
-    for _ in range(60):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = abs(f(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = abs(f(x2))
-        if b - a < 1e-14:
-            break
-    return min(best, f1, f2)
+    return min(best, _golden_min(f, a, b))
+
+
+def _golden_min(f, a: float, b: float) -> float:
+    """Smallest |f| at the final points of a golden-section search on
+    [a, b]: at most _POLISH_STEPS steps, stopping once b - a < 1e-14.
+
+    Where a step's new point lies depends only on which side of the bracket
+    the previous steps kept, so the new points of the next _POLISH_DEPTH
+    steps along every branch are evaluated in one array call; the search
+    then follows the branch its comparisons choose.  The iterates are those
+    of the one-point-at-a-time search.
+    """
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = np.abs(f(np.array([x1, x2]))).tolist()
+    state = (a, b, x1, x2)
+    steps = 0
+    while True:
+        # levels[k][j]: bracket after k more steps along branch j, whose
+        # k-th step kept the left part [a, x2] when j is even
+        levels = [[state]]
+        for _ in range(_POLISH_DEPTH):
+            levels.append([
+                child
+                for lo, hi, y1, y2 in levels[-1]
+                for child in ((lo, y2, y2 - _INVPHI * (y2 - lo), y1),
+                              (y1, hi, y2, y1 + _INVPHI * (hi - y1)))
+            ])
+        new_points = [s[2] if j % 2 == 0 else s[3]
+                      for level in levels[1:] for j, s in enumerate(level)]
+        new_values = np.abs(f(np.array(new_points))).tolist()
+        j = offset = 0
+        for level in levels[1:]:
+            j = 2 * j + (0 if f1 < f2 else 1)
+            state = level[j]
+            if j % 2 == 0:
+                f1, f2 = new_values[offset + j], f1
+            else:
+                f1, f2 = f2, new_values[offset + j]
+            offset += len(level)
+            steps += 1
+            if steps == _POLISH_STEPS or state[1] - state[0] < 1e-14:
+                return min(f1, f2)
 
 
 def winding_number(loop: SymbolLoop, fredholm_tol: float = FREDHOLM_TOL) -> int:
@@ -290,9 +378,13 @@ def winding_number(loop: SymbolLoop, fredholm_tol: float = FREDHOLM_TOL) -> int:
 
     Requires the loop to stay away from the origin (min modulus above the
     Fredholm tolerance); the accumulated phase must land on an integer
-    multiple of 2 pi to within 1 percent.
+    multiple of 2 pi to within 1 percent.  Reads the minimum modulus a
+    previous min_modulus call cached instead of polishing again.
     """
-    if min_modulus(loop) <= fredholm_tol:
+    mm = loop._min_modulus
+    if mm is None:
+        mm = min_modulus(loop)
+    if mm <= fredholm_tol:
         raise NotFredholmError(
             f"loop minimum modulus is below {fredholm_tol}; winding undefined"
         )
@@ -317,7 +409,7 @@ def fredholm_index(loop: SymbolLoop, fredholm_tol: float = FREDHOLM_TOL) -> int:
 def export_loop(loop: SymbolLoop, fmt: str = "csv") -> bytes:
     """Serialize the loop: CSV columns segment,t,re,im or an SVG polyline
     with a dashed unit-circle reference ring."""
-    if not loop.points:
+    if len(loop.values()) == 0:
         raise DomainError("cannot export an empty loop")
     fmt = fmt.lower()
     if fmt == "csv":

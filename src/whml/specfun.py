@@ -5,9 +5,13 @@ live in (-pi, pi], with the cut along the negative real axis.  All fractional
 powers of complex bases must go through :func:`principal_power` so that the
 convention holds globally.
 
-Gamma and digamma are evaluated by a Lanczos-type rational approximation
-(g = 607/128, 15 terms) with reflection for Re z < 1/2; beta is assembled in
-log space to dodge overflow.  The real modified Bessel function K_nu and the
+Gamma, log-gamma and digamma are guarded views on scipy.special (``gamma``,
+``loggamma`` on its principal branch, ``psi``): every one of them raises
+:class:`PoleError` within 1e-13 of a non-positive integer and
+``AccuracyOverflow`` on a non-finite result, and gamma keeps the overflow
+guard |Re z| > 170.  Beta is assembled in log space to dodge overflow.  Each
+function takes scalars or arrays and returns the same shape; a scalar call is
+a view of the array code.  The real modified Bessel function K_nu and the
 confluent hypergeometric U are delegated to scipy.special behind the domain
 windows this package actually needs.
 """
@@ -32,54 +36,21 @@ __all__ = [
     "kummer_u",
 ]
 
-_TWO_PI = 2.0 * math.pi
-_LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
-
-# Lanczos coefficients for g = 607/128 (Godfrey's 15-term set).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999999709182,
-        57.156235665862923517,
-        -59.597960355475491248,
-        14.136097974741747174,
-        -0.49191381609762019978,
-        0.33994649984811888699e-4,
-        0.46523628927048575665e-4,
-        -0.98374475304879564677e-4,
-        0.15808870322491248884e-3,
-        -0.21026444172410488319e-3,
-        0.21743961811521264320e-3,
-        -0.16431810653676389022e-3,
-        0.84418223983852743293e-4,
-        -0.26190838401581408670e-4,
-        0.36899182659531622704e-5,
-    ]
-)
-
-# B_{2n}/(2n) for the digamma asymptotic series.
-_DIGAMMA_TAIL = np.array(
-    [
-        1.0 / 12.0,
-        -1.0 / 120.0,
-        1.0 / 252.0,
-        -1.0 / 240.0,
-        1.0 / 132.0,
-        -691.0 / 32760.0,
-        1.0 / 12.0,
-    ]
-)
-
 _POLE_TOL = 1e-13
 
 
 def _as_complex_array(z):
-    a = np.asarray(z, dtype=complex)
-    return a
+    return np.asarray(z, dtype=complex)
 
 
 def _is_scalar(z) -> bool:
     return np.ndim(z) == 0
+
+
+def scalar_or_array(out):
+    """Python complex for a 0-d result, the array otherwise: the scalar view
+    of an array-first formula."""
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 class AccuracyOverflow(GammaOverflowError):
@@ -87,7 +58,7 @@ class AccuracyOverflow(GammaOverflowError):
 
 
 def _check_finite(value, what: str):
-    if not np.all(np.isfinite(np.asarray(value))):
+    if not np.isfinite(value).all():
         raise AccuracyOverflow(f"{what} produced a non-finite value")
     return value
 
@@ -97,7 +68,7 @@ def _arg_principal(z):
     a = np.angle(z)
     z = np.asarray(z)
     on_cut = (z.imag == 0.0) & (z.real < 0.0)
-    if np.any(on_cut):
+    if on_cut.any():
         a = np.where(on_cut, math.pi, a)
     return a
 
@@ -117,157 +88,61 @@ def principal_power(z, gamma: float):
         w = cmath.exp(gamma * complex(math.log(abs(zc)), _arg_principal(zc)))
         return _check_finite(w, "principal_power")
     za = _as_complex_array(z)
-    if np.any(za == 0) and gamma <= 0:
+    if gamma <= 0 and (za == 0).any():
         raise DomainError("0 cannot be raised to a non-positive power")
     logz = np.log(np.where(za == 0, 1.0, np.abs(za))) + 1j * _arg_principal(za)
     out = np.where(za == 0, 0j, np.exp(gamma * logz))
     return _check_finite(out, "principal_power")
 
 
-def _near_nonpositive_integer(z) -> np.ndarray:
+def _near_pole(*zs) -> bool:
+    """True if any entry of the arrays lies within _POLE_TOL of a
+    non-positive integer (the poles of gamma, log-gamma and digamma)."""
+    za = np.concatenate([z.ravel() for z in zs]) if len(zs) > 1 else zs[0]
+    re = za.real
+    dist = np.maximum(np.abs(re - np.round(re)), np.abs(za.imag))
+    return bool(((dist < _POLE_TOL) & (re < 0.5)).any())
+
+
+def _guarded(fn, z, name: str):
+    """fn(z) for a scipy.special gamma-family ufunc, behind the pole and
+    finiteness guards."""
     za = _as_complex_array(z)
-    near_int = np.abs(za.real - np.round(za.real)) < _POLE_TOL
-    return near_int & (np.abs(za.imag) < _POLE_TOL) & (za.real < 0.5)
-
-
-def _lanczos_series(z):
-    # z has Re z >= 0.5 here; series in 1/(z-1+k).
-    acc = np.full_like(z, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (z - 1.0 + k)
-    return acc
-
-
-def _loggamma_right(z):
-    """log Gamma for Re z >= 0.5 (principal modulo 2*pi*i, exact under exp)."""
-    t = z - 0.5 + _LANCZOS_G
-    return _LOG_SQRT_TWO_PI + (z - 0.5) * np.log(t) - t + np.log(_lanczos_series(z))
-
-
-def _log_sin_pi(z):
-    """log sin(pi z), stable for large |Im z| (principal modulo 2*pi*i)."""
-    z = _as_complex_array(z)
-    y = z.imag
-    small = np.abs(y) < 20.0
-    out = np.empty_like(z)
-    if np.any(small):
-        out[small] = np.log(np.sin(math.pi * z[small]))
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        sgn = np.sign(zb.imag)
-        # sin(pi z) ~ -sgn * exp(-i sgn pi z) / (2i) up to an exp(2 i sgn pi z) correction
-        out[big] = (
-            -1j * sgn * math.pi * zb
-            - math.log(2.0)
-            + 1j * sgn * (math.pi / 2.0)
-            + np.log1p(-np.exp(2j * sgn * math.pi * zb))
-        )
-    return out
+    if _near_pole(za):
+        raise PoleError(f"{name} pole at a non-positive integer")
+    return scalar_or_array(_check_finite(fn(za), name))
 
 
 def complex_loggamma(z):
-    """log of complex_gamma, assembled from principal logs.
-
-    The imaginary part may differ from the continuous log-gamma by a multiple
-    of 2*pi; exp(complex_loggamma(z)) is exact, which is all the beta-function
-    assembly needs.
-    """
-    scalar = _is_scalar(z)
-    za = np.atleast_1d(_as_complex_array(z))
-    if np.any(_near_nonpositive_integer(za)):
-        raise PoleError("log-gamma pole at a non-positive integer")
-    out = np.empty_like(za)
-    right = za.real >= 0.5
-    if np.any(right):
-        out[right] = _loggamma_right(za[right])
-    left = ~right
-    if np.any(left):
-        zl = za[left]
-        out[left] = (
-            math.log(math.pi) - _log_sin_pi(zl) - _loggamma_right(1.0 - zl)
-        )
-    out = _check_finite(out, "complex_loggamma")
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    """Principal branch of log Gamma (scipy.special.loggamma);
+    exp(complex_loggamma(z)) is Gamma(z)."""
+    return _guarded(_sp.loggamma, z, "log-gamma")
 
 
 def complex_gamma(z):
-    """Gamma function for complex argument.
-
-    Lanczos approximation on Re z >= 1/2, reflection formula on the left
-    half-plane.  Raises on poles and beyond the overflow guard |Re z| > 170.
-    """
-    scalar = _is_scalar(z)
-    za = np.atleast_1d(_as_complex_array(z))
-    if np.any(np.abs(za.real) > 170.0):
+    """Gamma function for complex argument (scipy.special.gamma), with the
+    overflow guard |Re z| > 170."""
+    if np.any(np.abs(np.real(z)) > 170.0):
         raise GammaOverflowError("gamma overflow guard: |Re z| > 170")
-    if np.any(_near_nonpositive_integer(za)):
-        raise PoleError("gamma pole at a non-positive integer")
-    out = np.empty_like(za)
-    right = za.real >= 0.5
-    if np.any(right):
-        zr = za[right]
-        t = zr - 0.5 + _LANCZOS_G
-        out[right] = (
-            math.sqrt(_TWO_PI)
-            * np.exp((zr - 0.5) * np.log(t) - t)
-            * _lanczos_series(zr)
-        )
-    left = ~right
-    if np.any(left):
-        zl = za[left]
-        out[left] = math.pi / (np.sin(math.pi * zl) * np.exp(_loggamma_right(1.0 - zl)))
-    out = _check_finite(out, "complex_gamma")
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    return _guarded(_sp.gamma, z, "gamma")
 
 
 def complex_digamma(z):
-    """Digamma (logarithmic derivative of gamma) for complex argument.
-
-    Reflection for Re z < 1/2, recurrence up to Re z >= 10, then the
-    asymptotic series in 1/z^2.
-    """
-    scalar = _is_scalar(z)
-    za = np.atleast_1d(_as_complex_array(z))
-    if np.any(_near_nonpositive_integer(za)):
-        raise PoleError("digamma pole at a non-positive integer")
-    out = np.zeros_like(za)
-    work = za.copy()
-    left = work.real < 0.5
-    if np.any(left):
-        zl = work[left]
-        out[left] -= math.pi / np.tan(math.pi * zl)
-        work[left] = 1.0 - zl
-    # push the argument into the asymptotic region
-    for _ in range(10):
-        low = work.real < 10.0
-        if not np.any(low):
-            break
-        out[low] -= 1.0 / work[low]
-        work[low] = work[low] + 1.0
-    inv2 = 1.0 / (work * work)
-    tail = np.zeros_like(work)
-    for coeff in _DIGAMMA_TAIL[::-1]:
-        tail = (tail + coeff) * inv2
-    out += np.log(work) - 0.5 / work - tail
-    out = _check_finite(out, "complex_digamma")
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    """Digamma, the logarithmic derivative of gamma, for complex argument
+    (scipy.special.psi)."""
+    return _guarded(_sp.psi, z, "digamma")
 
 
 def complex_beta(a, b):
     """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), via log-gamma."""
     aa = _as_complex_array(a)
     bb = _as_complex_array(b)
-    if np.any(_near_nonpositive_integer(aa)) or np.any(
-        _near_nonpositive_integer(bb)
-    ) or np.any(_near_nonpositive_integer(aa + bb)):
+    ab = aa + bb
+    if _near_pole(aa, bb, ab):
         raise PoleError("beta pole: argument or argument sum at a non-positive integer")
-    out = np.exp(
-        complex_loggamma(aa) + complex_loggamma(bb) - complex_loggamma(aa + bb)
-    )
-    if _is_scalar(a) and _is_scalar(b):
-        return complex(out)
-    return out
+    log_beta = _sp.loggamma(aa) + _sp.loggamma(bb) - _sp.loggamma(ab)
+    out = np.exp(_check_finite(log_beta, "complex_beta"))
+    return scalar_or_array(out)
 
 
 def bessel_k(nu: float, x: float) -> float:

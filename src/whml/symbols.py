@@ -20,7 +20,7 @@ import numpy as np
 
 from . import quadrature as q
 from .errors import DomainError, PoleError
-from .specfun import complex_beta, principal_power
+from .specfun import complex_beta, principal_power, scalar_or_array
 
 __all__ = [
     "Regime",
@@ -33,6 +33,8 @@ __all__ = [
     "c2p_inf",
     "gamma1_mellin_term",
     "sin_ratio_modulus",
+    "sine_ratio",
+    "beta_term",
     "mellin_symbol_residual",
 ]
 
@@ -104,23 +106,25 @@ class SpectralParams:
         return self.s - 2.0 * self.alpha + 1.0 - 1.0 / self.p
 
 
-def wh_c1(xi: float, sp: SpectralParams) -> complex:
+def wh_c1(xi, sp: SpectralParams):
     """Unit-modulus Wiener-Hopf factor
     (1+xi^2)^a (xi-i)^(s-2a-m) (xi+i)^(m-s).
 
     Limits: 1 at +inf, e^(2 pi nu i) at -inf, e^(pi nu i) from both sides
-    of 0 (the single discontinuity sits at infinity).
+    of 0 (the single discontinuity sits at infinity).  Accepts arrays.
     """
     a, s, m = sp.alpha, sp.s, sp.m
-    if xi == math.inf:
-        return 1.0 + 0j
-    if xi == -math.inf:
-        return cmath.exp(2j * math.pi * sp.nu)
-    return (
-        principal_power(1.0 + xi * xi, a)
-        * principal_power(complex(xi, -1.0), s - 2.0 * a - m)
-        * principal_power(complex(xi, 1.0), m - s)
+    x = np.asarray(xi, dtype=float)
+    finite = np.isfinite(x)
+    xf = np.where(finite, x, 0.0)
+    val = (
+        principal_power(1.0 + xf * xf, a)
+        * principal_power(xf - 1j, s - 2.0 * a - m)
+        * principal_power(xf + 1j, m - s)
     )
+    limit = np.where(x > 0.0, 1.0 + 0j, cmath.exp(2j * math.pi * sp.nu))
+    out = np.where(finite, val, limit)
+    return scalar_or_array(out)
 
 
 def wh_c2(xi: float, sp: SpectralParams) -> complex:
@@ -175,51 +179,55 @@ def loop_function(g_minus: complex, g_plus: complex, xi: float, p: float) -> com
     return g_minus * (1.0 + d) / 2.0 + g_plus * (1.0 - d) / 2.0
 
 
-def _sine_ratio(a: float, b: float, xi: float) -> complex:
-    """sin(pi(a - i xi)) / sin(pi(b - i xi)) via the tanh rearrangement.
+def sine_ratio(a, b, xi):
+    """sin(pi(a - i xi)) / sin(pi(b - i xi)) via the tanh rearrangement;
+    arrays broadcast.
 
     Dividing through by cosh(pi xi) removes the overflowing factor exactly:
     the ratio equals (sin pi a - i cos pi a tanh pi xi) /
-    (sin pi b - i cos pi b tanh pi xi) for every real xi.
+    (sin pi b - i cos pi b tanh pi xi) for every real xi.  A pole
+    (sin pi b = 0 at xi = 0) gives a non-finite entry, not an exception.
     """
-    t = math.tanh(math.pi * xi)
-    num = complex(math.sin(math.pi * a), -math.cos(math.pi * a) * t)
-    den = complex(math.sin(math.pi * b), -math.cos(math.pi * b) * t)
-    if den == 0:
-        raise PoleError("sine-ratio pole: sin(pi(b - i xi)) = 0")
+    t = np.tanh(math.pi * np.asarray(xi, dtype=float))
+    a = np.asarray(a)
+    b = np.asarray(b)
+    num = np.sin(math.pi * a) - 1j * np.cos(math.pi * a) * t
+    den = np.sin(math.pi * b) - 1j * np.cos(math.pi * b) * t
     return num / den
 
 
-def c1p_inf(xi: float, sp: SpectralParams) -> complex:
+def beta_term(alpha, sigma, xi):
+    """(sin pi a / pi) * B(sigma + i xi, 2a); arrays broadcast."""
+    z = np.asarray(sigma, dtype=float) + 1j * np.asarray(xi, dtype=float)
+    return np.sin(math.pi * np.asarray(alpha)) / math.pi * complex_beta(z, 2.0 * np.asarray(alpha))
+
+
+def c1p_inf(xi, sp: SpectralParams):
     """Boundary-segment value of the c1 factor:
     e^(i pi nu) sin(pi(1/p + nu - i xi)) / sin(pi(1/p - i xi));
     approaches c1(-inf) as xi -> +inf and c1(+inf) as xi -> -inf.
+    The denominator never vanishes, since sin(pi/p) > 0.  Accepts arrays.
     """
     nu = sp.nu
-    return cmath.exp(1j * math.pi * nu) * _sine_ratio(
-        1.0 / sp.p + nu, 1.0 / sp.p, xi
-    )
+    return scalar_or_array(cmath.exp(1j * math.pi * nu) * sine_ratio(1.0 / sp.p + nu, 1.0 / sp.p, xi))
 
 
-def c2p_inf(xi: float, sp: SpectralParams) -> complex:
+def c2p_inf(xi, sp: SpectralParams):
     """Boundary-segment value of the c2 factor, with the extra e^(-i pi a)
-    phase carried by its one-sided limits."""
+    phase carried by its one-sided limits.  Accepts arrays."""
     nu_p = sp.nu_prime
-    return cmath.exp(1j * math.pi * (nu_p - sp.alpha)) * _sine_ratio(
-        1.0 / sp.p + nu_p, 1.0 / sp.p, xi
-    )
+    return scalar_or_array(cmath.exp(1j * math.pi * (nu_p - sp.alpha))
+                 * sine_ratio(1.0 / sp.p + nu_p, 1.0 / sp.p, xi))
 
 
-def gamma1_mellin_term(xi: float, sp: SpectralParams) -> complex:
+def gamma1_mellin_term(xi, sp: SpectralParams):
     """The pre-multiplied Mellin coefficient on the boundary segment:
-    -(sin pi a / pi) * B(s - 2a + 1/p' + i xi, 2a).
+    -(sin pi a / pi) * B(s - 2a + 1/p' + i xi, 2a).  Accepts arrays.
 
     Exposing the product (rather than its two factors) keeps the
     Kummer-profile origin value out of the contour code entirely.
     """
-    a = sp.alpha
-    beta_val = complex_beta(complex(sp.beta_sigma, xi), 2.0 * a)
-    return -(math.sin(math.pi * a) / math.pi) * beta_val
+    return scalar_or_array(-beta_term(sp.alpha, sp.beta_sigma, xi))
 
 
 def sin_ratio_modulus(a: float, b: float, xi: float) -> float:

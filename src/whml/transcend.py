@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError, PoleError
 from .reports import VerificationReport
 from .specfun import complex_beta
+from .symbols import beta_term, sine_ratio
 
 __all__ = [
     "TranscendParams",
@@ -48,24 +49,14 @@ class TranscendParams:
 
 
 def _ts_array(alpha, tau, xi):
-    """sin(pi(1+a-tau-i xi))/sin(pi(1+2a-tau-i xi)), overflow-free.
-
-    Dividing numerator and denominator by cosh(pi xi) leaves a tanh form
-    that is exact for all real xi.
-    """
-    a1 = 1.0 + alpha - tau
-    a2 = 1.0 + 2.0 * alpha - tau
-    t = np.tanh(math.pi * np.asarray(xi, dtype=float))
-    num = np.sin(math.pi * np.asarray(a1)) - 1j * np.cos(math.pi * np.asarray(a1)) * t
-    den = np.sin(math.pi * np.asarray(a2)) - 1j * np.cos(math.pi * np.asarray(a2)) * t
-    return num / den
+    """Sine-ratio side sin(pi(1+a-tau-i xi))/sin(pi(1+2a-tau-i xi))."""
+    return sine_ratio(1.0 + alpha - tau, 1.0 + 2.0 * alpha - tau, xi)
 
 
 def _tb_array(alpha, tau, xi):
-    """(sin pi a / pi) * B(tau + 1 - 2a + i xi, 2a)."""
+    """Beta side (sin pi a / pi) * B(tau + 1 - 2a + i xi, 2a)."""
     sigma = np.asarray(tau, dtype=float) + 1.0 - 2.0 * np.asarray(alpha, dtype=float)
-    z = sigma + 1j * np.asarray(xi, dtype=float)
-    return np.sin(math.pi * np.asarray(alpha)) / math.pi * complex_beta(z, 2.0 * np.asarray(alpha))
+    return beta_term(alpha, sigma, xi)
 
 
 def t_s(tp: TranscendParams) -> complex:

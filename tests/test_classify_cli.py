@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from whml.classify import classify
-from whml.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, cli_main
-from whml.errors import DomainError
+from whml.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, cli_main
+from whml.errors import DomainError, NotFredholmError, ResolutionError
 from whml.transcend import alpha_c
 
 
@@ -160,6 +163,50 @@ class TestCli:
 
     def test_unknown_flag_exit(self, capsys):
         assert cli_main(["classify", "--bogus", "1"]) == EXIT_USAGE
+
+    def test_negative_grid_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "whml.cli", "alphac", "--grid", "-3"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert cli_main(["alphac", "--grid", "0"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("exc", [ResolutionError("refinement budget"),
+                                     NotFredholmError("loop hits the origin")])
+    def test_numerical_failure_exit(self, capsys, monkeypatch, exc):
+        import whml.cli as cli_mod
+
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "classify", failing)
+        assert cli_main(["classify", "--alpha", "0.3", "--p", "2", "--s", "1.0"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [f"numerical failure: {exc}"]
+
+    def test_index_polishes_once(self, capsys, monkeypatch):
+        import whml.contour as contour_mod
+        from whml.contour import build_loop, min_modulus
+        from whml.symbols import SpectralParams
+        calls = []
+        original = contour_mod.eval_segment
+
+        def counting(seg, t, sp):
+            calls.append(seg)
+            return original(seg, t, sp)
+
+        monkeypatch.setattr(contour_mod, "eval_segment", counting)
+        min_modulus(build_loop(SpectralParams(0.75, 2.0, 2.2), 256))
+        one_pass = len(calls)
+        calls.clear()
+        assert cli_main(["index", "--alpha", "0.75", "--p", "2", "--s", "2.2"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "winding -1 index 1"
+        assert len(calls) == one_pass
 
     def test_verify_single_suite(self, capsys):
         assert cli_main(["verify", "--suite", "transcend", "--density", "20",

@@ -9,6 +9,7 @@ import pytest
 
 from whml.contour import (
     FREDHOLM_TOL,
+    SEGMENT_ORDER,
     ContourPoint,
     Segment,
     SymbolLoop,
@@ -212,3 +213,116 @@ class TestExport:
         loop = build_loop(SP_LOW, 64)
         with pytest.raises(DomainError):
             export_loop(loop, "png")
+
+
+README_TRIPLES = ((0.75, 2.0, 2.3), (0.4, 2.0, 1.4), (0.75, 2.0, 2.2), (0.25, 4.0, 0.7))
+
+
+def _validation_value(seg, t, n):
+    # closed form of the rational validation symbol on each segment
+    if seg is Segment.G3P and t > 0.0:
+        xi = -math.tan(math.pi * (1.0 - t) / 2.0)
+    elif seg is Segment.G3M and t < 1.0:
+        xi = math.tan(math.pi * t / 2.0)
+    elif seg is Segment.G4:
+        xi = 0.0
+    else:
+        return 1.0 + 0j
+    return (complex(xi, 1.0) / complex(xi, -1.0)) ** n
+
+
+def _sequential_refine(f, n):
+    """Midpoint refinement one interval at a time, splitting an interval and
+    re-checking its left half before moving on: the reference for the
+    batched refinement of build_loop."""
+    ts = list(np.linspace(0.0, 1.0, n))
+    vals = [complex(f(t)) for t in ts]
+    i = 0
+    while i < len(ts) - 1:
+        v0, v1 = vals[i], vals[i + 1]
+        dphi = abs(cmath.phase(v1 / v0)) if v0 != 0 and v1 != 0 else math.pi
+        if dphi >= math.pi / 2.0 and ts[i + 1] - ts[i] > 1e-12:
+            tm = 0.5 * (ts[i] + ts[i + 1])
+            ts.insert(i + 1, tm)
+            vals.insert(i + 1, complex(f(tm)))
+        else:
+            i += 1
+    return np.array(ts), np.array(vals)
+
+
+class TestArrayAssembly:
+    def _check_points(self, loop, value_of):
+        pts = loop.points
+        for pt in pts:
+            assert abs(pt.value - value_of(pt.segment, pt.t)) <= 1e-13
+        for p0, p1 in zip(pts[:-1], pts[1:]):
+            if p0.segment is p1.segment:
+                dphi = abs(cmath.phase(p1.value / p0.value))
+                assert dphi < math.pi / 2.0 or p1.t - p0.t <= 1e-12
+
+    def test_points_match_pointwise_evaluation(self):
+        for triple in README_TRIPLES:
+            sp = SpectralParams(*triple)
+            self._check_points(build_loop(sp, 256),
+                               lambda seg, t, sp=sp: eval_segment(seg, t, sp))
+        for n in range(1, 5):
+            self._check_points(build_validation_loop(n, 256),
+                               lambda seg, t, n=n: _validation_value(seg, t, n))
+
+    def test_batched_refinement_matches_sequential(self):
+        # the near-critical triple needs midpoint insertions on G1
+        for triple, n_base in (((0.75, 2.0, 2.226), 256), ((0.3, 2.0, 1.2), 64)):
+            loop = build_loop(SpectralParams(*triple), n_base)
+            seg_index, t, values = loop.arrays()
+            for k, seg in enumerate(SEGMENT_ORDER):
+                n = n_base if seg in (Segment.G1, Segment.G3P, Segment.G3M) else max(2, n_base // 8)
+                ref_t, ref_v = _sequential_refine(loop.segment_eval[seg], n)
+                mine = seg_index == k
+                assert np.array_equal(t[mine], ref_t)
+                assert np.max(np.abs(values[mine] - ref_v)) <= 1e-13
+        assert len(build_loop(SpectralParams(0.75, 2.0, 2.226), 256).points) > 3 * 256 + 3 * 32
+
+    def test_min_modulus_cached(self, monkeypatch):
+        import whml.contour as contour_mod
+        loop = build_loop(SpectralParams(0.75, 2.0, 2.2), 128)
+        calls = []
+        original = contour_mod.eval_segment
+
+        def counting(seg, t, sp):
+            calls.append(seg)
+            return original(seg, t, sp)
+
+        monkeypatch.setattr(contour_mod, "eval_segment", counting)
+        first = min_modulus(loop)
+        assert calls
+        calls.clear()
+        assert min_modulus(loop) == first
+        assert winding_number(loop) == -1
+        assert calls == []
+
+    def test_batched_polish_matches_sequential_golden_section(self):
+        # one new point per step, as a plain golden-section search does
+        def sequential(f, a, b):
+            invphi = (math.sqrt(5.0) - 1.0) / 2.0
+            x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+            f1, f2 = abs(complex(f(x1))), abs(complex(f(x2)))
+            for _ in range(60):
+                if f1 < f2:
+                    b, x2, f2 = x2, x1, f1
+                    x1 = b - invphi * (b - a)
+                    f1 = abs(complex(f(x1)))
+                else:
+                    a, x1, f1 = x1, x2, f2
+                    x2 = a + invphi * (b - a)
+                    f2 = abs(complex(f(x2)))
+                if b - a < 1e-14:
+                    break
+            return min(f1, f2)
+
+        for triple in README_TRIPLES + ((0.75, 2.0, 2.226),):
+            loop = build_loop(SpectralParams(*triple), 128)
+            seg_index, t, values = loop.arrays()
+            i = int(np.argmin(np.abs(values)))
+            f = loop.segment_eval[SEGMENT_ORDER[seg_index[i]]]
+            ref = min(float(abs(values[i])), sequential(f, t[i - 1], t[i + 1]))
+            assert min_modulus(loop) == pytest.approx(ref, rel=1e-13, abs=1e-16)

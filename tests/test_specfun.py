@@ -216,3 +216,18 @@ class TestKummerU:
             kummer_u(1.0, 3.5, 1.0)
         with pytest.raises(DomainError):
             kummer_u(1.0, 1.5, -2.0)
+
+
+class TestBetaAgainstMpmath:
+    def test_scalar_and_array_match_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        a = rng.uniform(0.05, 3.0, 60) + 1j * rng.uniform(-80.0, 80.0, 60)
+        b = rng.uniform(0.05, 3.0, 60)
+        array_vals = complex_beta(a, b)
+        with mp.workdps(40):
+            for k in range(60):
+                ref = complex(mp.beta(mp.mpc(a[k].real, a[k].imag), mp.mpf(b[k])))
+                scalar_val = complex_beta(complex(a[k]), float(b[k]))
+                assert scalar_val == array_vals[k]
+                assert abs(scalar_val - ref) <= 5e-13 * abs(ref)

@@ -220,3 +220,22 @@ class TestMellinSymbolResidual:
             mellin_symbol_residual(-0.5, 0.0, 0.0, 2.0)
         with pytest.raises(DomainError):
             mellin_symbol_residual(0.5, -0.9, 0.0, 2.0)
+
+
+class TestArrayViews:
+    def test_array_call_equals_scalar_calls(self):
+        from whml.symbols import gamma1_mellin_term
+        xis = np.array([-1e3, -7.5, -0.3, 0.0, 0.4, 2.0, 60.0])
+        for sp in (SP_LOW, SP_HIGH):
+            for fn in (wh_c1, c1p_inf, c2p_inf, gamma1_mellin_term):
+                vals = fn(xis, sp)
+                assert vals.shape == xis.shape
+                for xi, val in zip(xis, vals):
+                    scalar = fn(float(xi), sp)
+                    assert isinstance(scalar, complex)
+                    assert scalar == pytest.approx(val, rel=1e-15, abs=1e-15)
+
+    def test_wh_c1_array_limits(self):
+        vals = wh_c1(np.array([-np.inf, np.inf]), SP_HIGH)
+        assert vals[0] == pytest.approx(cmath.exp(2j * math.pi * SP_HIGH.nu), abs=1e-15)
+        assert vals[1] == 1.0
