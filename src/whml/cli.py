@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 I/O failure, 4 numerical failure (a quadrature, extrapolation or loop
 refinement missed its tolerance, or a loop passed too close to the origin
 for a winding number); codes 2 to 4 print a one-line message to stderr.
-Suite fan-out is capped by WHML_THREADS (default: hardware count).
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -95,13 +92,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    workers = int(os.environ.get("WHML_THREADS", os.cpu_count() or 1))
-    if len(names) > 1 and workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(names))) as pool:
-            futures = {name: pool.submit(run_suite, name, args.density) for name in names}
-            results = {name: futures[name].result() for name in names}
-    else:
-        results = {name: run_suite(name, args.density) for name in names}
+    results = {name: run_suite(name, args.density) for name in names}
 
     all_passed = True
     if args.json:

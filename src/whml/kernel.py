@@ -236,7 +236,7 @@ def potential_aminus(x: float, k: KernelParams, mode: PotentialKind) -> complex:
         raise DomainError(f"unknown potential kind {mode!r}")
 
     def integrand(t):
-        return math.exp(-t) * _sp.hyperu(a + 1.0, b, 2.0 * t)
+        return math.exp(-t) * kummer_u(a + 1.0, b, 2.0 * t)
 
     split = max(2.0 * x, 4.0)
     val = q.quad_split_inf(integrand, x, split, epsabs=1e-10, epsrel=1e-10)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -176,140 +177,98 @@ def _midgrid(lo: float, hi: float, n: int) -> np.ndarray:
 _XI_FAR = 10.0
 
 
-def _scan_te2(density: int):
-    alphas = _midgrid(0.0, 0.5, density)
-    xis = _midgrid(0.25, _XI_FAR, density)
-    two_over_pi = 2.0 / math.pi
-    worst = math.inf
-    arg = None
-    for a in alphas:
-        taus = _midgrid(a, 1.0, density)
+@dataclass(frozen=True)
+class _Region:
+    """One grid check of the two sides: alpha, tau and xi ranges (tau
+    windows depend on alpha), and a margin that is positive where the
+    estimate holds."""
+
+    alphas: tuple
+    tau_windows: Callable
+    xis: tuple
+    margin: Callable
+    grid: str
+
+
+def _cell_min(margin, a, taus, xis):
+    """Smallest margin over the (tau, xi) grid at one alpha, and its cell."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ts = _ts_array(a, taus[:, None], xis[None, :])
         tb = _tb_array(a, taus[:, None], xis[None, :])
-        m = np.minimum(np.abs(ts) - two_over_pi, two_over_pi - np.abs(tb))
-        i = np.unravel_index(np.argmin(m), m.shape)
-        if m[i] < worst:
-            worst = float(m[i])
-            arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
-    return worst, arg, "alpha in (0,1/2), tau in [alpha,1), xi in [1/4,10]"
+        m = margin(a, ts, tb, xis[None, :])
+    i = np.unravel_index(np.argmin(m), m.shape)
+    return m[i], i
 
 
-def _scan_te3(density: int):
-    alphas = _midgrid(0.0, 0.5, density)
-    xis = _midgrid(0.0, 0.25, density)
+def _scan(region: _Region, density: int):
+    """Per-alpha midpoint scan of a region: the grid minimum of its margin
+    and the (alpha, tau, xi) where it occurred."""
+    xis = _midgrid(*region.xis, density)
     worst = math.inf
     arg = None
-    for a in alphas:
-        taus = np.concatenate([_midgrid(a, 1.0, density), _midgrid(1.0 + a, 2.0, density)])
-        ts = _ts_array(a, taus[:, None], xis[None, :])
-        tb = _tb_array(a, taus[:, None], xis[None, :])
-        line = -4.0 * a * xis[None, :]
-        m = np.minimum(np.angle(tb) - line, line - np.angle(ts))
-        i = np.unravel_index(np.argmin(m), m.shape)
-        if m[i] < worst:
-            worst = float(m[i])
-            arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
-    return worst, arg, "alpha in (0,1/2), tau in [alpha,1) or [1+alpha,2), xi in (0,1/4)"
-
-
-def _scan_arg_separation(density: int, tau_window):
-    """Common body of the argument-separation scans: margin is the smallest
-    principal argument of t_s / t_b over the region."""
-    alphas = _midgrid(0.0, tau_window.alpha_hi, density)
-    xis = _midgrid(0.0, _XI_FAR, density)
-    worst = math.inf
-    arg = None
-    for a in alphas:
-        lo, hi = tau_window.bounds(a)
-        if hi <= lo:
-            continue
-        taus = _midgrid(lo, hi, density)
-        ts = _ts_array(a, taus[:, None], xis[None, :])
-        tb = _tb_array(a, taus[:, None], xis[None, :])
-        m = np.abs(np.angle(ts / tb))
-        i = np.unravel_index(np.argmin(m), m.shape)
-        if m[i] < worst:
-            worst = float(m[i])
+    for a in _midgrid(*region.alphas, density):
+        taus = np.concatenate([_midgrid(lo, hi, density) for lo, hi in region.tau_windows(a)])
+        m, i = _cell_min(region.margin, a, taus, xis)
+        if m < worst:
+            worst = float(m)
             arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
     return worst, arg
 
 
-class _Te4Window:
-    alpha_hi = 0.5
-
-    @staticmethod
-    def bounds(a):
-        return 0.0, a
+def _te3_margin(a, ts, tb, xis):
+    line = -4.0 * a * xis
+    return np.minimum(np.angle(tb) - line, line - np.angle(ts))
 
 
-class _Te8Window:
-    alpha_hi = 1.0
-
-    @staticmethod
-    def bounds(a):
-        return 1.0, 1.0 + a
-
-
-def _scan_te4(density: int):
-    worst, arg = _scan_arg_separation(density, _Te4Window)
-    return worst, arg, "alpha in (0,1/2), tau in (0,alpha), xi in (0,10]"
-
-
-def _scan_te8(density: int):
-    worst, arg = _scan_arg_separation(density, _Te8Window)
-    return worst, arg, "alpha in (0,1), tau in (1,1+alpha), xi in (0,10]"
-
-
-def _scan_te6(density: int):
-    alphas = _midgrid(0.0, 1.0, density)
-    xis = _midgrid(0.25, _XI_FAR, density)
-    worst = math.inf
-    arg = None
-    for a in alphas:
-        taus = _midgrid(1.0 + a, 2.0, density)
-        ts = _ts_array(a, taus[:, None], xis[None, :])
-        tb = _tb_array(a, taus[:, None], xis[None, :])
-        m = np.abs(ts) - np.abs(tb)
-        i = np.unravel_index(np.argmin(m), m.shape)
-        if m[i] < worst:
-            worst = float(m[i])
-            arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
-    return worst, arg, "alpha in (0,1), tau in [1+alpha,2), xi in [1/4,10]"
-
-
-def _scan_te7(density: int):
-    alphas = _midgrid(0.5, 1.0, density)
-    xis = _midgrid(0.0, 0.25, density)
+def _te7_margin(a, ts, tb, xis):
     half_pi = math.pi / 2.0
-    worst = math.inf
-    arg = None
-    for a in alphas:
-        taus = _midgrid(1.0 + a, 2.0, density)
-        ts = _ts_array(a, taus[:, None], xis[None, :])
-        tb = _tb_array(a, taus[:, None], xis[None, :])
-        args_s = np.angle(ts)
-        args_b = np.angle(tb)
-        m = np.minimum.reduce([
-            -half_pi - args_s,      # arg t_s <= -pi/2
-            args_s + math.pi,       # arg t_s > -pi
-            args_b + half_pi,       # arg t_b > -pi/2
-            -args_b,                # arg t_b < 0
-        ])
-        i = np.unravel_index(np.argmin(m), m.shape)
-        if m[i] < worst:
-            worst = float(m[i])
-            arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
-    return worst, arg, "alpha in [1/2,1), tau in [1+alpha,2), xi in (0,1/4)"
+    args_s = np.angle(ts)
+    args_b = np.angle(tb)
+    return np.minimum.reduce([
+        -half_pi - args_s,      # arg t_s <= -pi/2
+        args_s + math.pi,       # arg t_s > -pi
+        args_b + half_pi,       # arg t_b > -pi/2
+        -args_b,                # arg t_b < 0
+    ])
+
+
+def _arg_separation(a, ts, tb, xis):
+    """Smallest principal argument of t_s / t_b."""
+    return np.abs(np.angle(ts / tb))
+
+
+def _gap(a, ts, tb, xis):
+    """|t_s - t_b|, with a non-finite value read as infinitely apart."""
+    gap = np.abs(ts - tb)
+    return np.where(np.isfinite(gap), gap, np.inf)
 
 
 SCAN_REGIONS = {
-    "TE2": _scan_te2,
-    "TE3": _scan_te3,
-    "TE4": _scan_te4,
-    "TE6": _scan_te6,
-    "TE7": _scan_te7,
-    "TE8": _scan_te8,
+    "TE2": _Region(
+        (0.0, 0.5), lambda a: [(a, 1.0)], (0.25, _XI_FAR),
+        lambda a, ts, tb, xis: np.minimum(np.abs(ts) - 2.0 / math.pi, 2.0 / math.pi - np.abs(tb)),
+        "alpha in (0,1/2), tau in [alpha,1), xi in [1/4,10]"),
+    "TE3": _Region(
+        (0.0, 0.5), lambda a: [(a, 1.0), (1.0 + a, 2.0)], (0.0, 0.25), _te3_margin,
+        "alpha in (0,1/2), tau in [alpha,1) or [1+alpha,2), xi in (0,1/4)"),
+    "TE4": _Region(
+        (0.0, 0.5), lambda a: [(0.0, a)], (0.0, _XI_FAR), _arg_separation,
+        "alpha in (0,1/2), tau in (0,alpha), xi in (0,10]"),
+    "TE6": _Region(
+        (0.0, 1.0), lambda a: [(1.0 + a, 2.0)], (0.25, _XI_FAR),
+        lambda a, ts, tb, xis: np.abs(ts) - np.abs(tb),
+        "alpha in (0,1), tau in [1+alpha,2), xi in [1/4,10]"),
+    "TE7": _Region(
+        (0.5, 1.0), lambda a: [(1.0 + a, 2.0)], (0.0, 0.25), _te7_margin,
+        "alpha in [1/2,1), tau in [1+alpha,2), xi in (0,1/4)"),
+    "TE8": _Region(
+        (0.0, 1.0), lambda a: [(1.0, 1.0 + a)], (0.0, _XI_FAR), _arg_separation,
+        "alpha in (0,1), tau in (1,1+alpha), xi in (0,10]"),
 }
+
+# the LOW no-solution certificate: the whole low-regularity cube
+_LOW = _Region((0.0, 0.5), lambda a: [(0.0, 1.0)], (0.0, _XI_FAR), _gap,
+               "alpha x tau x xi midpoint grid")
 
 
 def inequality_scan(region: str, grid_density: int = 40) -> VerificationReport:
@@ -319,18 +278,13 @@ def inequality_scan(region: str, grid_density: int = 40) -> VerificationReport:
     if grid_density < 20:
         raise DomainError("inequality_scan requires grid_density >= 20")
     try:
-        scan = SCAN_REGIONS[region.upper()]
+        spec = SCAN_REGIONS[region.upper()]
     except KeyError as exc:
         raise DomainError(f"unknown scan region {region!r}") from exc
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        margin, argmin, grid = scan(grid_density)
+    margin, argmin = _scan(spec, grid_density)
     return VerificationReport.from_margin(
-        name=region.upper(),
-        grid=f"{grid}, {grid_density} cells per axis (midpoints)",
-        margin=margin,
-        tolerance=0.0,
-        argmin=argmin,
-    )
+        region.upper(), f"{spec.grid}, {grid_density} cells per axis (midpoints)",
+        margin, 0.0, argmin)
 
 
 def no_solution_certificate(regime: str, grid_density: int = 30,
@@ -345,29 +299,9 @@ def no_solution_certificate(regime: str, grid_density: int = 30,
         raise DomainError("no_solution_certificate requires grid_density >= 20")
     regime = regime.upper()
     if regime == "LOW":
-        alphas_grid = _midgrid(0.0, 0.5, grid_density)
-        xis = _midgrid(0.0, _XI_FAR, grid_density)
-        worst = math.inf
-        arg = None
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for a in alphas_grid:
-                taus = _midgrid(0.0, 1.0, grid_density)
-                gap = np.abs(
-                    _ts_array(a, taus[:, None], xis[None, :])
-                    - _tb_array(a, taus[:, None], xis[None, :])
-                )
-                gap = np.where(np.isfinite(gap), gap, np.inf)
-                i = np.unravel_index(np.argmin(gap), gap.shape)
-                if gap[i] < worst:
-                    worst = float(gap[i])
-                    arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
+        worst, arg = _scan(_LOW, grid_density)
         return VerificationReport.from_margin(
-            name="NO_SOLUTION_LOW",
-            grid=f"alpha x tau x xi midpoint grid, {grid_density}^3 cells",
-            margin=worst,
-            tolerance=1e-3,
-            argmin=arg,
-        )
+            "NO_SOLUTION_LOW", f"{_LOW.grid}, {grid_density}^3 cells", worst, 1e-3, arg)
     if regime == "HIGH":
         # the touching point sits exactly at xi = 0, so the frequency grid
         # keeps that row; the tau grid stays at cell midpoints
@@ -379,23 +313,17 @@ def no_solution_certificate(regime: str, grid_density: int = 30,
         arg = None
         localized = True
         details = []
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for a in alphas:
-                gap = np.abs(
-                    _ts_array(a, taus[:, None], xis[None, :])
-                    - _tb_array(a, taus[:, None], xis[None, :])
-                )
-                gap = np.where(np.isfinite(gap), gap, np.inf)
-                i = np.unravel_index(np.argmin(gap), gap.shape)
-                tau_star = 1.0 + alpha_c(a)
-                ok = (abs(taus[i[0]] - tau_star) <= tau_cell
-                      and xis[i[1]] <= xi_cell)
-                localized &= ok
-                details.append(f"alpha={a}: argmin (tau={taus[i[0]]:.4f}, xi={xis[i[1]]:.4f}) "
-                               f"target tau={tau_star:.4f} ok={ok}")
-                if gap[i] < overall_min:
-                    overall_min = float(gap[i])
-                    arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
+        for a in alphas:
+            gap, i = _cell_min(_gap, a, taus, xis)
+            tau_star = 1.0 + alpha_c(a)
+            ok = (abs(taus[i[0]] - tau_star) <= tau_cell
+                  and xis[i[1]] <= xi_cell)
+            localized &= ok
+            details.append(f"alpha={a}: argmin (tau={taus[i[0]]:.4f}, xi={xis[i[1]]:.4f}) "
+                           f"target tau={tau_star:.4f} ok={ok}")
+            if gap < overall_min:
+                overall_min = float(gap)
+                arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
         return VerificationReport(
             name="NO_SOLUTION_HIGH",
             grid=f"tau x xi midpoint grid, {grid_density}^2 cells per alpha; " + "; ".join(details),

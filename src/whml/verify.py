@@ -2,7 +2,6 @@
 
 Each suite re-runs the module's dual-route and invariant checks at a
 caller-chosen grid density and returns one VerificationReport per check.
-The suites are independent and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
 from .gridfn import GridFunction
 from .halfline import apply_fourier, apply_singular, quadratic_form, rl_integral
 from .kernel import (
@@ -151,7 +151,7 @@ def suite_symbols(density: int = 20) -> list:
     for p in (1.5, 2.5, 3.0, 4.0):
         centre = 1j / math.tan(2.0 * math.pi / p)
         radius = 1.0 / abs(math.sin(2.0 * math.pi / p))
-        for xi in np.linspace(-3.0, 3.0, density):
+        for xi in np.linspace(-3.0, 3.0, max(5, density)):
             dev = abs(abs(loop_function(-1.0, 1.0, float(xi), p) - centre) - radius)
             worst = max(worst, dev)
     reports.append(VerificationReport.from_residual(
@@ -221,4 +221,6 @@ SUITES = {
 
 
 def run_suite(name: str, density: int = 20) -> list:
+    if density < 1:
+        raise DomainError(f"density must be at least 1, got {density}")
     return SUITES[name](density)

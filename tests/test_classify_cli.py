@@ -214,8 +214,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert all(rep["pass"] for rep in payload["transcend"])
 
-    def test_verify_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("WHML_THREADS", "1")
+    def test_verify_text_output(self, capsys):
         assert cli_main(["verify", "--suite", "symbols"]) == EXIT_OK
         assert "suite symbols" in capsys.readouterr().out
 
@@ -229,3 +228,30 @@ class TestCli:
         monkeypatch.setitem(verify_mod.SUITES, "symbols", failing_suite)
         assert cli_main(["verify", "--suite", "symbols"]) == EXIT_VERIFY_FAIL
         capsys.readouterr()
+
+    @pytest.mark.parametrize("density", ["0", "-5"])
+    def test_verify_density_below_one_is_usage_error(self, density):
+        proc = subprocess.run(
+            [sys.executable, "-m", "whml.cli", "verify", "--suite", "symbols",
+             "--density", density],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_symbols_suite_floors_its_xi_grid(self, monkeypatch):
+        import whml.verify as verify_mod
+
+        xis = set()
+        original = verify_mod.loop_function
+
+        def recording(a, b, xi, p):
+            xis.add(xi)
+            return original(a, b, xi, p)
+
+        monkeypatch.setattr(verify_mod, "loop_function", recording)
+        reports = {rep.name: rep for rep in verify_mod.suite_symbols(1)}
+        assert len(xis) >= 5
+        assert reports["loop_arc_invariant"].passed

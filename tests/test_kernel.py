@@ -20,7 +20,7 @@ from whml.kernel import (
     symbol_identity_residual,
 )
 from whml.quadrature import quad
-from whml.specfun import bessel_k
+from whml.specfun import AccuracyOverflow, bessel_k
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -224,6 +224,15 @@ class TestPotentialAminus:
             potential_aminus(1.0, KernelParams(0.6), PotentialKind.A_MINUS)
         with pytest.raises(DomainError):
             potential_aminus(0.0, KernelParams(0.3), PotentialKind.A_MINUS)
+
+    def test_non_finite_profile_raises(self, monkeypatch):
+        # the profile goes through the guarded kummer_u, so a non-finite U
+        # is reported rather than integrated
+        import whml.specfun as specfun_mod
+        monkeypatch.setattr(specfun_mod._sp, "hyperu", lambda a, b, x: math.nan)
+        for kind in PotentialKind:
+            with pytest.raises(AccuracyOverflow):
+                potential_aminus(1.0, KernelParams(0.3), kind)
 
 
 class TestConstants:

@@ -200,3 +200,26 @@ class TestCertificates:
             no_solution_certificate("LOW", 5)
         with pytest.raises(DomainError):
             no_solution_certificate("MID", 25)
+
+
+# exact grid minima and their cells at density 20; a change to a region's
+# grid, margin expression or minimum search moves at least one of them
+_PINNED_20 = {
+    "TE2": (0.1398539426494529, (0.0125, 0.0371875, 0.49375)),
+    "TE3": (6.443493644911507e-05, (0.0125, 0.0371875, 0.00625)),
+    "TE4": (0.0012508535141431318, (0.0125, 0.0003125, 9.75)),
+    "TE6": (0.5259553630339873, (0.025, 1.049375, 0.49375)),
+    "TE7": (0.003246504595451713, (0.5125, 1.9878125, 0.00625)),
+    "TE8": (0.007516656836184421, (0.025, 1.000625, 9.75)),
+    "LOW": (0.24746615219781878, (0.4375, 0.025, 0.25)),
+    "HIGH": (0.005388343078896449, (0.75, 1.725, 0.0)),
+}
+
+
+@pytest.mark.parametrize("region", sorted(_PINNED_20))
+def test_pinned_minimum_at_density_20(region):
+    if region in ("LOW", "HIGH"):
+        rep = no_solution_certificate(region, 20)
+    else:
+        rep = inequality_scan(region, 20)
+    assert (rep.min_margin, rep.argmin) == _PINNED_20[region]
