@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 I/O failure, 4 numerical failure (a quadrature, extrapolation or loop
 refinement missed its tolerance, or a loop passed too close to the origin
 for a winding number); codes 2 to 4 print a one-line message to stderr.
+
+`alphac` bisects the critical root to float resolution; it takes no
+tolerance option.
 """
 
 from __future__ import annotations
@@ -56,14 +59,14 @@ def _cmd_alphac(args) -> int:
             raise DomainError(f"--grid must be at least 1, got {args.grid}")
         alphas = np.linspace(0.0, 1.0, args.grid + 2)[1:-1]
         lines = ["alpha,alpha_c"]
-        lines += [f"{a:.17g},{alpha_c(float(a), args.tol):.17g}" for a in alphas]
+        lines += [f"{a:.17g},{alpha_c(float(a)):.17g}" for a in alphas]
         payload = ("\n".join(lines) + "\n").encode("utf-8")
         if args.csv:
             _write_artifact(args.csv, payload)
         else:
             sys.stdout.write(payload.decode("utf-8"))
         return EXIT_OK
-    value = alpha_c(args.alpha, args.tol)
+    value = alpha_c(args.alpha)
     if args.csv:
         _write_artifact(args.csv, f"alpha,alpha_c\n{args.alpha:.17g},{value:.17g}\n".encode())
     else:
@@ -132,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = a.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", type=float)
     group.add_argument("--grid", type=int)
-    a.add_argument("--tol", type=float, default=1e-12)
     a.add_argument("--csv", type=str, default=None)
     a.set_defaults(func=_cmd_alphac)
 

@@ -85,27 +85,25 @@ class ContourPoint:
 class SymbolLoop:
     """Ordered closed polyline of symbol values with its continuity audit.
 
-    The samples are held as arrays (segment index into SEGMENT_ORDER, t,
-    value); `points` gives the same samples as ContourPoint records, built
-    on first use.  `segment_eval` maps each segment to its evaluator for the
-    sub-grid polish of the minimum modulus, which min_modulus caches.
+    The samples are held as read-only arrays (segment index into
+    SEGMENT_ORDER, t, value); `points` gives the same samples as
+    ContourPoint records, built on first use.  `segment_eval` maps each
+    segment to its evaluator for the sub-grid polish of the minimum
+    modulus, which min_modulus caches.
     """
 
-    def __init__(self, points, closure_gap, junction_gaps, segment_eval=None):
-        self._points = tuple(points)
-        self._arrays = None
+    def __init__(self, segment_index, t, values, closure_gap, junction_gaps,
+                 segment_eval=None):
+        arrays = (np.asarray(segment_index, dtype=np.intp), np.asarray(t, dtype=float),
+                  np.asarray(values, dtype=complex))
+        for a in arrays:
+            a.flags.writeable = False
+        self._arrays = arrays
+        self._points = None
         self.closure_gap = closure_gap
         self.junction_gaps = tuple(junction_gaps)
         self.segment_eval = segment_eval
         self._min_modulus = None
-
-    @classmethod
-    def from_arrays(cls, segment_index, t, values, closure_gap, junction_gaps,
-                    segment_eval=None) -> "SymbolLoop":
-        loop = cls((), closure_gap, junction_gaps, segment_eval)
-        loop._points = None
-        loop._arrays = _read_only(segment_index, t, values)
-        return loop
 
     @property
     def points(self) -> tuple:
@@ -117,23 +115,11 @@ class SymbolLoop:
 
     def arrays(self) -> tuple:
         """Read-only (segment index, t, value) arrays in traversal order."""
-        if self._arrays is None:
-            pts = self._points
-            self._arrays = _read_only([SEGMENT_ORDER.index(pt.segment) for pt in pts],
-                                      [pt.t for pt in pts], [pt.value for pt in pts])
         return self._arrays
 
     def values(self) -> np.ndarray:
         """Read-only array of the point values, in traversal order."""
-        return self.arrays()[2]
-
-
-def _read_only(segment_index, t, values) -> tuple:
-    out = (np.asarray(segment_index, dtype=np.intp), np.asarray(t, dtype=float),
-           np.asarray(values, dtype=complex))
-    for a in out:
-        a.flags.writeable = False
-    return out
+        return self._arrays[2]
 
 
 def _xi_line(t):
@@ -281,8 +267,8 @@ def _assemble(seg_funcs: dict, n_base: int) -> SymbolLoop:
     values = np.concatenate([per_segment[seg][1] for seg in SEGMENT_ORDER])
     seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)),
                           [len(per_segment[seg][0]) for seg in SEGMENT_ORDER])
-    return SymbolLoop.from_arrays(seg_index, t, values, float(abs(values[-1] - values[0])),
-                                  junction_gaps, seg_funcs)
+    return SymbolLoop(seg_index, t, values, float(abs(values[-1] - values[0])),
+                      junction_gaps, seg_funcs)
 
 
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
@@ -373,20 +359,20 @@ def _golden_min(f, a: float, b: float) -> float:
                 return min(f1, f2)
 
 
-def winding_number(loop: SymbolLoop, fredholm_tol: float = FREDHOLM_TOL) -> int:
+def winding_number(loop: SymbolLoop) -> int:
     """Winding of the loop about the origin from unwrapped phase increments.
 
-    Requires the loop to stay away from the origin (min modulus above the
-    Fredholm tolerance); the accumulated phase must land on an integer
+    Requires the loop to stay away from the origin (min modulus above
+    FREDHOLM_TOL); the accumulated phase must land on an integer
     multiple of 2 pi to within 1 percent.  Reads the minimum modulus a
     previous min_modulus call cached instead of polishing again.
     """
     mm = loop._min_modulus
     if mm is None:
         mm = min_modulus(loop)
-    if mm <= fredholm_tol:
+    if mm <= FREDHOLM_TOL:
         raise NotFredholmError(
-            f"loop minimum modulus is below {fredholm_tol}; winding undefined"
+            f"loop minimum modulus is below {FREDHOLM_TOL}; winding undefined"
         )
     vals = loop.values()
     closed = np.append(vals, vals[0])
@@ -400,10 +386,10 @@ def winding_number(loop: SymbolLoop, fredholm_tol: float = FREDHOLM_TOL) -> int:
     return int(rounded)
 
 
-def fredholm_index(loop: SymbolLoop, fredholm_tol: float = FREDHOLM_TOL) -> int:
+def fredholm_index(loop: SymbolLoop) -> int:
     """Index of the symbol's operator on the full half-line space:
     minus the winding number."""
-    return -winding_number(loop, fredholm_tol)
+    return -winding_number(loop)
 
 
 def export_loop(loop: SymbolLoop, fmt: str = "csv") -> bytes:

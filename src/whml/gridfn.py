@@ -40,6 +40,8 @@ class GridFunction:
 
     @classmethod
     def from_function(cls, f, length: float, n: int) -> "GridFunction":
+        if n < _MIN_POINTS:
+            raise DomainError(f"GridFunction needs at least {_MIN_POINTS} samples")
         h = length / (n - 1)
         xs = h * np.arange(n)
         return cls(np.asarray([f(x) for x in xs]), h)
@@ -106,11 +108,15 @@ class GridFunction:
         xs = []
         vals = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                sx, sv = line.split()
+                fields = line.split()
+                if len(fields) != 2:
+                    raise DomainError(
+                        f"grid file line {lineno}: expected 2 fields, got {len(fields)}")
+                sx, sv = fields
                 xs.append(float(sx))
                 vals.append(complex(sv))
         xs = np.asarray(xs)

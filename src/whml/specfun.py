@@ -5,21 +5,16 @@ live in (-pi, pi], with the cut along the negative real axis.  All fractional
 powers of complex bases must go through :func:`principal_power` so that the
 convention holds globally.
 
-Gamma, log-gamma and digamma are guarded views on scipy.special (``gamma``,
-``loggamma`` on its principal branch, ``psi``): every one of them raises
-:class:`PoleError` within 1e-13 of a non-positive integer and
-``AccuracyOverflow`` on a non-finite result, and gamma keeps the overflow
-guard |Re z| > 170.  Beta is assembled in log space to dodge overflow.  Each
-function takes scalars or arrays and returns the same shape; a scalar call is
-a view of the array code.  The real modified Bessel function K_nu and the
-confluent hypergeometric U are delegated to scipy.special behind the domain
-windows this package actually needs.
+Beta is assembled in log space from scipy.special.loggamma (principal
+branch) to dodge overflow; it raises :class:`PoleError` within 1e-13 of a
+non-positive integer and ``AccuracyOverflow`` on a non-finite result.
+Principal powers and beta take scalars or arrays and return the same shape;
+a scalar call is a view of the array code.  The real modified Bessel
+function K_nu and the confluent hypergeometric U are delegated to
+scipy.special behind the domain windows this package actually needs.
 """
 
 from __future__ import annotations
-
-import cmath
-import math
 
 import numpy as np
 from scipy import special as _sp
@@ -28,23 +23,12 @@ from .errors import DomainError, GammaOverflowError, PoleError
 
 __all__ = [
     "principal_power",
-    "complex_gamma",
-    "complex_loggamma",
-    "complex_digamma",
     "complex_beta",
     "bessel_k",
     "kummer_u",
 ]
 
 _POLE_TOL = 1e-13
-
-
-def _as_complex_array(z):
-    return np.asarray(z, dtype=complex)
-
-
-def _is_scalar(z) -> bool:
-    return np.ndim(z) == 0
 
 
 def scalar_or_array(out):
@@ -64,79 +48,39 @@ def _check_finite(value, what: str):
 
 
 def _arg_principal(z):
-    """Argument in (-pi, pi]; negative reals map to +pi even with -0.0 parts."""
-    a = np.angle(z)
-    z = np.asarray(z)
-    on_cut = (z.imag == 0.0) & (z.real < 0.0)
-    if on_cut.any():
-        a = np.where(on_cut, math.pi, a)
-    return a
+    """Argument in (-pi, pi]; negative reals map to +pi even with -0.0 parts
+    (adding 0.0 turns an imaginary part of -0.0 into +0.0)."""
+    return np.arctan2(z.imag + 0.0, z.real)
 
 
 def principal_power(z, gamma: float):
     """z**gamma with the principal branch, z^g := exp(g*(log|z| + i*arg z)).
 
     arg z is taken in (-pi, pi].  z = 0 returns 0 for gamma > 0 and raises
-    for gamma <= 0.
+    for gamma <= 0.  Accepts arrays.
     """
-    if _is_scalar(z):
-        zc = complex(z)
-        if zc == 0:
-            if gamma > 0:
-                return 0j
-            raise DomainError("0 cannot be raised to a non-positive power")
-        w = cmath.exp(gamma * complex(math.log(abs(zc)), _arg_principal(zc)))
-        return _check_finite(w, "principal_power")
-    za = _as_complex_array(z)
-    if gamma <= 0 and (za == 0).any():
+    za = np.asarray(z, dtype=complex)
+    zero = za == 0
+    if gamma <= 0 and zero.any():
         raise DomainError("0 cannot be raised to a non-positive power")
-    logz = np.log(np.where(za == 0, 1.0, np.abs(za))) + 1j * _arg_principal(za)
-    out = np.where(za == 0, 0j, np.exp(gamma * logz))
-    return _check_finite(out, "principal_power")
+    logz = np.log(np.where(zero, 1.0, np.abs(za))) + 1j * _arg_principal(za)
+    out = np.where(zero, 0j, np.exp(gamma * logz))
+    return scalar_or_array(_check_finite(out, "principal_power"))
 
 
 def _near_pole(*zs) -> bool:
     """True if any entry of the arrays lies within _POLE_TOL of a
-    non-positive integer (the poles of gamma, log-gamma and digamma)."""
-    za = np.concatenate([z.ravel() for z in zs]) if len(zs) > 1 else zs[0]
+    non-positive integer (the poles of gamma and log-gamma)."""
+    za = np.concatenate([z.ravel() for z in zs])
     re = za.real
     dist = np.maximum(np.abs(re - np.round(re)), np.abs(za.imag))
     return bool(((dist < _POLE_TOL) & (re < 0.5)).any())
 
 
-def _guarded(fn, z, name: str):
-    """fn(z) for a scipy.special gamma-family ufunc, behind the pole and
-    finiteness guards."""
-    za = _as_complex_array(z)
-    if _near_pole(za):
-        raise PoleError(f"{name} pole at a non-positive integer")
-    return scalar_or_array(_check_finite(fn(za), name))
-
-
-def complex_loggamma(z):
-    """Principal branch of log Gamma (scipy.special.loggamma);
-    exp(complex_loggamma(z)) is Gamma(z)."""
-    return _guarded(_sp.loggamma, z, "log-gamma")
-
-
-def complex_gamma(z):
-    """Gamma function for complex argument (scipy.special.gamma), with the
-    overflow guard |Re z| > 170."""
-    if np.any(np.abs(np.real(z)) > 170.0):
-        raise GammaOverflowError("gamma overflow guard: |Re z| > 170")
-    return _guarded(_sp.gamma, z, "gamma")
-
-
-def complex_digamma(z):
-    """Digamma, the logarithmic derivative of gamma, for complex argument
-    (scipy.special.psi)."""
-    return _guarded(_sp.psi, z, "digamma")
-
-
 def complex_beta(a, b):
     """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), via log-gamma."""
-    aa = _as_complex_array(a)
-    bb = _as_complex_array(b)
+    aa = np.asarray(a, dtype=complex)
+    bb = np.asarray(b, dtype=complex)
     ab = aa + bb
     if _near_pole(aa, bb, ab):
         raise PoleError("beta pole: argument or argument sum at a non-positive integer")

@@ -127,25 +127,27 @@ def wh_c1(xi, sp: SpectralParams):
     return scalar_or_array(out)
 
 
-def wh_c2(xi: float, sp: SpectralParams) -> complex:
+def wh_c2(xi, sp: SpectralParams):
     """Vanishing-at-zero Wiener-Hopf factor
     (-i xi)^(2a) (xi-i)^(s-2a-m) (xi+i)^(m-s).
 
     Limits: 0 from both sides of 0, e^(-i pi a) at +inf and
-    e^(-i pi a) e^(2 pi i nu') at -inf.
+    e^(-i pi a) e^(2 pi i nu') at -inf.  Accepts arrays; a scalar call
+    evaluates a one-element array, so it equals the array call bit for bit.
     """
     a, s, m = sp.alpha, sp.s, sp.m
-    if xi == 0.0:
-        return 0j
-    if xi == math.inf:
-        return cmath.exp(-1j * math.pi * a)
-    if xi == -math.inf:
-        return cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a))
-    return (
-        principal_power(-1j * xi, 2.0 * a)
-        * principal_power(complex(xi, -1.0), s - 2.0 * a - m)
-        * principal_power(complex(xi, 1.0), m - s)
+    x = np.atleast_1d(np.asarray(xi, dtype=float))
+    finite = np.isfinite(x)
+    xf = np.where(finite, x, 0.0)
+    val = (
+        principal_power(-1j * xf, 2.0 * a)
+        * principal_power(xf - 1j, s - 2.0 * a - m)
+        * principal_power(xf + 1j, m - s)
     )
+    limit = np.where(x > 0.0, cmath.exp(-1j * math.pi * a),
+                     cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a)))
+    out = np.where(finite, val, limit)
+    return scalar_or_array(out.reshape(np.shape(xi)))
 
 
 def mellin_b2(xi, sp: SpectralParams):

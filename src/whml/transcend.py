@@ -94,18 +94,17 @@ def te_residual_zero(tau: float, alpha: float) -> float:
     return lhs - math.gamma(2.0 * alpha) * math.sin(math.pi * alpha)
 
 
-def alpha_c(alpha: float, tol: float = 1e-12) -> float:
+def alpha_c(alpha: float) -> float:
     """The critical smoothness offset: the unique root tau = 1 + alpha_c of
     the frequency-zero equation in (1, 2), returned as alpha_c in (0, alpha).
 
     Bisection on [1 + d, 1 + a - d] for a < 1/2 and [2a + d, 1 + a - d] for
     a >= 1/2, with d shrunk until the endpoint signs differ; existence and
-    uniqueness of the sign change make the bracket safe.
+    uniqueness of the sign change make the bracket safe.  The bisection
+    runs to float resolution.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha_c requires 0 < alpha < 1")
-    if tol < 1e-12:
-        tol = 1e-12
     left_base = 1.0 if alpha < 0.5 else 2.0 * alpha
     delta = 1e-3
     lo = hi = None
@@ -125,8 +124,8 @@ def alpha_c(alpha: float, tol: float = 1e-12) -> float:
     if lo is None:
         raise DomainError("failed to bracket the critical root")
     # bisect to float resolution: near alpha -> 1 the root hugs a gamma pole
-    # where the residual slope is steep, and the requested tol alone would
-    # leave a visible residual
+    # where the residual slope is steep, and any coarser stop would leave a
+    # visible residual
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -138,9 +137,9 @@ def alpha_c(alpha: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi) - 1.0
 
 
-def critical_s(alpha: float, p: float, tol: float = 1e-12) -> float:
+def critical_s(alpha: float, p: float) -> float:
     """The non-Fredholm smoothness value 1 + 1/p + alpha_c(alpha)."""
-    return 1.0 + 1.0 / p + alpha_c(alpha, tol)
+    return 1.0 + 1.0 / p + alpha_c(alpha)
 
 
 def arg_beta_series_residual(sigma: float, gamma: float, xi: float, n_terms: int) -> float:

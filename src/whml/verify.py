@@ -6,6 +6,7 @@ caller-chosen grid density and returns one VerificationReport per check.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -46,31 +47,35 @@ __all__ = ["SUITES", "run_suite"]
 _ALPHA_SET = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
+def _worst(samples):
+    """Largest residual of the (residual, where) samples, taken in order,
+    with the `where` of the first sample that reached it: (0.0, None) when
+    no residual exceeds 0."""
+    worst, arg = 0.0, None
+    for r, where in samples:
+        if r > worst:
+            worst, arg = r, where
+    return worst, arg
+
+
+def _kernel_rel(y, k):
+    m = kernel_m(y, k)
+    return abs(m - kernel_m_oracle(y, k)) / m
+
+
 def suite_kernel(density: int = 20) -> list:
     reports = []
+    params = [(a, KernelParams(a)) for a in _ALPHA_SET]
 
     ys = np.geomspace(1e-3, 20.0, max(7, density // 2))
-    worst = 0.0
-    arg = None
-    for a in _ALPHA_SET:
-        k = KernelParams(a)
-        for y in ys:
-            rel = abs(kernel_m(y, k) - kernel_m_oracle(y, k)) / kernel_m(y, k)
-            if rel > worst:
-                worst, arg = rel, (a, float(y))
+    worst, arg = _worst((_kernel_rel(y, k), (a, float(y))) for a, k in params for y in ys)
     reports.append(VerificationReport.from_residual(
         "kernel_dual_route", f"log-grid y in [1e-3, 20] x alpha set, {len(ys)} x 5",
         worst, 1e-8, arg))
 
     xis = np.linspace(0.0, 20.0, max(5, density // 4))
-    worst = 0.0
-    arg = None
-    for a in _ALPHA_SET:
-        k = KernelParams(a)
-        for xi in xis:
-            r = symbol_identity_residual(float(xi), k)
-            if r > worst:
-                worst, arg = r, (a, float(xi))
+    worst, arg = _worst((symbol_identity_residual(float(xi), k), (a, float(xi)))
+                        for a, k in params for xi in xis)
     reports.append(VerificationReport.from_residual(
         "symbol_identity", f"xi in [0, 20] x alpha set, {len(xis)} x 5",
         worst, 1e-5, arg))
@@ -80,14 +85,14 @@ def suite_kernel(density: int = 20) -> list:
     reports.append(VerificationReport.from_residual(
         "bernstein_identity", "(x, alpha) in {(3, 0.6), (0.1, 0.2)}", worst, 1e-9))
 
-    worst = 0.0
-    for a in (0.6, 0.75, 0.9):
-        k = KernelParams(a)
+    def killing_residual(a):
         c1a = a * 2.0 ** (2 * a) * math.gamma(a + 0.5) / (
             math.sqrt(math.pi) * math.gamma(1.0 - a))
         oracle = c1a * quad(lambda t: (1.0 + t) ** (-1.0 - 2.0 * a), 0.0, np.inf,
                             epsabs=1e-13, epsrel=1e-12)
-        worst = max(worst, abs(killing_coefficient(k) - oracle))
+        return abs(killing_coefficient(KernelParams(a)) - oracle)
+
+    worst, _ = _worst((killing_residual(a), None) for a in (0.6, 0.75, 0.9))
     reports.append(VerificationReport.from_residual(
         "killing_coefficient", "alpha in {0.6, 0.75, 0.9}, tail quadrature at x=1",
         worst, 1e-8))
@@ -99,15 +104,14 @@ def suite_operator(density: int = 20) -> list:
     n = max(2048, 64 * density)
     u = GridFunction.from_function(lambda x: x * x * math.exp(-x), 32.0, n)
 
-    worst = 0.0
-    arg = None
-    for a in (0.25, 0.5, 0.75):
-        k = KernelParams(a)
-        au = apply_fourier(u, k)
-        for x in (1.0, 3.0, 8.0):
-            d = abs(apply_singular(u, x, k) - au(x))
-            if d > worst:
-                worst, arg = d, (a, x)
+    def probes():
+        for a in (0.25, 0.5, 0.75):
+            k = KernelParams(a)
+            au = apply_fourier(u, k)
+            for x in (1.0, 3.0, 8.0):
+                yield abs(apply_singular(u, x, k) - au(x)), (a, x)
+
+    worst, arg = _worst(probes())
     reports.append(VerificationReport.from_residual(
         "operator_dual_route", f"x^2 e^-x on n={n}, probes x in (1,3,8) x alpha set",
         worst, 1e-3, arg))
@@ -147,49 +151,51 @@ def suite_symbols(density: int = 20) -> list:
     reports.append(VerificationReport.from_residual(
         "junction_limits", "|xi| = 30 against the one-sided limits", worst, 1e-8))
 
-    worst = 0.0
-    for p in (1.5, 2.5, 3.0, 4.0):
-        centre = 1j / math.tan(2.0 * math.pi / p)
-        radius = 1.0 / abs(math.sin(2.0 * math.pi / p))
-        for xi in np.linspace(-3.0, 3.0, max(5, density)):
-            dev = abs(abs(loop_function(-1.0, 1.0, float(xi), p) - centre) - radius)
-            worst = max(worst, dev)
+    def arc_deviations():
+        for p in (1.5, 2.5, 3.0, 4.0):
+            centre = 1j / math.tan(2.0 * math.pi / p)
+            radius = 1.0 / abs(math.sin(2.0 * math.pi / p))
+            for xi in np.linspace(-3.0, 3.0, max(5, density)):
+                yield abs(abs(loop_function(-1.0, 1.0, float(xi), p) - centre) - radius), None
+
+    worst, _ = _worst(arc_deviations())
     reports.append(VerificationReport.from_residual(
         "loop_arc_invariant", "endpoints -1/+1, p in {1.5, 2.5, 3, 4}", worst, 1e-10))
 
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        a, b, xi = rng.uniform(0.1, 0.9), rng.uniform(0.55, 0.95), rng.uniform(-3, 3)
-        import cmath
+
+    def sin_ratio_residual(a, b, xi):
         direct = abs(cmath.sin(math.pi * (a - 1j * xi)) / cmath.sin(math.pi * (b - 1j * xi)))
-        worst = max(worst, abs(sin_ratio_modulus(a, b, xi) - direct))
+        return abs(sin_ratio_modulus(a, b, xi) - direct)
+
+    worst, _ = _worst((sin_ratio_residual(rng.uniform(0.1, 0.9), rng.uniform(0.55, 0.95),
+                                          rng.uniform(-3, 3)), None) for _ in range(100))
     reports.append(VerificationReport.from_residual(
         "sin_ratio_closed_form", "100 random (a, b, xi)", worst, 1e-12))
 
-    worst = 0.0
-    arg = None
-    for _ in range(20):
-        gamma = rng.uniform(0.2, 1.8)
-        p = rng.uniform(1.2, 5.0)
-        rho = rng.uniform(1.0 / p - 0.9, 1.5)
-        y = rng.uniform(0.0, 4.0)
-        r = mellin_symbol_residual(gamma, rho, y, p)
-        if r > worst:
-            worst, arg = r, (gamma, rho, y, p)
+    def mellin_samples():
+        for _ in range(20):
+            gamma = rng.uniform(0.2, 1.8)
+            p = rng.uniform(1.2, 5.0)
+            rho = rng.uniform(1.0 / p - 0.9, 1.5)
+            y = rng.uniform(0.0, 4.0)
+            yield mellin_symbol_residual(gamma, rho, y, p), (gamma, rho, y, p)
+
+    worst, arg = _worst(mellin_samples())
     reports.append(VerificationReport.from_residual(
         "mellin_symbol", "20 random (gamma, rho, y, p) samples", worst, 1e-7, arg))
 
-    worst = 0.0
-    for _ in range(100):
-        xi = rng.uniform(-50.0, 50.0)
-        a, s, m = sp.alpha, sp.s, sp.m
+    a, s, m = sp.alpha, sp.s, sp.m
+
+    def c1_residual(xi):
         composed = (
             principal_power(1.0 + xi * xi, a)
             * principal_power(complex(xi, -1.0), s - 2.0 * a - m)
             * principal_power(complex(xi, 1.0), m - s)
         )
-        worst = max(worst, abs(wh_c1(xi, sp) - composed))
+        return abs(wh_c1(xi, sp) - composed)
+
+    worst, _ = _worst((c1_residual(rng.uniform(-50.0, 50.0)), None) for _ in range(100))
     reports.append(VerificationReport.from_residual(
         "c1_factorisation", "100 random xi in [-50, 50]", worst, 1e-12))
     return reports
@@ -201,11 +207,12 @@ def suite_transcend(density: int = 20) -> list:
     reports.append(no_solution_certificate("LOW", max(20, density)))
     reports.append(no_solution_certificate("HIGH", max(20, density)))
 
-    worst = 0.0
-    for a in np.linspace(0.05, 0.95, max(10, density)):
-        rel = abs(te_residual_zero(1.0 + alpha_c(float(a)), float(a)))
-        rel /= abs(math.gamma(2.0 * a) * math.sin(math.pi * a))
-        worst = max(worst, rel)
+    def root_residual(a):
+        rel = abs(te_residual_zero(1.0 + alpha_c(a), a))
+        return rel / abs(math.gamma(2.0 * a) * math.sin(math.pi * a))
+
+    worst, _ = _worst((root_residual(float(a)), None)
+                      for a in np.linspace(0.05, 0.95, max(10, density)))
     reports.append(VerificationReport.from_residual(
         "critical_root_residual", "alpha grid against the zero-frequency equation",
         worst, 1e-10))

@@ -164,6 +164,10 @@ class TestCli:
     def test_unknown_flag_exit(self, capsys):
         assert cli_main(["classify", "--bogus", "1"]) == EXIT_USAGE
 
+    def test_alphac_takes_no_tolerance(self, capsys):
+        assert cli_main(["alphac", "--alpha", "0.5", "--tol", "1e-3"]) == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
+
     def test_negative_grid_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "whml.cli", "alphac", "--grid", "-3"],

@@ -93,12 +93,9 @@ class TestMinModulus:
     def test_unit_circle_subloop(self):
         # a loop made only of the unit-modulus factor has min modulus 1
         ts = np.linspace(0.0, 1.0, 257)
-        pts = tuple(
-            ContourPoint(Segment.G3M, float(t),
-                         wh_c1(math.tan(math.pi * float(t) / 2.000001), SP_LOW))
-            for t in ts
-        )
-        loop = SymbolLoop(pts, 0.0, (0.0,) * 6)
+        values = wh_c1(np.tan(np.pi * ts / 2.000001), SP_LOW)
+        seg_index = np.full(ts.shape, SEGMENT_ORDER.index(Segment.G3M))
+        loop = SymbolLoop(seg_index, ts, values, 0.0, (0.0,) * 6)
         assert min_modulus(loop) == pytest.approx(1.0, abs=1e-12)
 
     def test_near_critical_dip(self):
@@ -207,7 +204,7 @@ class TestExport:
 
     def test_empty_loop_rejected(self):
         with pytest.raises(DomainError):
-            export_loop(SymbolLoop((), 0.0, (0.0,) * 6), "csv")
+            export_loop(SymbolLoop([], [], [], 0.0, (0.0,) * 6), "csv")
 
     def test_unknown_format(self):
         loop = build_loop(SP_LOW, 64)
@@ -281,6 +278,19 @@ class TestArrayAssembly:
                 assert np.array_equal(t[mine], ref_t)
                 assert np.max(np.abs(values[mine] - ref_v)) <= 1e-13
         assert len(build_loop(SpectralParams(0.75, 2.0, 2.226), 256).points) > 3 * 256 + 3 * 32
+
+    def test_constructor_gives_points_and_arrays(self):
+        built = build_loop(SpectralParams(0.75, 2.0, 2.2), 128)
+        seg_index, t, values = built.arrays()
+        loop = SymbolLoop(seg_index.tolist(), t.tolist(), values.tolist(),
+                          built.closure_gap, built.junction_gaps)
+        for mine, ref in zip(loop.arrays(), built.arrays()):
+            assert np.array_equal(mine, ref) and mine.dtype == ref.dtype
+            assert not mine.flags.writeable
+        assert loop.points == built.points
+        assert loop.points[5] == ContourPoint(SEGMENT_ORDER[seg_index[5]], t[5], values[5])
+        assert np.array_equal(loop.values(), values)
+        assert export_loop(loop, "csv") == export_loop(built, "csv")
 
     def test_min_modulus_cached(self, monkeypatch):
         import whml.contour as contour_mod

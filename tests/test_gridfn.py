@@ -64,3 +64,24 @@ def test_header_lines_ignored(tmp_path):
     v = GridFunction.load_text(path)
     assert v.n == 20
     assert v(0.5) == pytest.approx(5.0, abs=1e-12)
+
+
+def test_from_function_rejects_short_grid_before_sampling():
+    calls = []
+    for n in (1, 0, 15):
+        with pytest.raises(DomainError):
+            GridFunction.from_function(calls.append, 1.0, n)
+    assert calls == []
+
+
+def test_load_text_names_the_malformed_line(tmp_path):
+    path = tmp_path / "u.txt"
+    lines = ["# header"] + [f"{0.1 * j:.17g} {float(j):.17g}" for j in range(20)]
+    lines[5] += " 7.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match="line 6"):
+        GridFunction.load_text(path)
+    lines[5] = "0.4"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match="line 6"):
+        GridFunction.load_text(path)

@@ -7,15 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from whml.errors import DomainError, GammaOverflowError, PoleError
-from whml.specfun import (
-    bessel_k,
-    complex_beta,
-    complex_digamma,
-    complex_gamma,
-    kummer_u,
-    principal_power,
-)
+from whml.errors import DomainError, PoleError
+from whml.specfun import bessel_k, complex_beta, kummer_u, principal_power
 
 
 class TestPrincipalPower:
@@ -69,80 +62,23 @@ class TestPrincipalPower:
         rhs = principal_power(z1, nu) * principal_power(z2, nu)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
-
-class TestGamma:
-    def test_known_values(self):
-        assert complex_gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert complex_gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_accuracy_box_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(11)
-        for _ in range(120):
-            r = rng.uniform(0.05, 50.0)
-            th = rng.uniform(-math.pi, math.pi)
-            z = complex(r * math.cos(th), r * math.sin(th))
-            if abs(z.imag) > 50.0:
-                continue
-            if z.real < 0.5 and abs(z.imag) < 1e-2 and abs(z.real - round(z.real)) < 1e-2:
-                continue
-            ref = complex(mp.gamma(z))
-            assert abs(complex_gamma(z) - ref) <= 1e-12 * abs(ref)
-
-    def test_recurrence_random_cloud(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            z = complex(rng.uniform(0.1, 40.0), rng.uniform(-40.0, 40.0))
-            lhs = complex_gamma(z + 1.0)
-            assert abs(lhs - z * complex_gamma(z)) <= 1e-12 * abs(lhs)
-
-    def test_reflection(self):
-        rng = np.random.default_rng(5)
-        for _ in range(60):
-            z = complex(rng.uniform(-20.0, 20.0), rng.uniform(0.1, 20.0))
-            lhs = complex_gamma(z) * complex_gamma(1.0 - z)
-            rhs = math.pi / cmath.sin(math.pi * z)
-            assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-    def test_conjugate_symmetry(self):
-        for z in (0.3 + 0.7j, 2.5 - 1.2j, -1.3 + 4.0j):
-            assert complex_gamma(z.conjugate()) == pytest.approx(
-                complex_gamma(z).conjugate(), rel=1e-14)
-
-    def test_pole_and_overflow_guards(self):
-        with pytest.raises(PoleError):
-            complex_gamma(0.0)
-        with pytest.raises(PoleError):
-            complex_gamma(-3.0)
-        with pytest.raises(GammaOverflowError):
-            complex_gamma(171.5)
-        with pytest.raises(GammaOverflowError):
-            complex_gamma(-200.0 + 1j)
-
-
-class TestDigamma:
-    def test_euler_mascheroni(self):
-        assert complex_digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-12)
-
-    def test_recurrence(self):
-        z = 0.4 + 1.3j
-        resid = complex_digamma(z + 1.0) - complex_digamma(z) - 1.0 / z
-        assert abs(resid) < 1e-13
-
-    def test_imaginary_part_series(self):
-        sigma, xi = 1.5, 0.8
-        j = np.arange(10 ** 6, dtype=float)
-        series = float(np.sum(xi / ((j + sigma) ** 2 + xi ** 2)))
-        assert abs(complex_digamma(complex(sigma, xi)).imag - series) < 1e-6
-
-    def test_conjugate_symmetry(self):
-        z = 2.2 + 3.1j
-        assert complex_digamma(z.conjugate()) == pytest.approx(
-            complex_digamma(z).conjugate(), rel=1e-14)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            complex_digamma(-2.0)
+    def test_scalar_call_is_a_view_of_the_array_call(self):
+        rng = np.random.default_rng(23)
+        z = rng.normal(0.0, 10.0, 4000) + 1j * rng.normal(0.0, 10.0, 4000)
+        z[:1000] = rng.uniform(-50.0, 0.0, 1000)            # negative real axis, +0.0j
+        z.imag[1000:2000] = -0.0                              # real line, -0.0j
+        z[:2000:7] = 0.0
+        z[1:2000:11] = complex(0.0, -0.0)
+        assert np.any((z.real < 0) & (z.imag == 0) & np.signbit(z.imag))
+        for g in (0.3, 1.5, 2.0 / 3.0):
+            arr = principal_power(z, g)
+            for zk, vk in zip(z, arr):
+                v = principal_power(complex(zk), g)
+                assert isinstance(v, complex)
+                assert v == vk and math.copysign(1.0, v.imag) == math.copysign(1.0, vk.imag)
+        nonzero = z[z != 0]
+        arr = principal_power(nonzero, -0.7)
+        assert all(principal_power(complex(zk), -0.7) == vk for zk, vk in zip(nonzero, arr))
 
 
 class TestBeta:

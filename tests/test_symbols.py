@@ -239,3 +239,19 @@ class TestArrayViews:
         vals = wh_c1(np.array([-np.inf, np.inf]), SP_HIGH)
         assert vals[0] == pytest.approx(cmath.exp(2j * math.pi * SP_HIGH.nu), abs=1e-15)
         assert vals[1] == 1.0
+
+    def test_wh_c2_array_equals_pointwise_calls(self):
+        rng = np.random.default_rng(29)
+        xis = np.concatenate([rng.normal(0.0, 20.0, 300),
+                              [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e8, 1e8]])
+        for sp in (SP_LOW, SP_HIGH, SP_MODEL):
+            vals = wh_c2(xis, sp)
+            assert vals.shape == xis.shape
+            for xi, val in zip(xis, vals):
+                scalar = wh_c2(float(xi), sp)
+                assert isinstance(scalar, complex)
+                assert scalar == val
+            assert vals[-7] == 0 and vals[-6] == 0
+            assert vals[-5] == cmath.exp(-1j * math.pi * sp.alpha)
+            assert vals[-4] == cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - sp.alpha))
+        assert wh_c2(np.zeros((2, 3)), SP_LOW).shape == (2, 3)
