@@ -2,8 +2,11 @@
 
 THEOREM mode encodes the proved verdicts directly: the low-regularity window
 is invertible outright; the high-regularity window is invertible below the
-critical smoothness 1 + 1/p + alpha_c and Fredholm of index -1 with trivial
-kernel above it; the critical value itself is not Fredholm.  NUMERIC mode
+critical smoothness s_c = 1 + 1/p + alpha_c and Fredholm of index -1 with
+trivial kernel above it.  At s_c the symbol touches zero at xi = 0, so THEOREM
+mode reads the symbol's modulus at that touching point and calls the triple
+not Fredholm when it is at most contour.FREDHOLM_TOL: the same test, on the
+same quantity, as the loop's minimum modulus near s_c.  NUMERIC mode
 re-derives the Fredholm flag and index from the symbol loop.  The loop's
 winding gives the index of the operator on the full half-line space; in the
 high-regularity window the classified operator acts on the codimension-one
@@ -14,19 +17,14 @@ from __future__ import annotations
 
 import math
 
-from .contour import FREDHOLM_TOL, build_loop, min_modulus, winding_number
+from .contour import (FREDHOLM_TOL, Segment, build_loop, eval_segment, min_modulus,
+                      winding_number)
 from .errors import DomainError
 from .reports import ClassificationReport
 from .symbols import Regime, SpectralParams
 from .transcend import alpha_c as compute_alpha_c
 
-__all__ = ["classify", "CRITICAL_EXACT_TOL", "CRITICAL_NEAR_TOL"]
-
-# |s - s_crit| below the first value counts as "at" the critical smoothness;
-# below the second the distance is within the classifier's resolution of the
-# quoted 3-4 digit critical values, and the non-Fredholm verdict is reported
-CRITICAL_EXACT_TOL = 1e-9
-CRITICAL_NEAR_TOL = 1e-4
+__all__ = ["classify"]
 
 _BOUNDARY_TOL = 1e-9
 
@@ -89,17 +87,16 @@ def classify(alpha: float, p: float, s: float, mode: str = "theorem",
         if sp.regime is Regime.LOW:
             return dict(fredholm=True, winding=0, index=0, kernel_trivial=True,
                         invertible=True)
-        gap = s - crit
-        if abs(gap) < CRITICAL_EXACT_TOL:
-            notes.append("s equals the critical smoothness: not Fredholm")
-            return dict(fredholm=False)
-        if abs(gap) < CRITICAL_NEAR_TOL:
+        # t = 0.5 on the boundary segment is xi = 0, where the symbol
+        # touches zero at the critical smoothness
+        touch = abs(eval_segment(Segment.G1, 0.5, sp))
+        if touch <= FREDHOLM_TOL:
             notes.append(
-                f"s within {CRITICAL_NEAR_TOL:g} of the critical smoothness "
-                f"{crit:.12g}: reported not Fredholm at this resolution"
+                f"symbol modulus {touch:.3e} at xi = 0 is within {FREDHOLM_TOL:g} "
+                f"of zero (critical smoothness {crit:.12g}): not Fredholm"
             )
             return dict(fredholm=False)
-        if gap < 0:
+        if s < crit:
             return dict(fredholm=True, winding=-1, index=0, kernel_trivial=True,
                         invertible=True)
         return dict(fredholm=True, winding=0, index=-1, kernel_trivial=True,

@@ -7,7 +7,8 @@ refinement missed its tolerance, or a loop passed too close to the origin
 for a winding number); codes 2 to 4 print a one-line message to stderr.
 
 `alphac` bisects the critical root to float resolution; it takes no
-tolerance option.
+tolerance option, and an alpha whose root float spacing cannot resolve is a
+domain error.
 """
 
 from __future__ import annotations

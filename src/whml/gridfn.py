@@ -116,9 +116,13 @@ class GridFunction:
                 if len(fields) != 2:
                     raise DomainError(
                         f"grid file line {lineno}: expected 2 fields, got {len(fields)}")
-                sx, sv = fields
-                xs.append(float(sx))
-                vals.append(complex(sv))
+                try:
+                    x, v = float(fields[0]), complex(fields[1])
+                except ValueError:
+                    raise DomainError(
+                        f"grid file line {lineno}: not a number in {line!r}") from None
+                xs.append(x)
+                vals.append(v)
         xs = np.asarray(xs)
         if xs.size < 2:
             raise DomainError("grid file holds fewer than two samples")

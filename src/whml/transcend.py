@@ -96,37 +96,24 @@ def te_residual_zero(tau: float, alpha: float) -> float:
 
 def alpha_c(alpha: float) -> float:
     """The critical smoothness offset: the unique root tau = 1 + alpha_c of
-    the frequency-zero equation in (1, 2), returned as alpha_c in (0, alpha).
+    the frequency-zero equation, returned as alpha_c in (0, alpha).
 
-    Bisection on [1 + d, 1 + a - d] for a < 1/2 and [2a + d, 1 + a - d] for
-    a >= 1/2, with d shrunk until the endpoint signs differ; existence and
-    uniqueness of the sign change make the bracket safe.  The bisection
-    runs to float resolution.
+    Bisection of the theorem's interval (1, 1 + a) for a < 1/2 and
+    (2a, 1 + a) for a >= 1/2, on which the residual changes sign exactly
+    once.  Bisection evaluates only interior points, so the gamma pole at
+    the end 2a is never touched.  It runs to float resolution: the root is
+    accurate to the float spacing near tau, 2.2e-16 to 4.4e-16.  Where that spacing
+    cannot resolve the root inside the interval, which happens only for some
+    alpha within about 3e-8 of 0 or 1, DomainError is raised instead (its
+    PoleError subclass when a midpoint lands within 1e-12 of the pole).
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha_c requires 0 < alpha < 1")
-    left_base = 1.0 if alpha < 0.5 else 2.0 * alpha
-    delta = 1e-3
-    lo = hi = None
-    for _ in range(40):
-        lo_try = left_base + delta
-        hi_try = 1.0 + alpha - delta
-        if lo_try < hi_try:
-            try:
-                f_lo = te_residual_zero(lo_try, alpha)
-                f_hi = te_residual_zero(hi_try, alpha)
-            except PoleError:
-                f_lo = f_hi = None
-            if f_lo is not None and f_lo > 0.0 > f_hi:
-                lo, hi = lo_try, hi_try
-                break
-        delta *= 0.5
-    if lo is None:
-        raise DomainError("failed to bracket the critical root")
-    # bisect to float resolution: near alpha -> 1 the root hugs a gamma pole
-    # where the residual slope is steep, and any coarser stop would leave a
-    # visible residual
-    for _ in range(200):
+    lo = 1.0 if alpha < 0.5 else 2.0 * alpha
+    hi = 1.0 + alpha
+    # near alpha -> 1 the root hugs a gamma pole where the residual slope is
+    # steep, and any coarser stop would leave a visible residual
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -134,7 +121,10 @@ def alpha_c(alpha: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi) - 1.0
+    root = 0.5 * (lo + hi) - 1.0
+    if not (0.0 < root < alpha):
+        raise DomainError(f"alpha_c({alpha!r}) is not resolvable at float precision")
+    return root
 
 
 def critical_s(alpha: float, p: float) -> float:

@@ -34,13 +34,13 @@ SEED = 2017
 N_SEEDED = 40
 
 
-def seeded_triples(n: int = N_SEEDED, seed: int = SEED) -> list:
-    """n admissible triples: alpha in (0.02, 0.98), p log-uniform in (1.05, 20),
-    s uniform in (1/p, 2 + 1/p), kept 1e-3 away from the smoothness
-    boundaries; the low window needs alpha < 1/2."""
-    rng = np.random.default_rng(seed)
+def seeded_triples() -> list:
+    """N_SEEDED admissible triples: alpha in (0.02, 0.98), p log-uniform in
+    (1.05, 20), s uniform in (1/p, 2 + 1/p), kept 1e-3 away from the
+    smoothness boundaries; the low window needs alpha < 1/2."""
+    rng = np.random.default_rng(SEED)
     out = []
-    while len(out) < n:
+    while len(out) < N_SEEDED:
         a = float(rng.uniform(0.02, 0.98))
         p = float(math.exp(rng.uniform(math.log(1.05), math.log(20.0))))
         s = float(rng.uniform(1.0 / p, 2.0 + 1.0 / p))

@@ -10,8 +10,10 @@ import pytest
 
 from whml.classify import classify
 from whml.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, cli_main
+from whml.contour import Segment, build_loop, eval_segment, min_modulus
 from whml.errors import DomainError, NotFredholmError, ResolutionError
-from whml.transcend import alpha_c
+from whml.symbols import SpectralParams
+from whml.transcend import alpha_c, critical_s
 
 
 class TestClassifyTheorem:
@@ -35,11 +37,19 @@ class TestClassifyTheorem:
         assert rep.invertible and rep.index == 0 and rep.winding == -1
 
     def test_near_critical_not_fredholm(self):
-        rep = classify(0.75, 2.0, 2.226)
+        # the symbol modulus at xi = 0 is about 6.6e-5 here, within FREDHOLM_TOL
+        rep = classify(0.75, 2.0, critical_s(0.75, 2.0) - 2e-5)
         assert rep.regime == "HIGH"
         assert rep.fredholm is False
         assert rep.winding is None and rep.index is None
         assert rep.critical_s == pytest.approx(2.226, abs=2e-3)
+
+    @pytest.mark.parametrize("mode", ["theorem", "numeric", "both"])
+    def test_just_below_critical_is_fredholm(self, mode):
+        # s_c - 2.226 is about 5.2e-5, where the modulus at xi = 0 is about 1.7e-4
+        rep = classify(0.75, 2.0, 2.226, mode=mode)
+        assert rep.fredholm is True and rep.index == 0 and rep.winding == -1
+        assert "disagree" not in rep.notes
 
     def test_exact_critical_not_fredholm(self):
         crit = 1.0 + 0.5 + alpha_c(0.75)
@@ -84,11 +94,7 @@ class TestClassifyNumeric:
             else:
                 a = float(rng.uniform(0.05, 0.95))
                 p = float(rng.uniform(1.2, 5.0))
-                crit = alpha_c(a)
-                while True:
-                    tau = float(rng.uniform(1.05, 1.95))
-                    if abs(tau - (1.0 + crit)) > 0.05:
-                        break
+                tau = float(rng.uniform(1.05, 1.95))
             s = tau + 1.0 / p
             theorem = classify(a, p, s, mode="theorem")
             numeric = classify(a, p, s, mode="numeric", n_base=64)
@@ -100,6 +106,32 @@ class TestClassifyNumeric:
     def test_both_mode_flags_consistency(self):
         rep = classify(0.3, 2.0, 1.0, mode="both")
         assert "consistency=agree" in rep.notes
+
+    def test_routes_agree_near_critical(self):
+        rng = np.random.default_rng(2017)
+        for _ in range(300):
+            a = float(rng.uniform(1e-3, 1.0 - 1e-3))
+            p = float(np.exp(rng.uniform(np.log(1.01), np.log(50.0))))
+            gap = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -2.0))
+            rep = classify(a, p, critical_s(a, p) + gap, mode="both")
+            assert "consistency=agree" in rep.notes, (a, p, gap, rep.notes)
+
+    @pytest.mark.parametrize("a,p,gap", [(0.2, 2.0, 8e-5), (0.5, 2.0, -8e-5), (0.9, 2.0, 8e-5)])
+    def test_near_critical_verdict_follows_the_side(self, a, p, gap):
+        rep = classify(a, p, critical_s(a, p) + gap, mode="both")
+        assert "consistency=agree" in rep.notes
+        assert rep.fredholm is True
+        assert rep.index == (0 if gap < 0 else -1)
+
+    def test_touching_point_modulus_is_the_loop_minimum(self):
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            a = float(rng.uniform(0.05, 0.97))
+            p = float(np.exp(rng.uniform(np.log(1.2), np.log(8.0))))
+            gap = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -3.0))
+            sp = SpectralParams(a, p, critical_s(a, p) + gap)
+            touch = abs(eval_segment(Segment.G1, 0.5, sp))
+            assert min_modulus(build_loop(sp)) == pytest.approx(touch, rel=1e-9)
 
 
 class TestCli:
@@ -163,6 +195,14 @@ class TestCli:
 
     def test_unknown_flag_exit(self, capsys):
         assert cli_main(["classify", "--bogus", "1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("alpha", ["1e-9", "0.99999999"])
+    def test_alphac_unresolvable_root_is_usage_error(self, capsys, alpha):
+        assert cli_main(["alphac", "--alpha", alpha]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [
+            f"error: alpha_c({float(alpha)!r}) is not resolvable at float precision"]
 
     def test_alphac_takes_no_tolerance(self, capsys):
         assert cli_main(["alphac", "--alpha", "0.5", "--tol", "1e-3"]) == EXIT_USAGE

@@ -85,3 +85,13 @@ def test_load_text_names_the_malformed_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DomainError, match="line 6"):
         GridFunction.load_text(path)
+
+
+@pytest.mark.parametrize("row", ["0.1 abc", "foo 1"])
+def test_load_text_names_the_unparsable_line(tmp_path, row):
+    path = tmp_path / "u.txt"
+    lines = ["# header"] + [f"{0.1 * j:.17g} {float(j):.17g}" for j in range(20)]
+    lines[5] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match="line 6"):
+        GridFunction.load_text(path)

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whml.errors import DomainError, PoleError
 from whml.symbols import SpectralParams
@@ -144,6 +147,32 @@ class TestCriticalRoot:
     def test_window(self):
         with pytest.raises(DomainError):
             alpha_c(1.2)
+
+    @pytest.mark.parametrize("a", [1e-8, 1.0 - 1e-7])
+    def test_edge_alphas_match_a_40_digit_root(self, a):
+        with mp.workdps(40):
+            am = mp.mpf(a)
+            rhs = mp.gamma(2 * am) * mp.sin(mp.pi * am)
+            lo, hi = (mp.mpf(1) if a < 0.5 else 2 * am), 1 + am
+            for _ in range(160):
+                mid = (lo + hi) / 2
+                if mp.gamma(2 * am - mid) * mp.gamma(mid + 1) * mp.sin(mp.pi * (am - mid)) > rhs:
+                    lo = mid
+                else:
+                    hi = mid
+            want = lo - 1
+        value = alpha_c(a)
+        assert 0.0 < value < a
+        assert abs(value - want) < 1e-13
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_root_in_window_or_refused(self, a):
+        try:
+            value = alpha_c(a)
+        except DomainError:
+            return
+        assert 0.0 < value < a
 
 
 class TestArgBetaSeries:
