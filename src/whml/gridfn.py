@@ -46,6 +46,13 @@ class GridFunction:
         xs = h * np.arange(n)
         return cls(np.asarray([f(x) for x in xs]), h)
 
+    def _cubic(self) -> CubicSpline:
+        """The not-a-knot cubic spline through the samples, built on first use;
+        its ``c[3 - k, j]`` multiplies ``(x - x_j)^k`` on panel j."""
+        if not self._spline:
+            self._spline.append(CubicSpline(self.xs, self.samples, extrapolate=False))
+        return self._spline[0]
+
     @property
     def n(self) -> int:
         return self.samples.size
@@ -64,9 +71,7 @@ class GridFunction:
 
     def __call__(self, x):
         """Spline evaluation, zero outside [0, L]."""
-        if not self._spline:
-            self._spline.append(CubicSpline(self.xs, self.samples, extrapolate=False))
-        spline = self._spline[0]
+        spline = self._cubic()
         xa = np.asarray(x, dtype=float)
         inside = (xa >= 0.0) & (xa <= self.length)
         val = np.where(inside, spline(np.clip(xa, 0.0, self.length)), 0.0)
@@ -76,9 +81,7 @@ class GridFunction:
 
     def derivative(self, order: int = 1):
         """Spline derivative as a callable, zero outside [0, L]."""
-        if not self._spline:
-            self._spline.append(CubicSpline(self.xs, self.samples, extrapolate=False))
-        d = self._spline[0].derivative(order)
+        d = self._cubic().derivative(order)
         length = self.length
 
         def deriv(x):

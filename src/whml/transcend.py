@@ -94,6 +94,10 @@ def te_residual_zero(tau: float, alpha: float) -> float:
     return lhs - math.gamma(2.0 * alpha) * math.sin(math.pi * alpha)
 
 
+def _unresolvable(alpha: float) -> DomainError:
+    return DomainError(f"alpha_c({alpha!r}) is not resolvable at float precision")
+
+
 def alpha_c(alpha: float) -> float:
     """The critical smoothness offset: the unique root tau = 1 + alpha_c of
     the frequency-zero equation, returned as alpha_c in (0, alpha).
@@ -104,8 +108,8 @@ def alpha_c(alpha: float) -> float:
     the end 2a is never touched.  It runs to float resolution: the root is
     accurate to the float spacing near tau, 2.2e-16 to 4.4e-16.  Where that spacing
     cannot resolve the root inside the interval, which happens only for some
-    alpha within about 3e-8 of 0 or 1, DomainError is raised instead (its
-    PoleError subclass when a midpoint lands within 1e-12 of the pole).
+    alpha within about 3e-8 of 0 or 1, DomainError is raised instead, also
+    when a midpoint lands within the 1e-12 pole guard of the gamma factor.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha_c requires 0 < alpha < 1")
@@ -113,17 +117,20 @@ def alpha_c(alpha: float) -> float:
     hi = 1.0 + alpha
     # near alpha -> 1 the root hugs a gamma pole where the residual slope is
     # steep, and any coarser stop would leave a visible residual
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if te_residual_zero(mid, alpha) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    try:
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if te_residual_zero(mid, alpha) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    except PoleError:
+        raise _unresolvable(alpha) from None
     root = 0.5 * (lo + hi) - 1.0
     if not (0.0 < root < alpha):
-        raise DomainError(f"alpha_c({alpha!r}) is not resolvable at float precision")
+        raise _unresolvable(alpha)
     return root
 
 

@@ -13,7 +13,13 @@ import numpy as np
 
 from .errors import DomainError
 from .gridfn import GridFunction
-from .halfline import apply_fourier, apply_singular, quadratic_form, rl_integral
+from .halfline import (
+    apply_fourier,
+    apply_singular,
+    quadratic_form,
+    rl_integral,
+    rl_integral_grid,
+)
 from .kernel import (
     KernelParams,
     bernstein_residual,
@@ -129,9 +135,7 @@ def suite_operator(density: int = 20) -> list:
         qf - riemann, 0.0))
 
     un = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 2048)
-    inner_vals = [0.0] + [rl_integral(un, x, 0.3) for x in un.xs[1:-1]]
-    inner_vals.append(inner_vals[-1])
-    inner = GridFunction(np.asarray(inner_vals), un.h)
+    inner = rl_integral_grid(un, 0.3)
     resid = abs(rl_integral(inner, 0.8, 0.5) - rl_integral(un, 0.8, 0.8))
     reports.append(VerificationReport.from_residual(
         "fractional_semigroup", "I^0.3 I^0.5 = I^0.8 at x = 0.8", resid, 1e-6))

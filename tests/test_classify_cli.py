@@ -196,7 +196,7 @@ class TestCli:
     def test_unknown_flag_exit(self, capsys):
         assert cli_main(["classify", "--bogus", "1"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("alpha", ["1e-9", "0.99999999"])
+    @pytest.mark.parametrize("alpha", ["1e-9", "0.99999999", "0.999999999999"])
     def test_alphac_unresolvable_root_is_usage_error(self, capsys, alpha):
         assert cli_main(["alphac", "--alpha", alpha]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -218,6 +218,17 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert cli_main(["alphac", "--grid", "0"]) == EXIT_USAGE
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal takes about 0.4 s to import, which every command would pay
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, whml.cli; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("exc", [ResolutionError("refinement budget"),
                                      NotFredholmError("loop hits the origin")])

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from whml import quadrature
 from whml.errors import DomainError, ResolutionError
 from whml.gridfn import GridFunction
 from whml.halfline import (
+    _rl_of_callable,
     apply_fourier,
     apply_singular,
     caputo_derivative,
     mellin_difference_residual,
     quadratic_form,
     rl_integral,
+    rl_integral_grid,
 )
 from whml.kernel import KernelParams
 
@@ -24,12 +27,6 @@ def u_smooth():
 @pytest.fixture(scope="module")
 def u_short():
     return GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 1024)
-
-
-def _rl_grid(g, gamma):
-    vals = [0.0] + [rl_integral(g, float(x), gamma) for x in g.xs[1:-1]]
-    vals.append(vals[-1])  # last node unused by downstream kernels (y < x)
-    return GridFunction(np.asarray(vals), g.h)
 
 
 class TestApplySingular:
@@ -131,6 +128,68 @@ class TestQuadraticForm:
         assert abs(qf - inner) < 1e-3
 
 
+RL_ORDERS = (0.05, 0.3, 0.8, 1.0, 1.1, 1.7, 1.95)
+
+
+def _rl_points(g):
+    """Nodes and points between them: the first panel (m = 0), early, middle
+    and late panels, and the last panel."""
+    n, h = g.n, g.h
+    nodes = [g.xs[1], g.xs[2], g.xs[n // 3], g.xs[n // 2], g.xs[n - 2]]
+    between = [0.37 * h, 1.5 * h, (n // 4 + 0.5) * h, 1.1, g.length - 0.4 * h]
+    return [float(x) for x in nodes + between]
+
+
+class TestExactRiemannLiouville:
+    @pytest.mark.parametrize("gamma", RL_ORDERS)
+    @pytest.mark.parametrize("n", [768, 1024])
+    def test_matches_quadrature_route(self, n, gamma):
+        # the quad route integrates the same spline adaptively, independently
+        # of the incomplete-beta weights
+        g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, n)
+        for x in _rl_points(g):
+            assert abs(rl_integral(g, x, gamma) - _rl_of_callable(g, x, gamma)) < 1e-9
+
+    def test_n768_has_nodes_off_the_integer_grid(self):
+        # x_j / h is not an integer at some nodes of this grid; those calls
+        # take the between-nodes route and must agree with the node table
+        g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 768)
+        t = g.xs / g.h
+        off = np.flatnonzero(t != np.floor(t))
+        assert off.size == 89
+        grid = rl_integral_grid(g, 0.3).samples
+        for j in off:
+            assert abs(rl_integral(g, float(g.xs[j]), 0.3) - grid[j]) < 1e-13
+
+    @pytest.mark.parametrize("gamma", RL_ORDERS)
+    @pytest.mark.parametrize("n", [768, 2048])
+    def test_grid_equals_pointwise(self, n, gamma):
+        g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, n)
+        grid = rl_integral_grid(g, gamma)
+        assert grid.h == g.h and grid.samples[0] == 0.0
+        pointwise = [rl_integral(g, float(x), gamma) for x in g.xs[1:-1]]
+        assert np.max(np.abs(grid.samples[1:-1] - pointwise)) < 1e-13
+
+    def test_node_call_uses_no_quadrature(self, u_short, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature.quad called")
+
+        monkeypatch.setattr(quadrature, "quad", refuse)
+        for x in (u_short.xs[1], u_short.xs[500], 1.234):
+            rl_integral(u_short, float(x), 0.3)
+        rl_integral_grid(u_short, 0.3)
+
+    def test_rejects_complex_and_bad_orders(self, u_short):
+        z = GridFunction(np.zeros(64, dtype=complex) + 1j, 0.1)
+        with pytest.raises(DomainError):
+            rl_integral(z, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            rl_integral_grid(z, 0.5)
+        for gamma in (0.0, 2.0):
+            with pytest.raises(DomainError):
+                rl_integral_grid(u_short, gamma)
+
+
 class TestFractionalCalculus:
     def test_order_one_is_plain_integral(self, u_short):
         from scipy.integrate import quad
@@ -138,7 +197,7 @@ class TestFractionalCalculus:
         assert rl_integral(u_short, 2.0, 1.0) == pytest.approx(exact, abs=1e-9)
 
     def test_semigroup_composition(self, u_short):
-        inner = _rl_grid(u_short, 0.3)
+        inner = rl_integral_grid(u_short, 0.3)
         lhs = rl_integral(inner, 0.8, 0.5)
         rhs = rl_integral(u_short, 0.8, 0.8)
         assert abs(lhs - rhs) < 1e-6
@@ -147,7 +206,7 @@ class TestFractionalCalculus:
         # 20 random (g1, g2) pairs, grouped so each inner grid is reused
         rng = np.random.default_rng(21)
         for g1 in rng.uniform(0.15, 0.9, size=5):
-            inner = _rl_grid(u_short, float(g1))
+            inner = rl_integral_grid(u_short, float(g1))
             for g2 in rng.uniform(0.15, 0.9, size=4):
                 lhs = rl_integral(inner, 1.1, float(g2))
                 rhs = rl_integral(u_short, 1.1, float(g1) + float(g2))
