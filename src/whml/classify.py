@@ -44,8 +44,7 @@ def _inadmissible(alpha: float, p: float, s: float, reason: str) -> Classificati
     )
 
 
-def classify(alpha: float, p: float, s: float, mode: str = "theorem",
-             n_base: int = 256) -> ClassificationReport:
+def classify(alpha: float, p: float, s: float, mode: str = "theorem") -> ClassificationReport:
     """Classify one parameter triple; mode is theorem, numeric or both."""
     mode = mode.lower()
     if mode not in ("theorem", "numeric", "both"):
@@ -103,7 +102,7 @@ def classify(alpha: float, p: float, s: float, mode: str = "theorem",
                     invertible=False)
 
     def numeric_verdict():
-        loop = build_loop(sp, n_base)
+        loop = build_loop(sp)
         mm = min_modulus(loop)
         notes.append(f"numeric loop min modulus {mm:.3e} (tolerance {FREDHOLM_TOL:g})")
         if mm <= FREDHOLM_TOL:

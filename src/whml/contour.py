@@ -151,8 +151,19 @@ def _boundary_value(xi, sp: SpectralParams):
     return out
 
 
-# segments on which the symbol is the constant c1(xi) at one xi
-_CONSTANT_XI = {Segment.G2P: -math.inf, Segment.G4: 0.0, Segment.G2M: math.inf}
+def _saturated(xi):
+    """xi, with the one-sided limit +-inf beyond |xi| = _XI_SATURATION."""
+    return np.where(np.abs(xi) < _XI_SATURATION, xi, np.copysign(np.inf, xi))
+
+
+# xi(t) of the segments on which the symbol is the unit-modulus factor c1
+_SEGMENT_XI = {
+    Segment.G2P: lambda t: np.full(t.shape, -np.inf),
+    Segment.G3P: lambda t: _saturated(-_lambda_down(t)),
+    Segment.G4: lambda t: np.zeros(t.shape),
+    Segment.G3M: lambda t: _saturated(_lambda_up(t)),
+    Segment.G2M: lambda t: np.full(t.shape, np.inf),
+}
 
 
 def eval_segment(seg: Segment, t, sp: SpectralParams):
@@ -163,14 +174,8 @@ def eval_segment(seg: Segment, t, sp: SpectralParams):
         raise DomainError("segment parameter must lie in [0, 1]")
     if seg is Segment.G1:
         out = _boundary_value(_xi_line(ta), sp)
-    elif seg is Segment.G3P:
-        lam = _lambda_down(ta)
-        out = wh_c1(np.where(lam < _XI_SATURATION, -lam, -np.inf), sp)
-    elif seg is Segment.G3M:
-        lam = _lambda_up(ta)
-        out = wh_c1(np.where(lam < _XI_SATURATION, lam, np.inf), sp)
-    elif seg in _CONSTANT_XI:
-        out = np.full(ta.shape, wh_c1(_CONSTANT_XI[seg], sp))
+    elif seg in _SEGMENT_XI:
+        out = wh_c1(_SEGMENT_XI[seg](ta), sp)
     else:
         raise DomainError(f"unknown segment {seg!r}")
     return scalar_or_array(out.reshape(np.shape(t)))
@@ -248,7 +253,13 @@ def _assemble(seg_funcs: dict, n_base: int) -> SymbolLoop:
         Segment.G3M: n_base,
         Segment.G2M: max(2, n_base // 8),
     }
-    budget = _MAX_POINTS - sum(counts.values())
+    base = sum(counts.values())
+    if base > _MAX_POINTS:
+        raise DomainError(
+            f"n_base = {n_base} needs {base} loop points before refinement; "
+            f"the cap is {_MAX_POINTS}"
+        )
+    budget = _MAX_POINTS - base
     per_segment = {}
     for seg in SEGMENT_ORDER:
         t, v, added = _refine(seg_funcs[seg], np.linspace(0.0, 1.0, counts[seg]), budget)

@@ -69,30 +69,25 @@ class GridFunction:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.samples)
 
+    def _evaluate(self, pp, x):
+        """The piecewise polynomial pp (the spline or a derivative of it) at
+        x, zero outside [0, L]; a scalar x gives a float or a complex."""
+        length = self.length
+        xa = np.asarray(x, dtype=float)
+        inside = (xa >= 0.0) & (xa <= length)
+        val = np.where(inside, pp(np.clip(xa, 0.0, length)), 0.0)
+        if np.ndim(x) == 0:
+            return complex(val) if np.iscomplexobj(val) else float(val)
+        return val
+
     def __call__(self, x):
         """Spline evaluation, zero outside [0, L]."""
-        spline = self._cubic()
-        xa = np.asarray(x, dtype=float)
-        inside = (xa >= 0.0) & (xa <= self.length)
-        val = np.where(inside, spline(np.clip(xa, 0.0, self.length)), 0.0)
-        if np.ndim(x) == 0:
-            return complex(val) if np.iscomplexobj(self.samples) else float(val)
-        return val
+        return self._evaluate(self._cubic(), x)
 
     def derivative(self, order: int = 1):
         """Spline derivative as a callable, zero outside [0, L]."""
         d = self._cubic().derivative(order)
-        length = self.length
-
-        def deriv(x):
-            xa = np.asarray(x, dtype=float)
-            inside = (xa >= 0.0) & (xa <= length)
-            val = np.where(inside, d(np.clip(xa, 0.0, length)), 0.0)
-            if np.ndim(x) == 0:
-                return complex(val) if np.iscomplexobj(val) else float(val)
-            return val
-
-        return deriv
+        return lambda x: self._evaluate(d, x)
 
     def save_text(self, path) -> None:
         """Two-column text: x and value ('#'-prefixed header)."""

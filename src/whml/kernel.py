@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from . import quadrature as q
 from .errors import DomainError
@@ -71,20 +70,22 @@ class PotentialKind(enum.Enum):
 
 
 def _m_array(y, k: KernelParams):
-    """Vectorised kernel values for y > 0 (no domain checks)."""
-    ya = np.asarray(y, dtype=float)
+    """Kernel values c |y|^(-nu) K_nu(|y|), nu = 1/2 + alpha, for y != 0;
+    accepts arrays, and bessel_k guards every entry."""
+    ay = np.abs(np.asarray(y, dtype=float))
     nu = 0.5 + k.alpha
     c = k.prefactor * 2.0 ** nu / math.sqrt(math.pi)
-    return c * ya ** (-nu) * _sp.kv(nu, ya)
+    # np.power, not **: on a numpy scalar ** calls the C library's pow, while
+    # np.power runs the array loop, so a scalar gets the array's last bit
+    return c * np.power(ay, -nu) * bessel_k(nu, ay)
 
 
 def kernel_m(y: float, k: KernelParams) -> float:
-    """Closed-form jump kernel m(y); even in y, strictly positive, y != 0."""
+    """Closed-form jump kernel m(y); even in y, strictly positive, y != 0.
+    A scalar view of the array formula."""
     if y == 0.0:
         raise DomainError("kernel_m is singular at y = 0")
-    nu = 0.5 + k.alpha
-    ay = abs(y)
-    return k.prefactor * (2.0 ** nu / math.sqrt(math.pi)) * ay ** (-nu) * bessel_k(nu, ay)
+    return float(_m_array(y, k))
 
 
 def kernel_m_oracle(y: float, k: KernelParams) -> float:

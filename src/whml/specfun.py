@@ -8,13 +8,15 @@ convention holds globally.
 Beta is assembled in log space from scipy.special.loggamma (principal
 branch) to dodge overflow; it raises :class:`PoleError` within 1e-13 of a
 non-positive integer and ``AccuracyOverflow`` on a non-finite result.
-Principal powers and beta take scalars or arrays and return the same shape;
-a scalar call is a view of the array code.  The real modified Bessel
-function K_nu and the confluent hypergeometric U are delegated to
+Principal powers, beta and the real modified Bessel function K_nu take
+scalars or arrays and return the same shape; a scalar call is a view of the
+array code.  K_nu and the confluent hypergeometric U are delegated to
 scipy.special behind the domain windows this package actually needs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import special as _sp
@@ -89,19 +91,24 @@ def complex_beta(a, b):
     return scalar_or_array(out)
 
 
-def bessel_k(nu: float, x: float) -> float:
+def bessel_k(nu: float, x):
     """Modified Bessel function of the second kind K_nu(x), x > 0.
 
-    Supported for |nu| <= 2 (K is even in the order).
+    Supported for |nu| <= 2 (K is even in the order).  Accepts arrays; every
+    entry must be positive and give a finite value, and a 0-d input returns
+    a float.
     """
-    if x <= 0.0:
-        raise DomainError("bessel_k requires x > 0")
     if abs(nu) > 2.0:
         raise DomainError("bessel_k supports |nu| <= 2")
-    val = _sp.kv(nu, x)
-    if not np.all(np.isfinite(val)):
-        raise AccuracyOverflow("bessel_k escaped to a non-finite value")
-    return float(val)
+    xa = np.asarray(x, dtype=float)
+    val = _sp.kv(nu, xa)
+    # K is inf at x = 0 and nan below it or at nan, so one finiteness test
+    # of the result guards the domain as well
+    if not (math.isfinite(val) if val.ndim == 0 else np.isfinite(val).all()):
+        if not (xa > 0.0).all():
+            raise DomainError("bessel_k requires x > 0")
+        raise AccuracyOverflow("bessel_k produced a non-finite value")
+    return float(val) if val.ndim == 0 else val
 
 
 def kummer_u(a: float, b: float, x: float) -> float:

@@ -106,6 +106,23 @@ class SpectralParams:
         return self.s - 2.0 * self.alpha + 1.0 - 1.0 / self.p
 
 
+def _wh_factor(xi, sp: SpectralParams, lead, at_plus_inf: complex, at_minus_inf: complex):
+    """lead(xi) (xi-i)^(s-2a-m) (xi+i)^(m-s), with the given limits at +inf
+    and -inf.  A scalar is evaluated as a one-element array, so it equals
+    the array call bit for bit."""
+    a, s, m = sp.alpha, sp.s, sp.m
+    x = np.atleast_1d(np.asarray(xi, dtype=float))
+    finite = np.isfinite(x)
+    xf = np.where(finite, x, 0.0)
+    val = (
+        lead(xf)
+        * principal_power(xf - 1j, s - 2.0 * a - m)
+        * principal_power(xf + 1j, m - s)
+    )
+    out = np.where(finite, val, np.where(x > 0.0, at_plus_inf, at_minus_inf))
+    return scalar_or_array(out.reshape(np.shape(xi)))
+
+
 def wh_c1(xi, sp: SpectralParams):
     """Unit-modulus Wiener-Hopf factor
     (1+xi^2)^a (xi-i)^(s-2a-m) (xi+i)^(m-s).
@@ -113,18 +130,8 @@ def wh_c1(xi, sp: SpectralParams):
     Limits: 1 at +inf, e^(2 pi nu i) at -inf, e^(pi nu i) from both sides
     of 0 (the single discontinuity sits at infinity).  Accepts arrays.
     """
-    a, s, m = sp.alpha, sp.s, sp.m
-    x = np.asarray(xi, dtype=float)
-    finite = np.isfinite(x)
-    xf = np.where(finite, x, 0.0)
-    val = (
-        principal_power(1.0 + xf * xf, a)
-        * principal_power(xf - 1j, s - 2.0 * a - m)
-        * principal_power(xf + 1j, m - s)
-    )
-    limit = np.where(x > 0.0, 1.0 + 0j, cmath.exp(2j * math.pi * sp.nu))
-    out = np.where(finite, val, limit)
-    return scalar_or_array(out)
+    return _wh_factor(xi, sp, lambda x: principal_power(1.0 + x * x, sp.alpha),
+                      1.0 + 0j, cmath.exp(2j * math.pi * sp.nu))
 
 
 def wh_c2(xi, sp: SpectralParams):
@@ -132,22 +139,12 @@ def wh_c2(xi, sp: SpectralParams):
     (-i xi)^(2a) (xi-i)^(s-2a-m) (xi+i)^(m-s).
 
     Limits: 0 from both sides of 0, e^(-i pi a) at +inf and
-    e^(-i pi a) e^(2 pi i nu') at -inf.  Accepts arrays; a scalar call
-    evaluates a one-element array, so it equals the array call bit for bit.
+    e^(-i pi a) e^(2 pi i nu') at -inf.  Accepts arrays.
     """
-    a, s, m = sp.alpha, sp.s, sp.m
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
-    finite = np.isfinite(x)
-    xf = np.where(finite, x, 0.0)
-    val = (
-        principal_power(-1j * xf, 2.0 * a)
-        * principal_power(xf - 1j, s - 2.0 * a - m)
-        * principal_power(xf + 1j, m - s)
-    )
-    limit = np.where(x > 0.0, cmath.exp(-1j * math.pi * a),
-                     cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a)))
-    out = np.where(finite, val, limit)
-    return scalar_or_array(out.reshape(np.shape(xi)))
+    a = sp.alpha
+    return _wh_factor(xi, sp, lambda x: principal_power(-1j * x, 2.0 * a),
+                      cmath.exp(-1j * math.pi * a),
+                      cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a)))
 
 
 def mellin_b2(xi, sp: SpectralParams):

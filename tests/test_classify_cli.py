@@ -97,7 +97,7 @@ class TestClassifyNumeric:
                 tau = float(rng.uniform(1.05, 1.95))
             s = tau + 1.0 / p
             theorem = classify(a, p, s, mode="theorem")
-            numeric = classify(a, p, s, mode="numeric", n_base=64)
+            numeric = classify(a, p, s, mode="numeric")
             assert theorem.fredholm == numeric.fredholm
             assert theorem.index == numeric.index
             agreements += 1
@@ -192,6 +192,18 @@ class TestCli:
     def test_domain_error_exit(self, capsys):
         assert cli_main(["classify", "--alpha", "1.5", "--p", "2", "--s", "1.0"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    def test_index_points_over_the_cap_is_usage_error(self, capsys, monkeypatch):
+        import whml.contour as contour_mod
+
+        def no_evaluation(*args):
+            raise AssertionError("segment evaluated before the point cap check")
+
+        monkeypatch.setattr(contour_mod, "eval_segment", no_evaluation)
+        assert cli_main(["index", "--alpha", "0.75", "--p", "2", "--s", "2.3",
+                         "--points", "340000"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_flag_exit(self, capsys):
         assert cli_main(["classify", "--bogus", "1"]) == EXIT_USAGE

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import whml.contour as contour_mod
 from whml.contour import (
     FREDHOLM_TOL,
     SEGMENT_ORDER,
@@ -37,6 +38,15 @@ class TestEvalSegment:
             assert eval_segment(Segment.G2M, t, SP_LOW) == pytest.approx(1.0, abs=1e-15)
             assert eval_segment(Segment.G2P, t, SP_LOW) == pytest.approx(
                 cmath.exp(2j * math.pi * nu), abs=1e-14)
+
+    def test_constant_segments_are_wh_c1_at_their_xi(self):
+        ts = np.linspace(0.0, 1.0, 7)
+        for sp in (SP_LOW, SP_MODEL, SpectralParams(0.75, 2.0, 2.3)):
+            for seg, xi in ((Segment.G2P, -math.inf), (Segment.G4, 0.0),
+                            (Segment.G2M, math.inf)):
+                assert eval_segment(seg, 0.4, sp) == wh_c1(xi, sp)
+                assert np.array_equal(eval_segment(seg, ts, sp),
+                                      wh_c1(np.full(ts.shape, xi), sp))
 
     def test_model_boundary_midpoint(self):
         # at zero frequency with nu = 0 the boundary value is
@@ -83,6 +93,16 @@ class TestBuildLoop:
     def test_min_base_count(self):
         with pytest.raises(DomainError):
             build_loop(SP_LOW, 32)
+
+    def test_base_counts_over_the_point_cap(self, monkeypatch):
+        # refused before any evaluation: 3 * 340000 + 3 * 42500 base points
+        # already exceed the 10^6 cap
+        def no_evaluation(*args):
+            raise AssertionError("segment evaluated before the point cap check")
+
+        monkeypatch.setattr(contour_mod, "eval_segment", no_evaluation)
+        with pytest.raises(DomainError):
+            build_loop(SpectralParams(0.75, 2.0, 2.3), 340000)
 
 
 class TestMinModulus:

@@ -8,6 +8,7 @@ from whml.kernel import (
     DeltaImage,
     KernelParams,
     PotentialKind,
+    _m_array,
     bernstein_residual,
     delta_image,
     frac_laplacian_constant,
@@ -37,6 +38,28 @@ class TestKernelM:
         k = KernelParams(0.5)
         c = k.prefactor * 2.0 / math.sqrt(math.pi)
         assert kernel_m(1.0, k) == pytest.approx(c * bessel_k(1.0, 1.0), rel=1e-13)
+
+    def test_scalar_call_is_the_array_formula(self):
+        ys = np.geomspace(1e-3, 20.0, 200).tolist()
+        for a in ALPHAS:
+            k = KernelParams(a)
+            for y in ys:
+                m = kernel_m(y, k)
+                assert m == _m_array(np.array([y]), k)[0]
+                assert kernel_m(-y, k) == m
+
+    def test_non_finite_bessel_raises(self, monkeypatch):
+        # every kernel route goes through the guarded bessel_k, so a
+        # non-finite K is reported rather than integrated
+        import whml.specfun as specfun_mod
+        monkeypatch.setattr(specfun_mod._sp, "kv", lambda nu, x: np.full(np.shape(x), np.inf))
+        k = KernelParams(0.3)
+        for call in (lambda: kernel_m(1.0, k),
+                     lambda: potential_full(1.0, k),
+                     lambda: potential_on_grid(np.linspace(0.5, 2.0, 4), k),
+                     lambda: symbol_identity_residual(2.0, k)):
+            with pytest.raises(AccuracyOverflow):
+                call()
 
     def test_dual_route_sample(self):
         k = KernelParams(0.25)

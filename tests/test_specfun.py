@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from whml.errors import DomainError, PoleError
-from whml.specfun import bessel_k, complex_beta, kummer_u, principal_power
+from whml.specfun import AccuracyOverflow, bessel_k, complex_beta, kummer_u, principal_power
 
 
 class TestPrincipalPower:
@@ -122,6 +122,21 @@ class TestBesselK:
             bessel_k(0.5, -1.0)
         with pytest.raises(DomainError):
             bessel_k(2.5, 1.0)
+        # the guards apply to every entry of an array
+        for bad in (np.array([1.0, 0.0, 2.0]), np.array([3.0, -1.0]), np.array([1.0, np.nan])):
+            with pytest.raises(DomainError):
+                bessel_k(0.5, bad)
+        with pytest.raises(AccuracyOverflow):
+            bessel_k(2.0, np.array([1.0, 1e-300]))
+
+    def test_array_equals_pointwise_calls(self):
+        xs = np.geomspace(1e-3, 50.0, 101)
+        for nu in (-1.5, 0.0, 0.8, 2.0):
+            vals = bessel_k(nu, xs)
+            assert vals.shape == xs.shape
+            assert [bessel_k(nu, x) for x in xs.tolist()] == vals.tolist()
+        assert isinstance(bessel_k(0.8, np.float64(1.0)), float)
+        assert bessel_k(0.8, np.ones((2, 3))).shape == (2, 3)
 
 
 class TestKummerU:

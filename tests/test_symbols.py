@@ -241,17 +241,26 @@ class TestArrayViews:
         assert vals[1] == 1.0
 
     def test_wh_c2_array_equals_pointwise_calls(self):
+        # both Wiener-Hopf factors, each with its limits at +inf and -inf;
+        # a scalar call equals its entry of the array call bit for bit
+        factors = (
+            (wh_c1, lambda sp: 1.0 + 0j, lambda sp: cmath.exp(2j * math.pi * sp.nu)),
+            (wh_c2, lambda sp: cmath.exp(-1j * math.pi * sp.alpha),
+             lambda sp: cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - sp.alpha))),
+        )
         rng = np.random.default_rng(29)
         xis = np.concatenate([rng.normal(0.0, 20.0, 300),
                               [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e8, 1e8]])
+        for fn, at_plus_inf, at_minus_inf in factors:
+            for sp in (SP_LOW, SP_HIGH, SP_MODEL):
+                vals = fn(xis, sp)
+                assert vals.shape == xis.shape
+                for xi, val in zip(xis, vals):
+                    scalar = fn(float(xi), sp)
+                    assert isinstance(scalar, complex)
+                    assert scalar == val, (fn.__name__, sp, xi)
+                assert vals[-5] == at_plus_inf(sp)
+                assert vals[-4] == at_minus_inf(sp)
+            assert fn(np.zeros((2, 3)), SP_LOW).shape == (2, 3)
         for sp in (SP_LOW, SP_HIGH, SP_MODEL):
-            vals = wh_c2(xis, sp)
-            assert vals.shape == xis.shape
-            for xi, val in zip(xis, vals):
-                scalar = wh_c2(float(xi), sp)
-                assert isinstance(scalar, complex)
-                assert scalar == val
-            assert vals[-7] == 0 and vals[-6] == 0
-            assert vals[-5] == cmath.exp(-1j * math.pi * sp.alpha)
-            assert vals[-4] == cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - sp.alpha))
-        assert wh_c2(np.zeros((2, 3)), SP_LOW).shape == (2, 3)
+            assert wh_c2(0.0, sp) == 0 and wh_c2(-0.0, sp) == 0
