@@ -3,12 +3,16 @@
 The operator acts as identity plus a singular integral against the jump
 kernel; equivalently as a Fourier multiplier on the zero extension plus a
 multiplication by the added potential.  Both routes are implemented
-independently so that each can serve as the other's oracle.  The fractional
-integral/derivative pair that links boundary differences to Mellin kernels
-lives here as well: the Riemann-Liouville integral is exact on the cubic
-spline through incomplete-beta product weights, at one point or at every
-node in one FFT convolution, with the adaptive quadrature route kept as its
-oracle; the Caputo derivative keeps order-2 product integration.
+independently so that each can serve as the other's oracle.  The
+singular-integral route runs adaptive quadrature over scalar spline and
+kernel values, one of each per quadrature node; both take a float path
+without numpy dispatch (see gridfn and kernel._m_array) that returns the
+array call's bits.  The fractional integral/derivative pair that links
+boundary differences to Mellin kernels lives here as well: the
+Riemann-Liouville integral is exact on the cubic spline through
+incomplete-beta product weights, at one point or at every node in one FFT
+convolution, with the adaptive quadrature route kept as its oracle; the
+Caputo derivative keeps order-2 product integration.
 """
 
 from __future__ import annotations

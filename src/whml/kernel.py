@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,12 @@ class KernelParams:
         """-i * alpha * 2^(2 alpha) / Gamma(1 - alpha)."""
         return -1j * self.alpha * 2.0 ** (2.0 * self.alpha) / math.gamma(1.0 - self.alpha)
 
+    @cached_property
+    def _m_constants(self) -> tuple[float, float]:
+        """(nu, c) of the kernel c |y|^(-nu) K_nu(|y|), computed once."""
+        nu = 0.5 + self.alpha
+        return nu, self.prefactor * 2.0 ** nu / math.sqrt(math.pi)
+
 
 class DeltaImage(enum.Enum):
     A_MINUS_DELTA = "a_minus_delta"
@@ -71,10 +78,10 @@ class PotentialKind(enum.Enum):
 
 def _m_array(y, k: KernelParams):
     """Kernel values c |y|^(-nu) K_nu(|y|), nu = 1/2 + alpha, for y != 0;
-    accepts arrays, and bessel_k guards every entry."""
-    ay = np.abs(np.asarray(y, dtype=float))
-    nu = 0.5 + k.alpha
-    c = k.prefactor * 2.0 ** nu / math.sqrt(math.pi)
+    accepts arrays, and bessel_k guards every entry.  A float y skips the
+    array conversion; np.power and K run the same loops on it."""
+    nu, c = k._m_constants
+    ay = abs(y) if isinstance(y, float) else np.abs(np.asarray(y, dtype=float))
     # np.power, not **: on a numpy scalar ** calls the C library's pow, while
     # np.power runs the array loop, so a scalar gets the array's last bit
     return c * np.power(ay, -nu) * bessel_k(nu, ay)

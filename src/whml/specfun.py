@@ -96,16 +96,16 @@ def bessel_k(nu: float, x):
 
     Supported for |nu| <= 2 (K is even in the order).  Accepts arrays; every
     entry must be positive and give a finite value, and a 0-d input returns
-    a float.
+    a float.  A float x skips the array conversion (kv runs the same loop).
     """
     if abs(nu) > 2.0:
         raise DomainError("bessel_k supports |nu| <= 2")
-    xa = np.asarray(x, dtype=float)
+    xa = x if isinstance(x, float) else np.asarray(x, dtype=float)
     val = _sp.kv(nu, xa)
     # K is inf at x = 0 and nan below it or at nan, so one finiteness test
     # of the result guards the domain as well
     if not (math.isfinite(val) if val.ndim == 0 else np.isfinite(val).all()):
-        if not (xa > 0.0).all():
+        if not np.all(xa > 0.0):
             raise DomainError("bessel_k requires x > 0")
         raise AccuracyOverflow("bessel_k produced a non-finite value")
     return float(val) if val.ndim == 0 else val

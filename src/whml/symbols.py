@@ -109,9 +109,11 @@ class SpectralParams:
 def _wh_factor(xi, sp: SpectralParams, lead, at_plus_inf: complex, at_minus_inf: complex):
     """lead(xi) (xi-i)^(s-2a-m) (xi+i)^(m-s), with the given limits at +inf
     and -inf.  A scalar is evaluated as a one-element array, so it equals
-    the array call bit for bit."""
+    the array call bit for bit.  A nan xi has no limit and is refused."""
     a, s, m = sp.alpha, sp.s, sp.m
     x = np.atleast_1d(np.asarray(xi, dtype=float))
+    if np.isnan(x).any():
+        raise DomainError("Wiener-Hopf factor needs xi that is not nan")
     finite = np.isfinite(x)
     xf = np.where(finite, x, 0.0)
     val = (

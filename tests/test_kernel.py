@@ -40,13 +40,15 @@ class TestKernelM:
         assert kernel_m(1.0, k) == pytest.approx(c * bessel_k(1.0, 1.0), rel=1e-13)
 
     def test_scalar_call_is_the_array_formula(self):
-        ys = np.geomspace(1e-3, 20.0, 200).tolist()
+        # a float skips the array conversion but must keep the array's bits
+        ys = np.geomspace(1e-3, 20.0, 2000)
         for a in ALPHAS:
             k = KernelParams(a)
-            for y in ys:
-                m = kernel_m(y, k)
-                assert m == _m_array(np.array([y]), k)[0]
-                assert kernel_m(-y, k) == m
+            scalar = np.array([kernel_m(y, k) for y in ys.tolist()])
+            one_element = np.array([float(_m_array(np.array([y]), k)[0]) for y in ys])
+            np.testing.assert_array_equal(scalar.view(np.int64), one_element.view(np.int64))
+            np.testing.assert_array_equal(scalar.view(np.int64), _m_array(ys, k).view(np.int64))
+            assert [kernel_m(-y, k) for y in ys.tolist()] == scalar.tolist()
 
     def test_non_finite_bessel_raises(self, monkeypatch):
         # every kernel route goes through the guarded bessel_k, so a

@@ -138,6 +138,18 @@ class TestBesselK:
         assert isinstance(bessel_k(0.8, np.float64(1.0)), float)
         assert bessel_k(0.8, np.ones((2, 3))).shape == (2, 3)
 
+    def test_float_argument_keeps_the_guards(self, monkeypatch):
+        # a Python float skips the array conversion, not the guards
+        for x in (0.0, -0.0, -1.0, -math.inf, math.nan, np.float64(-2.0)):
+            with pytest.raises(DomainError):
+                bessel_k(0.5, x)
+        with pytest.raises(AccuracyOverflow):
+            bessel_k(2.0, 1e-300)
+        import whml.specfun as specfun_mod
+        monkeypatch.setattr(specfun_mod._sp, "kv", lambda nu, x: np.float64(np.nan))
+        with pytest.raises(AccuracyOverflow):
+            bessel_k(0.5, 1.0)
+
 
 class TestKummerU:
     def test_bessel_cross_check(self):

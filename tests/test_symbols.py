@@ -264,3 +264,13 @@ class TestArrayViews:
             assert fn(np.zeros((2, 3)), SP_LOW).shape == (2, 3)
         for sp in (SP_LOW, SP_HIGH, SP_MODEL):
             assert wh_c2(0.0, sp) == 0 and wh_c2(-0.0, sp) == 0
+
+    def test_nan_xi_is_refused(self):
+        # nan has no limit: it must not fall into the -inf branch
+        nan = float("nan")
+        for fn in (wh_c1, wh_c2):
+            for sp in (SP_LOW, SP_HIGH):
+                for xi in (nan, np.float64(nan), np.array([0.5, nan, -np.inf]),
+                           np.full((2, 2), nan)):
+                    with pytest.raises(DomainError, match="nan"):
+                        fn(xi, sp)
