@@ -2,9 +2,9 @@
 the verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 I/O failure, 4 numerical failure (a quadrature, extrapolation or loop
-refinement missed its tolerance, or a loop passed too close to the origin
-for a winding number); codes 2 to 4 print a one-line message to stderr.
+3 I/O failure, 4 numerical failure (a quadrature, a panel rule's error
+estimate or a loop refinement missed its tolerance, or a loop passed too
+close to the origin for a winding number); codes 2 to 4 print a one-line message to stderr.
 
 `alphac` bisects the critical root to float resolution; it takes no
 tolerance option, and an alpha whose root float spacing cannot resolve is a

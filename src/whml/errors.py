@@ -14,7 +14,7 @@ class GammaOverflowError(DomainError):
 
 
 class AccuracyError(RuntimeError):
-    """A quadrature or extrapolation failed to reach its tolerance."""
+    """A quadrature or panel rule failed to reach its tolerance."""
 
 
 class ResolutionError(AccuracyError):

@@ -4,15 +4,17 @@ The operator acts as identity plus a singular integral against the jump
 kernel; equivalently as a Fourier multiplier on the zero extension plus a
 multiplication by the added potential.  Both routes are implemented
 independently so that each can serve as the other's oracle.  The
-singular-integral route runs adaptive quadrature over scalar spline and
-kernel values, one of each per quadrature node; both take a float path
-without numpy dispatch (see gridfn and kernel._m_array) that returns the
-array call's bits.  The fractional integral/derivative pair that links
-boundary differences to Mellin kernels lives here as well: the
-Riemann-Liouville integral is exact on the cubic spline through
-incomplete-beta product weights, at one point or at every node in one FFT
-convolution, with the adaptive quadrature route kept as its oracle; the
-Caputo derivative keeps order-2 product integration.
+singular-integral route works on the cubic spline's own panels: near the
+probe the spline's second difference is exactly -u''(x) w^2, so the
+hypersingular head is a Gauss-Jacobi rule with no cutoff; beyond it,
+Gauss-Legendre panels whose nodes and kernel weights are shared by every
+probe at the same (alpha, L), read against the spline in one array call,
+with an embedded two-order error estimate.  The fractional
+integral/derivative pair that links boundary differences to Mellin kernels
+lives here as well: the Riemann-Liouville integral is exact on the cubic
+spline through incomplete-beta product weights, at one point or at every
+node in one FFT convolution, with the adaptive quadrature route kept as its
+oracle; the Caputo derivative keeps order-2 product integration.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc
+from scipy.special import beta as beta_fn, betainc, roots_jacobi
 
 from . import quadrature as q
 from .errors import AccuracyError, DomainError, ResolutionError
 from .gridfn import GridFunction
-from .kernel import KernelParams, kernel_m, potential_full, potential_on_grid
+from .kernel import KernelParams, _m_array, kernel_m, potential_full, potential_on_grid
 
 __all__ = [
     "apply_singular",
@@ -42,61 +44,239 @@ _ALIAS_BAND = 0.75
 _ALIAS_TOL = 1e-8
 _K = np.arange(4.0)  # the powers of a cubic spline panel
 
+# apply_singular: the two orders of each rule, the accuracy it is held to, and
+# the layout of the shared panels
+_JACOBI_ORDERS = (12, 24)
+_PANEL_ORDERS = (12, 24)
+_OP_EPSABS = 1e-11
+_OP_EPSREL = 1e-9
+_MAX_BISECTIONS = 8
+_GEOMETRIC_LEVELS = 30
+_UNIT_PANELS_END = 48.0
+# the smooth factor w^(1 + 2 alpha) m(w) of the Gauss-Jacobi head carries a
+# w^(1 + 2 alpha) term, so the head is kept short
+_NEAR_FIELD_MAX = 2.0 ** -5
 
-def _second_difference_integral(u: GridFunction, x: float, k: KernelParams,
-                                eps: float) -> float:
-    """integral_eps^x (2u(x) - u(x+w) - u(x-w)) m(w) dw."""
-    if eps >= x:
-        return 0.0
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: cached tables are shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    t, wt = np.polynomial.legendre.leggauss(order)
+    return _read_only(0.5 * (t + 1.0), 0.5 * wt)
+
+
+@lru_cache(maxsize=64)
+def _gauss_jacobi(alpha: float, order: int):
+    """Nodes s and weights W on [0, 1] with
+    integral_0^a w^(1 - 2 alpha) g(w) dw ~ a^(2 - 2 alpha) sum_i W_i g(a s_i)."""
+    t, wt = roots_jacobi(order, 0.0, 1.0 - 2.0 * alpha)
+    return _read_only(0.5 * (t + 1.0), wt * 0.5 ** (2.0 - 2.0 * alpha))
+
+
+def _weighted_panels(lo: np.ndarray, hi: np.ndarray, k: KernelParams) -> list:
+    """Per order of _PANEL_ORDERS, the Gauss-Legendre nodes on the panels
+    [lo_i, hi_i] and their weights times m, one row per panel, from one
+    kernel call."""
+    rules = []
+    for order in _PANEL_ORDERS:
+        s, wt = _gauss_legendre(order)
+        width = (hi - lo)[:, None]
+        rules.append((lo[:, None] + width * s, width * wt))
+    m = _m_array(np.concatenate([w.ravel() for w, _ in rules]), k)
+    out, at = [], 0
+    for w, wt in rules:
+        out.append((w, wt * m[at:at + w.size].reshape(w.shape)))
+        at += w.size
+    return out
+
+
+@lru_cache(maxsize=32)
+def _shared_panels(k: KernelParams, length: float):
+    """The panels every probe at (alpha, L) starts from, with their edges
+    and integral_L^inf m.
+
+    Geometric panels [2^-j, 2^(1-j)] up to 1, unit panels up to
+    _UNIT_PANELS_END (where m is below 1e-22), then doubling widths; all cut
+    at L."""
+    edges = np.concatenate([
+        2.0 ** -np.arange(float(_GEOMETRIC_LEVELS), 0.0, -1.0),
+        np.arange(1.0, _UNIT_PANELS_END),
+        _UNIT_PANELS_END - 2.0 + 2.0 ** np.arange(1.0, 64.0),
+    ])
+    edges = np.append(edges[edges < length], length)
+    rules = [_read_only(*rule) for rule in _weighted_panels(edges[:-1], edges[1:], k)]
+    return _read_only(edges)[0], rules, -potential_full(length, k)
+
+
+def _probe_panels(x: float, length: float, lo: float, edges: np.ndarray):
+    """The panels of one probe beyond lo: the shared ones it keeps (a mask
+    over the shared panels) and its own, as (lo, hi) arrays.
+
+    A shared panel that holds lo, x or L - x is replaced by its pieces: the
+    second difference has a kink or a jump where u(x - w) leaves the grid
+    (w = x) and where u(x + w) does (w = L - x).  Below the shared panels,
+    geometric panels start at lo."""
+    breaks = [b for b in (x, length - x) if b > lo]
+    pieces = []
+    if lo < edges[0]:
+        ends = [lo]
+        while 2.0 * ends[-1] < edges[0]:
+            ends.append(2.0 * ends[-1])
+        ends = sorted(set(ends + [b for b in breaks if b < edges[0]] + [edges[0]]))
+        pieces = list(zip(ends[:-1], ends[1:]))
+    keep = edges[1:] > lo
+    for b in [lo] + breaks:
+        i = int(np.searchsorted(edges, b, side="right")) - 1
+        if 0 <= i < keep.size and edges[i] < b and keep[i]:
+            keep[i] = False
+            ends = [max(edges[i], lo), edges[i + 1]]
+            ends = sorted(set(ends + [c for c in breaks if ends[0] < c < ends[1]]))
+            pieces += list(zip(ends[:-1], ends[1:]))
+    pieces = np.asarray(pieces, dtype=float).reshape(-1, 2)
+    return keep, pieces[:, 0], pieces[:, 1]
+
+
+def _second_difference(u: GridFunction, x: float):
+    """(u(x), u''(x), J, delta, G) for a probe at x.
+
+    delta is the distance from x to the nearest other node (at most
+    _NEAR_FIELD_MAX), J the jump of the cubic coefficient at x when x is a
+    node (else 0), and G(w) the integrand factor 2u(x) - u(x + w) - u(x - w)
+    for w < x and u(x) - u(x + w) beyond, for an array of w.
+
+    The C^2 cubic spline is its panel's cubic plus the truncated powers
+    J_i (y - x_i)_+^3 right of x and J_i (x_i - y)_+^3 left of x, J_i the
+    jump of the cubic coefficient at node x_i.  So for w < x
+        G(w) = -u''(x) w^2 - sum_(d_i < w) J_i (w - d_i)^3,   d_i = |x - x_i|,
+    which G uses up to w = min(x, 1): there the difference of spline
+    values would cancel against a large kernel.
+    """
+    xs, c = u.xs, u._cubic().c
+    j = min(int(np.searchsorted(xs, x, side="right")) - 1, u.n - 2)
+    s = x - xs[j]
     ux = u(x)
+    u2 = 2.0 * c[1, j] + 6.0 * c[0, j] * s
+    delta = min(xs[j + 1] - x, s if s > 0.0 else x - xs[j - 1], _NEAR_FIELD_MAX)
+    jump = 0.0 if s > 0.0 else c[0, j] - c[0, j - 1]
 
-    def integrand(w):
-        return (2.0 * ux - u(x + w) - u(x - w)) * kernel_m(w, k)
+    reach = min(x, 1.0)
+    lo = max(int(np.searchsorted(xs, x - reach, side="left")), 1)
+    hi = min(int(np.searchsorted(xs, x + reach, side="right")), u.n - 1)
+    dist = np.abs(x - xs[lo:hi])
+    order = np.argsort(dist)
+    dist = dist[order]
+    jumps = (c[0, lo:hi] - c[0, lo - 1:hi - 1])[order]
+    # prefix sums of J_i d_i^p, p = 0..3, led by zeros
+    sums = np.zeros((4, dist.size + 1))
+    sums[:, 1:] = np.cumsum(jumps * dist ** _K[:, None], axis=1)
 
-    return q.quad(integrand, eps, x, epsabs=1e-11, epsrel=1e-9, limit=400)
+    def g(w: np.ndarray) -> np.ndarray:
+        vals = u(np.concatenate([x + w, x - w]))
+        out = np.where(w < x, 2.0 * ux, ux) - vals[:w.size] - vals[w.size:]
+        inner = w < reach
+        wi = w[inner]
+        s0, s1, s2, s3 = sums[:, np.searchsorted(dist, wi, side="left")]
+        out[inner] = -u2 * wi * wi - (((s0 * wi - 3.0 * s1) * wi + 3.0 * s2) * wi - s3)
+        return out
+
+    return ux, u2, jump, delta, g
 
 
-def _outer_integral(u: GridFunction, x: float, k: KernelParams, eps: float) -> float:
-    """integral_max(x,eps)^inf (u(x) - u(x+w)) m(w) dw."""
-    lo = max(x, eps)
-    ux = u(x)
-    mass = -potential_full(lo, k)  # integral_lo^inf m
-    hi = u.length - x  # u vanishes beyond the grid
-    if hi <= lo:
-        return ux * mass
-    moved = q.quad(lambda w: u(x + w) * kernel_m(w, k), lo, hi,
-                   epsabs=1e-11, epsrel=1e-9, limit=400)
-    return ux * mass - moved
+def _near_field(k: KernelParams, u2: float, jump: float, delta: float,
+                eps: float) -> list:
+    """integral_eps^delta -(u''(x) w^2 + J w^3) m(w) dw at each Gauss-Jacobi
+    order: the head on [0, delta] minus the head on [0, eps], each a rule of
+    weight w^(1 - 2 alpha) on the smooth factor w^(1 + 2 alpha) m(w)."""
+    a = k.alpha
+    ends = np.array([delta, eps][:2 if eps > 0.0 else 1])
+    scale = np.array([1.0, -1.0][:ends.size]) * ends ** (2.0 - 2.0 * a)
+    rules = [_gauss_jacobi(a, order) for order in _JACOBI_ORDERS]
+    w = np.concatenate([np.outer(ends, s).ravel() for s, _ in rules])
+    f = _m_array(w, k) * w ** (1.0 + 2.0 * a) * (-u2 - jump * w)
+    out, at = [], 0
+    for s, wt in rules:
+        out.append(float(scale @ (f[at:at + ends.size * s.size].reshape(ends.size, -1) @ wt)))
+        at += ends.size * s.size
+    return out
 
 
 def apply_singular(u: GridFunction, x: float, k: KernelParams, eps: float = 0.0) -> float:
-    """Pointwise operator value via the symmetric-difference singular integral.
+    """Pointwise operator value u(x) + integral_eps^inf G(w) m(w) dw on the
+    cubic spline, with G = 2u(x) - u(x + w) - u(x - w) for w < x and
+    u(x) - u(x + w) beyond (u is zero outside [0, L]).
 
-    The second-difference split keeps the integrand integrable even in the
-    hypersingular range alpha >= 1/2.  eps > 0 evaluates the truncated
-    integral; eps = 0 extrapolates the cutoff to zero from three dyadic
-    levels (the limit exists, its rate is estimated rather than assumed).
+    - Near field [eps, delta], delta the distance from x to the nearest
+      other node: G is exactly -u''(x) w^2 there (minus J w^3 on a node,
+      J the jump of the cubic coefficient), so the hypersingular head is a
+      Gauss-Jacobi rule with weight w^(1 - 2 alpha): no cutoff, no
+      subtraction, no extrapolation.
+    - Beyond delta: Gauss-Legendre panels, geometric up to 1, unit widths
+      beyond, with nodes and weight * m shared by every probe at the same
+      (alpha, L) (_shared_panels); only the panels holding delta, x and
+      L - x are re-split.  The spline is read in one array call per pass.
+    - u(x) * integral_L^inf m, cached with the shared panels.
+
+    Each panel runs at two orders.  While their total disagreement exceeds
+    max(1e-11, 1e-9 |value|), the panels that hold most of it are bisected;
+    AccuracyError after _MAX_BISECTIONS passes.  eps > 0 gives the
+    truncated integral.
     """
     if not (0.0 < x < u.length / 2.0):
         raise DomainError("apply_singular requires 0 < x < L/2")
     if eps < 0.0:
         raise DomainError("apply_singular requires eps >= 0")
-    base = u(x) + _outer_integral(u, x, k, eps)
-    if eps > 0.0:
-        return base + _second_difference_integral(u, x, k, eps)
+    if not u.is_real:
+        raise DomainError("apply_singular expects a real grid function")
+    length = u.length
+    ux, u2, jump, delta, g = _second_difference(u, x)
+    edges, shared, tail = _shared_panels(k, length)
+    if eps >= length:
+        tail = -potential_full(eps, k)
+    lo = max(eps, delta)
+    keep, own_lo, own_hi = _probe_panels(x, length, lo, edges)
+    rules = [(np.concatenate([w[keep], ow]), np.concatenate([wm[keep], owm]))
+             for (w, wm), (ow, owm) in zip(shared, _weighted_panels(own_lo, own_hi, k))]
+    p_lo = np.concatenate([edges[:-1][keep], own_lo])
+    p_hi = np.concatenate([edges[1:][keep], own_hi])
 
-    eps0 = min(x / 4.0, 0.01)
-    levels = [
-        _second_difference_integral(u, x, k, eps0 / 2.0 ** j) for j in range(3)
-    ]
-    d10 = levels[1] - levels[0]
-    d21 = levels[2] - levels[1]
-    if abs(d21) < 1e-13:
-        return base + levels[2]
-    ratio = d10 / d21
-    if not np.isfinite(ratio) or ratio <= 1.05:
-        raise AccuracyError("cutoff extrapolation did not converge geometrically")
-    return base + levels[2] + d21 / (ratio - 1.0)
+    near = _near_field(k, u2, jump, delta, eps) if eps < delta else [0.0, 0.0]
+    done = ux + ux * tail + near[-1]
+    done_err = abs(near[-1] - near[0])
+    for bisections in range(_MAX_BISECTIONS + 1):
+        gw = g(np.concatenate([w.ravel() for w, _ in rules]))
+        sums, at = [], 0
+        for w, wm in rules:
+            sums.append(np.sum(wm * gw[at:at + w.size].reshape(w.shape), axis=1))
+            at += w.size
+        err = np.abs(sums[-1] - sums[0])
+        value = done + float(np.sum(sums[-1]))
+        tol = max(_OP_EPSABS, _OP_EPSREL * abs(value))
+        if done_err + float(np.sum(err)) <= tol:
+            return value
+        # out of passes, or the near field alone is over: bisection cannot help
+        if bisections == _MAX_BISECTIONS or done_err > tol:
+            break
+        # keep the panels of least disagreement while it stays under half the
+        # tolerance; bisect the rest
+        order = np.argsort(err)
+        split = np.ones(err.size, dtype=bool)
+        split[order[done_err + np.cumsum(err[order]) <= 0.5 * tol]] = False
+        done += float(np.sum(sums[-1][~split]))
+        done_err += float(np.sum(err[~split]))
+        mid = 0.5 * (p_lo[split] + p_hi[split])
+        p_lo = np.concatenate([p_lo[split], mid])
+        p_hi = np.concatenate([mid, p_hi[split]])
+        rules = _weighted_panels(p_lo, p_hi, k)
+    raise AccuracyError(
+        f"apply_singular: the rule orders disagree by {done_err + float(np.sum(err)):.3e} "
+        f"after {bisections} bisections")
 
 
 def apply_fourier(u: GridFunction, k: KernelParams) -> GridFunction:

@@ -176,14 +176,28 @@ def bernstein_residual(x: float, k: KernelParams) -> float:
 def potential_full(x: float, k: KernelParams) -> float:
     """Added potential -integral_x^inf m(w) dw; strictly negative, x > 0.
 
-    Blows up like x^(-2 alpha) as x -> 0+ and decays exponentially.
+    Blows up like x^(-2 alpha) as x -> 0+ and decays exponentially.  For
+    x < 1 the leading term c0 w^(-1 - 2 alpha) of m (c0 = 2 alpha times the
+    killing coefficient's formula) is integrated in closed form over
+    [x, 2] and quadrature takes only the remainder, to a tolerance set by
+    the closed-form total: integrating m itself loses the head to
+    cancellation and can return a value of the wrong sign.
     """
     if x <= 0.0:
         raise DomainError("potential_full requires x > 0")
-    split = max(2.0 * x, 2.0)
-    val = q.quad_split_inf(lambda w: _m_array(w, k), x, split,
-                           epsabs=1e-13, epsrel=1e-10)
-    return -val
+    if x >= 1.0:
+        split = max(2.0 * x, 2.0)
+        val = q.quad_split_inf(lambda w: _m_array(w, k), x, split,
+                               epsabs=1e-13, epsrel=1e-10)
+        return -val
+    a = k.alpha
+    lead = _killing_formula(a)
+    closed = lead * (x ** (-2.0 * a) - 2.0 ** (-2.0 * a))
+    c0 = 2.0 * a * lead
+    head = q.quad(lambda w: _m_array(w, k) - c0 * w ** (-1.0 - 2.0 * a), x, 2.0,
+                  epsabs=1e-10 * closed, epsrel=1e-10)
+    tail = q.quad(lambda w: _m_array(w, k), 2.0, np.inf, epsabs=1e-13, epsrel=1e-10)
+    return -(closed + head + tail)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -265,14 +279,20 @@ def frac_laplacian_constant(lam: float, k: KernelParams) -> float:
     )
 
 
+def _killing_formula(a: float) -> float:
+    """2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(1 - a)): the coefficient of
+    x^(-2 alpha) in integral_x^inf m as x -> 0+, for any 0 < alpha < 1."""
+    return (
+        2.0 ** (2.0 * a - 1.0)
+        * math.gamma(a + 0.5)
+        / (math.sqrt(math.pi) * math.gamma(1.0 - a))
+    )
+
+
 def killing_coefficient(k: KernelParams) -> float:
     """Magnitude of the x^(-2 alpha) leading singularity of the killing
     potential, 2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(1 - a))."""
     a = k.alpha
     if not (0.5 < a < 1.0):
         raise DomainError("killing_coefficient is stated for 1/2 < alpha < 1")
-    return (
-        2.0 ** (2.0 * a - 1.0)
-        * math.gamma(a + 0.5)
-        / (math.sqrt(math.pi) * math.gamma(1.0 - a))
-    )
+    return _killing_formula(a)

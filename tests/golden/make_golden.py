@@ -10,6 +10,10 @@ Regenerate the files (only when a change of printed values is intended and
 reported) with
 
     PYTHONPATH=src python tests/golden/make_golden.py
+
+and list what a change moves, old -> new, without writing anything, with
+
+    PYTHONPATH=src python tests/golden/make_golden.py --diff
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import hashlib
 import io
 import math
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -96,10 +101,55 @@ def render(argvs: list) -> str:
     return "".join(parts)
 
 
-def main() -> int:
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_KEY = re.compile(r'^\s*"([^"]+)":')
+_REGION = re.compile(r'"region": "([^"]+)"')
+
+
+def moved_values(name: str, old: str, new: str) -> list:
+    """One line per moved value of golden file `name`, old -> new: each
+    numeric token that differs on a line whose text around the numbers is
+    unchanged, labelled with its line, the command, the JSON region and
+    key.  A line that differs otherwise, or a change in the number of
+    lines, is reported whole."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return [f"{name}: {len(old_lines)} lines -> {len(new_lines)} lines"]
+    out = []
+    command = region = ""
+    for lineno, (was, now) in enumerate(zip(old_lines, new_lines), start=1):
+        if now.startswith("$ whml "):
+            command, region = now[2:], ""
+        found = _REGION.search(now)
+        if found:
+            region = found.group(1)
+        if was == now:
+            continue
+        where = " ".join(part for part in (f"{name}:{lineno}", command, region) if part)
+        key = _KEY.match(now)
+        label = f"{where} {key.group(1)}" if key else where
+        olds, news = _NUMBER.findall(was), _NUMBER.findall(now)
+        if _NUMBER.sub("#", was) != _NUMBER.sub("#", now) or len(olds) != len(news):
+            out.append(f"{label}: {was.strip()} -> {now.strip()}")
+            continue
+        out += [f"{label}: {a} -> {b}" for a, b in zip(olds, news) if a != b]
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in ([], ["--diff"]):
+        print("usage: make_golden.py [--diff]", file=sys.stderr)
+        return 2
     for name, argvs in commands().items():
-        (GOLDEN_DIR / name).write_text(render(argvs), encoding="utf-8")
-        print(f"wrote {name}")
+        text = render(argvs)
+        if argv:
+            old = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+            for line in moved_values(name, old, text):
+                print(line)
+        else:
+            (GOLDEN_DIR / name).write_text(text, encoding="utf-8")
+            print(f"wrote {name}")
     return 0
 
 

@@ -160,6 +160,46 @@ class TestPotential:
             potential_full(0.0, KernelParams(0.3))
 
 
+def _potential_by_subordination(x: float, a: float):
+    """-integral_x^inf m by 30-digit mpmath through the subordination
+    integral: integrating the heat kernel over (x, inf) leaves
+    -(alpha / (2 Gamma(1 - alpha))) integral_0^inf e^-s s^(-1 - alpha)
+    erfc(x / (2 sqrt(s))) ds, with no Bessel function."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a, x = mp.mpf(a), mp.mpf(x)
+
+        def f(s):
+            return mp.exp(-s) * s ** (-1 - a) * mp.erfc(x / (2 * mp.sqrt(s)))
+
+        val = mp.quad(f, [0, x * x / 4, x * x, 4 * x * x, 1, mp.inf])
+        return float(-a / (2 * mp.gamma(1 - a)) * val)
+
+
+class TestPotentialNearOrigin:
+    XS = np.logspace(-12.0, -1.0, 45)
+
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 0.99])
+    def test_finite_and_negative(self, a):
+        k = KernelParams(a)
+        for x in self.XS:
+            v = potential_full(float(x), k)
+            assert math.isfinite(v) and v < 0.0, (a, x, v)
+
+    @pytest.mark.parametrize("a,i", [(0.1, 0), (0.3, 11), (0.5, 44), (0.75, 22), (0.99, 33)])
+    def test_matches_mpmath(self, a, i):
+        x = float(self.XS[i])
+        want = _potential_by_subordination(x, a)
+        assert potential_full(x, KernelParams(a)) == pytest.approx(want, rel=1e-10)
+
+    def test_leading_term_is_the_killing_formula(self):
+        # the closed-form head carries the whole x^(-2 alpha) singularity
+        for a in (0.6, 0.75, 0.9):
+            k = KernelParams(a)
+            ratio = -potential_full(1e-10, k) * 1e-10 ** (2.0 * a) / killing_coefficient(k)
+            assert ratio == pytest.approx(1.0, abs=1e-5)
+
+
 def _finv_bessel(t: float, a: float) -> float:
     """Inverse transform of (1+xi^2)^(a-1) in its Bessel closed form."""
     return 2.0 ** a / math.gamma(1.0 - a) * t ** (0.5 - a) * bessel_k(a - 0.5, t)

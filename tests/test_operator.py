@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from whml import quadrature
 from whml.errors import DomainError, ResolutionError
@@ -16,7 +18,7 @@ from whml.halfline import (
     rl_integral,
     rl_integral_grid,
 )
-from whml.kernel import KernelParams
+from whml.kernel import KernelParams, kernel_m
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,84 @@ class TestApplySingular:
             apply_singular(u_smooth, 17.0, KernelParams(0.3))
         with pytest.raises(DomainError):
             apply_singular(u_smooth, 1.0, KernelParams(0.3), eps=-1.0)
+
+
+def _quad_oracle(u, x, k, eps):
+    """u(x) + integral_eps^inf G(w) m(w) dw by scipy's QUADPACK on scalar
+    spline and kernel values, with G = 2u(x) - u(x + w) - u(x - w) below x
+    and u(x) - u(x + w) above.  Each piece between consecutive node offsets
+    |x - x_i| (where G has a kink) gets its own adaptive call; beyond L - x
+    the integrand is u(x) m(w)."""
+    ux = u(x)
+    top = u.length - x
+    cuts = np.abs(x - u.xs)
+    cuts = np.unique(np.concatenate([[eps, x, top], cuts[(cuts > eps) & (cuts < top)]]))
+
+    def g(w):
+        return (2.0 * ux if w < x else ux) - u(x + w) - u(x - w)
+
+    total = ux
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += integrate.quad(lambda w: g(w) * kernel_m(w, k), a, b,
+                                    epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        total += ux * integrate.quad(lambda w: kernel_m(w, k), top, np.inf,
+                                     epsabs=1e-15, epsrel=1e-13)[0]
+    return total
+
+
+class TestPanelRule:
+    """apply_singular on the spline's own panels (Gauss-Jacobi head, shared
+    Gauss-Legendre panels) against QUADPACK and the Fourier route."""
+
+    @pytest.mark.parametrize("a", [0.25, 0.75])
+    @pytest.mark.parametrize("x", [0.7, 2.0])
+    def test_truncated_integral_matches_quad_oracle(self, a, x):
+        u = GridFunction.from_function(lambda t: t * t * math.exp(-t), 16.0, 256)
+        k = KernelParams(a)
+        for eps in (0.08, 0.02, 1e-3):
+            assert abs(apply_singular(u, x, k, eps) - _quad_oracle(u, x, k, eps)) < 1e-10
+
+    def test_probe_on_a_node(self, u_smooth):
+        # on a node the near field carries the cubic coefficient's jump; the
+        # node is held to the bound its off-node neighbours meet, and it is
+        # the limit of the probes beside it
+        h = u_smooth.h
+        for a in (0.25, 0.5, 0.75):
+            k = KernelParams(a)
+            au = apply_fourier(u_smooth, k)
+            for i in (128, 256, 700):
+                x = float(u_smooth.xs[i])
+                for y in (x - h / 3.0, x, x + h / 3.0):
+                    assert abs(apply_singular(u_smooth, y, k) - au(y)) < 1e-6
+                beside = [apply_singular(u_smooth, x + t, k) for t in (-1e-9, 1e-9)]
+                assert abs(0.5 * sum(beside) - apply_singular(u_smooth, x, k)) < 1e-11
+
+    def test_gap_to_fourier_falls_with_the_grid(self):
+        k = KernelParams(0.75)
+        gaps = []
+        for n in (512, 1024, 2048):
+            u = GridFunction.from_function(lambda t: t * t * math.exp(-t), 32.0, n)
+            gaps.append(abs(apply_singular(u, 2.0, k) - apply_fourier(u, k)(2.0)))
+        assert gaps[1] <= gaps[0] / 4.0
+        assert gaps[2] <= gaps[1] / 4.0
+
+    def test_second_probe_makes_no_quadrature_call(self, u_smooth, monkeypatch):
+        k = KernelParams(0.45)
+        apply_singular(u_smooth, 1.7, k)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature.quad called")
+
+        monkeypatch.setattr(quadrature, "quad", refuse)
+        assert math.isfinite(apply_singular(u_smooth, 5.3, k))
+        assert math.isfinite(apply_singular(u_smooth, 2.0, k, eps=0.01))
+
+    def test_complex_input_rejected(self):
+        z = GridFunction(np.zeros(256, dtype=complex) + 1j, 0.05)
+        with pytest.raises(DomainError):
+            apply_singular(z, 1.0, KernelParams(0.4))
 
 
 class TestApplyFourier:
