@@ -5,7 +5,10 @@ A grid function evaluates as its not-a-knot cubic spline, zero outside
 A real function at one Python float (the callbacks of adaptive quadrature)
 is evaluated in pure Python on zero-copy views of the same breakpoints and
 coefficient rows, repeating ``PPoly``'s own interval search and summation
-order, so it returns the array call's bits at about a tenth of its cost.
+order, so it returns the array call's bits at about a tenth of its cost.  Rules
+that read a derivative at every node below a point (the Caputo product
+rule) take its node values and panel slopes from a table built once per
+derivative order.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ class GridFunction:
 
     samples: np.ndarray
     h: float
-    # built on first use: the node array under "xs", and per derivative
-    # order the piecewise polynomial with its scalar views
+    # built on first use: the node array under "xs", per derivative order
+    # the piecewise polynomial with its scalar views, and per derivative
+    # order under ("nodes", order) its node table (see _node_table)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,6 +78,23 @@ class GridFunction:
                 piece = (pp, None, None)
             self._cache[order] = piece
         return piece
+
+    def _node_table(self, order: int):
+        """(nodes, f, slopes) of the spline's derivative of the given order,
+        built on first use: f its values at every node from one array call,
+        slopes those of its linear interpolant on each panel,
+        np.diff(f) / np.diff(nodes), and nodes the node array.  All three
+        are read-only."""
+        key = ("nodes", order)
+        table = self._cache.get(key)
+        if table is None:
+            nodes = self.xs
+            f = self.derivative(order)(nodes)
+            slopes = np.diff(f) / np.diff(nodes)
+            f.setflags(write=False)
+            slopes.setflags(write=False)
+            table = self._cache[key] = (nodes, f, slopes)
+        return table
 
     def _cubic(self) -> CubicSpline:
         """The not-a-knot cubic spline through the samples, built on first use;

@@ -14,12 +14,17 @@ integral/derivative pair that links boundary differences to Mellin kernels
 lives here as well: the Riemann-Liouville integral is exact on the cubic
 spline through incomplete-beta product weights, at one point or at every
 node in one FFT convolution, with the adaptive quadrature route kept as its
-oracle; the Caputo derivative keeps order-2 product integration.
+oracle.  The Caputo derivative keeps order-2 product integration, with the
+derivative's values at the nodes and the slopes of its full panels read
+from a table each grid function builds once per order, so a call adds only
+its own partial panel and one power pass; the Mellin residual calls it
+inside an adaptive quad, thousands of times a residual.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -444,30 +449,19 @@ def rl_integral_grid(u: GridFunction, gamma: float) -> GridFunction:
     return GridFunction(vals, u.h)
 
 
-def _product_integral(f_nodes: np.ndarray, ys: np.ndarray, x: float,
-                      beta: float) -> float:
-    """Order-2 product integration of the endpoint-weighted integral
-    (1/Gamma(beta)) * integral_0^x f(y) (x - y)^(beta - 1) dy.
-
-    f is replaced by its piecewise-linear interpolant on the nodes ys
-    (ys[-1] == x) and each panel is integrated against the weight exactly,
-    so the singular endpoint carries no quadrature error at all.
-    """
-    left = ys[:-1]
-    t_left = x - left          # larger weight argument
-    t_right = x - ys[1:]
-    c0 = f_nodes[:-1]
-    c1 = np.diff(f_nodes) / np.diff(ys)
-    pow_b = t_left ** beta - t_right ** beta
-    pow_b1 = t_left ** (beta + 1.0) - t_right ** (beta + 1.0)
-    total = float(np.sum((c0 + c1 * t_left) * pow_b / beta - c1 * pow_b1 / (beta + 1.0)))
-    return total / math.gamma(beta)
-
-
 def caputo_derivative(u: GridFunction, x: float, gamma: float) -> float:
-    """Caputo fractional derivative: the RL integral of order n - gamma of
-    the n-th derivative, n = 1 for gamma < 1 and n = 2 for gamma > 1,
-    evaluated by order-2 product integration of the spline derivative.
+    """Caputo fractional derivative: the RL integral of order beta = n - gamma
+    of the n-th derivative f = u^(n), n = 1 for gamma < 1 and n = 2 for
+    gamma > 1, by order-2 product integration (Diethelm, Ford and Freed 2002).
+
+    f is replaced by its piecewise-linear interpolant on the nodes below x
+    and x itself, and each panel is integrated against (x - y)^(beta - 1)
+    exactly, so the singular endpoint carries no quadrature error.  Only
+    the last, partial panel is new at each x: f at every node and the slopes
+    of the full panels come from the grid function's node table, built once
+    per order, and f(x) from the scalar spline path.  One power pass over
+    t = x - y serves both ends of every panel, since x - x_(j+1) is both the
+    right end of panel j and the left end of panel j + 1.
 
     gamma = 1 returns u'(x) - u'(0) exactly (the degenerate case of the
     definition); the one-sided derivative at 0 comes from the spline.
@@ -476,13 +470,28 @@ def caputo_derivative(u: GridFunction, x: float, gamma: float) -> float:
         raise DomainError("caputo_derivative requires 0 < x < L")
     if not (0.0 < gamma < 2.0):
         raise DomainError("caputo_derivative supports 0 < gamma < 2")
+    if not u.is_real:
+        raise DomainError("caputo_derivative expects a real grid function")
     if gamma == 1.0:
         du = u.derivative(1)
         return du(x) - du(0.0)
     n = 1 if gamma < 1.0 else 2
-    dn = u.derivative(n)
-    ys = np.append(u.xs[u.xs < x], x)
-    return _product_integral(dn(ys), ys, x, n - gamma)
+    beta = n - gamma
+    nodes, f, slopes = u._node_table(n)
+    m = bisect_left(memoryview(nodes), x)  # the nodes below x
+    t = np.empty(m + 1)
+    np.subtract(x, nodes[:m], out=t[:m])
+    t[m] = 0.0  # x - x
+    c0 = f[:m]
+    c1 = np.empty(m)
+    c1[:m - 1] = slopes[:m - 1]
+    c1[m - 1] = (u.derivative(n)(x) - f[m - 1]) / (x - nodes[m - 1])
+    pb = t ** beta
+    pb1 = t ** (beta + 1.0)
+    t_left = t[:m]
+    total = float(((c0 + c1 * t_left) * (pb[:-1] - pb[1:]) / beta
+                   - c1 * (pb1[:-1] - pb1[1:]) / (beta + 1.0)).sum())
+    return total / math.gamma(beta)
 
 
 def mellin_difference_residual(u: GridFunction, x: float, k: KernelParams) -> float:
@@ -490,11 +499,20 @@ def mellin_difference_residual(u: GridFunction, x: float, k: KernelParams) -> fl
     x^(-2a) (u(x) - u(0)) = (M_2a h)(x), h the Caputo derivative of order 2a.
 
     The Mellin kernel side collapses to x^(-2a) times the RL integral of h,
-    which is evaluated by nested quadrature; for alpha >= 1/2 the reduction
-    needs u'(0) = 0.
+    taken by _rl_of_callable's adaptive quad with caputo_derivative as its
+    integrand; for alpha >= 1/2 the reduction needs u'(0) = 0.
+
+    On the spline this checks I^2a D^2a u = u - u(0) (less x u'(0) for
+    2a > 1), the semigroup I^2a I^(n - 2a) = I^n, which holds exactly.  So
+    the value measures the Caputo product rule's O(h^2) error (for 2a < 1)
+    and the outer quad, not the paper's reduction.  For x^2 e^-x on 2048
+    points of [0, 8] that quad ends at 5 to 49 times its requested
+    tolerance, within _rl_of_callable's 1e6 error-estimate slack.
     """
     if not (0.0 < x < u.length / 2.0):
         raise DomainError("mellin_difference_residual requires 0 < x < L/2")
+    if not u.is_real:
+        raise DomainError("mellin_difference_residual expects a real grid function")
     a = k.alpha
     if a >= 0.5:
         du = u.derivative(1)

@@ -127,6 +127,18 @@ class TestPanelRule:
         assert gaps[1] <= gaps[0] / 4.0
         assert gaps[2] <= gaps[1] / 4.0
 
+    def test_near_boundary_matches_fourier_route(self, u_smooth):
+        # below x = 0.5 the Fourier route's resolution sets the gap: within
+        # 1e-4 at n = 4096, and at x = 0.1 it shrinks at least 4x at n = 8192
+        fine = GridFunction.from_function(lambda t: t * t * math.exp(-t), 32.0, 8192)
+        for a in (0.25, 0.5, 0.75):
+            k = KernelParams(a)
+            au = apply_fourier(u_smooth, k)
+            gaps = {x: abs(apply_singular(u_smooth, x, k) - au(x)) for x in (0.1, 0.2, 0.3)}
+            assert max(gaps.values()) <= 1e-4
+            fine_gap = abs(apply_singular(fine, 0.1, k) - apply_fourier(fine, k)(0.1))
+            assert fine_gap <= gaps[0.1] / 4.0
+
     def test_second_probe_makes_no_quadrature_call(self, u_smooth, monkeypatch):
         k = KernelParams(0.45)
         apply_singular(u_smooth, 1.7, k)
@@ -268,6 +280,78 @@ class TestExactRiemannLiouville:
         for gamma in (0.0, 2.0):
             with pytest.raises(DomainError):
                 rl_integral_grid(u_short, gamma)
+
+
+def _caputo_reference(u, x, gamma):
+    """The per-call Caputo rule the node table replaced: the nodes below x
+    and x itself, the derivative at each through PPoly, and the order-2
+    product integral over them, each panel's ends powered separately."""
+    n = 1 if gamma < 1.0 else 2
+    beta = n - gamma
+    ys = np.append(u.xs[u.xs < x], x)
+    f_nodes = u.derivative(n)(ys)
+    t_left = x - ys[:-1]
+    t_right = x - ys[1:]
+    c0 = f_nodes[:-1]
+    c1 = np.diff(f_nodes) / np.diff(ys)
+    pow_b = t_left ** beta - t_right ** beta
+    pow_b1 = t_left ** (beta + 1.0) - t_right ** (beta + 1.0)
+    total = float(np.sum((c0 + c1 * t_left) * pow_b / beta - c1 * pow_b1 / (beta + 1.0)))
+    return total / math.gamma(beta)
+
+
+def _complex_u():
+    return GridFunction.from_function(lambda x: (1 + 1j) * x * x * math.exp(-x), 8.0, 256)
+
+
+class TestCaputoNodeTable:
+    """caputo_derivative reads the grid function's node table and returns
+    the per-call rule's bits."""
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.99, 1.01, 1.4, 1.95])
+    def test_bit_identical_to_per_call_rule(self, u_short, gamma):
+        rng = np.random.default_rng(int(gamma * 100))
+        h, length = u_short.h, u_short.length
+        xs = [float(u_short.xs[j]) for j in rng.integers(1, u_short.n - 1, size=8)]
+        xs += [float(v) for v in rng.uniform(0.0, h, size=4)]  # first panel
+        xs += [float(v) for v in rng.uniform(h, length - h, size=8)]
+        xs += [float(v) for v in rng.uniform(length - h, length, size=4)]
+        xs += [1e-12, 0.5 * h, h, length - 1e-12]
+        for x in xs:
+            assert caputo_derivative(u_short, x, gamma) == _caputo_reference(u_short, x, gamma)
+
+    def test_table_is_built_once_per_order(self):
+        u = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 128)
+        caputo_derivative(u, 1.3, 0.4)
+        table = u._node_table(1)
+        caputo_derivative(u, 2.7, 0.8)
+        assert u._node_table(1) is table
+        caputo_derivative(u, 2.7, 1.2)
+        assert u._node_table(2) is not table
+        nodes, f, slopes = table
+        assert not (f.flags.writeable or slopes.flags.writeable or nodes.flags.writeable)
+        assert np.array_equal(f, u.derivative(1)(u.xs))
+
+    @pytest.mark.parametrize("x, a", [(0.7, 0.2), (1.3, 0.6)])
+    def test_mellin_residual_bit_identical(self, u_short, x, a):
+        gamma = 2.0 * a
+
+        def h(y):
+            return 0.0 if y <= 0.0 else _caputo_reference(u_short, y, gamma)
+
+        lhs = x ** (-gamma) * (u_short(x) - u_short(0.0))
+        rhs = x ** (-gamma) * _rl_of_callable(h, x, gamma)
+        assert mellin_difference_residual(u_short, x, KernelParams(a)) == abs(lhs - rhs)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+    def test_complex_input_rejected(self, gamma):
+        with pytest.raises(DomainError, match="real grid function"):
+            caputo_derivative(_complex_u(), 1.0, gamma)
+
+    @pytest.mark.parametrize("a", [0.2, 0.7])
+    def test_mellin_complex_input_rejected(self, a):
+        with pytest.raises(DomainError, match="real grid function"):
+            mellin_difference_residual(_complex_u(), 0.7, KernelParams(a))
 
 
 class TestFractionalCalculus:
