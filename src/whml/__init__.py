@@ -56,7 +56,6 @@ from .symbols import (
     c1p_inf,
     c2p_inf,
     loop_function,
-    mellin_b2,
     mellin_symbol_residual,
     sin_ratio_modulus,
     wh_c1,

@@ -38,7 +38,9 @@ class GridFunction:
     h: float
     # built on first use: the node array under "xs", per derivative order
     # the piecewise polynomial with its scalar views, and per derivative
-    # order under ("nodes", order) its node table (see _node_table)
+    # order under ("nodes", order) its node table (see _node_table), and
+    # under "profile" the energy form's coefficient table
+    # (halfline._profile)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):

@@ -9,16 +9,20 @@ probe the spline's second difference is exactly -u''(x) w^2, so the
 hypersingular head is a Gauss-Jacobi rule with no cutoff; beyond it,
 Gauss-Legendre panels whose nodes and kernel weights are shared by every
 probe at the same (alpha, L), read against the spline in one array call,
-with an embedded two-order error estimate.  The fractional
-integral/derivative pair that links boundary differences to Mellin kernels
-lives here as well: the Riemann-Liouville integral is exact on the cubic
-spline through incomplete-beta product weights, at one point or at every
-node in one FFT convolution, with the adaptive quadrature route kept as its
-oracle.  The Caputo derivative keeps order-2 product integration, with the
-derivative's values at the nodes and the slopes of its full panels read
-from a table each grid function builds once per order, so a call adds only
-its own partial panel and one power pass; the Mellin residual calls it
-inside an adaptive quad, thousands of times a residual.
+with an embedded two-order error estimate.  The energy form is exact on
+the spline's panels too: on each one the L2 profile of the differences at
+offset w is a degree-6 polynomial, so the form is a sum of its coefficients
+(cached per grid function) against kernel moments (cached per alpha and
+grid), with no adaptive quadrature.  The fractional integral/derivative
+pair that links boundary differences to Mellin kernels lives here as well:
+the Riemann-Liouville integral is exact on the cubic spline through
+incomplete-beta product weights, at one point or at every node in one FFT
+convolution, with the adaptive quadrature route kept as its oracle.  The
+Caputo derivative keeps order-2 product integration, with the derivative's
+values at the nodes and the slopes of its full panels read from a table
+each grid function builds once per order, so a call adds only its own
+partial panel and one power pass; the Mellin residual calls it inside an
+adaptive quad, thousands of times a residual.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from scipy.special import beta as beta_fn, betainc, roots_jacobi
 from . import quadrature as q
 from .errors import AccuracyError, DomainError, ResolutionError
 from .gridfn import GridFunction
-from .kernel import KernelParams, _m_array, kernel_m, potential_full, potential_on_grid
+# kernel_m is no longer called here; it stays importable from this module,
+# where perfbench's tracer counts its calls
+from .kernel import KernelParams, _m_array, kernel_m, potential_full, potential_on_grid  # noqa: F401
 
 __all__ = [
     "apply_singular",
@@ -47,6 +53,8 @@ __all__ = [
 
 _ALIAS_BAND = 0.75
 _ALIAS_TOL = 1e-8
+# |u| near L, relative to max |u|, that counts as vanishing there
+_VANISH_TOL = 1e-8
 _K = np.arange(4.0)  # the powers of a cubic spline panel
 
 # apply_singular: the two orders of each rule, the accuracy it is held to, and
@@ -61,6 +69,12 @@ _UNIT_PANELS_END = 48.0
 # the smooth factor w^(1 + 2 alpha) m(w) of the Gauss-Jacobi head carries a
 # w^(1 + 2 alpha) term, so the head is kept short
 _NEAR_FIELD_MAX = 2.0 ** -5
+# quadratic_form: the powers of s in the profile on one panel, the accuracy
+# the form is held to, and the panels per kernel call of its moment table
+_POWERS = np.arange(7.0)
+_FORM_EPSABS = 1e-10
+_FORM_EPSREL = 1e-8
+_MOMENT_CHUNK = 256
 
 
 def _read_only(*arrays) -> tuple:
@@ -296,7 +310,7 @@ def apply_fourier(u: GridFunction, k: KernelParams) -> GridFunction:
         raise DomainError("apply_fourier expects a real grid function")
     tail = np.max(np.abs(u.samples[int(0.875 * u.n):]))
     scale = np.max(np.abs(u.samples))
-    if scale > 0 and tail > 1e-8 * scale:
+    if scale > 0 and tail > _VANISH_TOL * scale:
         raise DomainError("grid function does not vanish near x = L")
 
     n = u.n
@@ -322,35 +336,127 @@ def apply_fourier(u: GridFunction, k: KernelParams) -> GridFunction:
     return GridFunction(truncated_part + u.samples * pot, u.h)
 
 
+def _profile_table(u: GridFunction):
+    """(l2, G) of a real grid function: l2 the trapezoid norm squared, and
+    G[r, j] the coefficients of the profile on panel j,
+    P(j h + s) = sum_r G[r, j] s^r for 0 <= s < h, r = 0..6.
+
+    With trapezoid weights om_i and the panel cubics p_m(s) = sum_k c[k, m] s^k,
+    u(x_i + j h + s) is p_(i+j)(s) while i + j <= n - 2 and zero beyond, so
+        P = sum_(i <= n-2-j) om_i (p_(i+j)(s) - u_i)^2 + sum_(i > n-2-j) om_i u_i^2.
+    Expanded, the squares of the cubics are suffix sums of the products of
+    the coefficient rows, the cross terms four correlations of om_i u_i with
+    the rows (one FFT size), and the u_i^2 terms add up to l2.  At j = 0 the
+    constant row cancels, c[0, i] being u_i, so that column is summed
+    directly from the rows k >= 1 and has no r < 2 terms; the last node's
+    (h/2) u(L)^2, whose integral against m diverges, is left out.
+    """
+    n, h = u.n, u.h
+    c = u._cubic().c[::-1]
+    om = np.full(n, h)
+    om[[0, -1]] *= 0.5
+    weighted = om * u.samples
+    l2 = float(weighted @ u.samples)
+    inner = np.zeros((7, n - 1))  # products of the rows k, l >= 1
+    for a in range(1, 4):
+        for b in range(1, 4):
+            inner[a + b] += c[a] * c[b]
+    prod = inner.copy()
+    prod[0] += c[0] * c[0]
+    prod[1:4] += 2.0 * c[0] * c[1:]
+    # sum_(i <= n-2-j) om_i prod[r, i + j]: om_i is h but for om_0 = h/2
+    g = h * np.cumsum(prod[:, ::-1], axis=1)[:, ::-1] - 0.5 * h * prod
+    size = 1 << (2 * n - 3).bit_length()  # the negative lags do not wrap
+    corr = np.fft.irfft(np.fft.rfft(c, size) * np.conj(np.fft.rfft(weighted, size)), size)
+    g[:4] -= 2.0 * corr[:, :n - 1]
+    g[0] += l2
+    g[:, 0] = inner @ om[:-1]
+    return l2, g
+
+
+def _profile(u: GridFunction):
+    """(l2, G) of _profile_table, cached on the grid function; a complex one
+    adds the tables of its real and imaginary parts (the spline is linear in
+    its samples, so the form splits the same way)."""
+    table = u._cache.get("profile")
+    if table is None:
+        if u.is_real:
+            l2, g = _profile_table(u)
+        else:
+            parts = [_profile_table(GridFunction(p, u.h)) for p in (u.samples.real, u.samples.imag)]
+            l2, g = parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]
+        table = u._cache["profile"] = (l2, _read_only(g)[0])
+    return table
+
+
+@lru_cache(maxsize=32)
+def _moment_tables(k: KernelParams, h: float, panels: int) -> np.ndarray:
+    """M[o, r, j] = integral_0^h s^r m(j h + s) ds at each rule order o, for
+    the powers r = 0..6 and the panels j < panels, shape (2, 7, panels).
+
+    Panels j >= 1: Gauss-Legendre at _PANEL_ORDERS, one kernel call per
+    _MOMENT_CHUNK panels; every panel has the same offsets s, so a panel's
+    moments are its weight * m row against the powers of s.  Panel 0,
+    r >= 2: the Gauss-Jacobi rule of weight s^(1 - 2 alpha) at
+    _JACOBI_ORDERS on the factor s^(r - 2) s^(1 + 2 alpha) m(s), over a
+    head of at most _NEAR_FIELD_MAX (see there) when h is longer, with
+    geometric Gauss-Legendre panels from the head to h; its r < 2 moments
+    diverge and are left 0.  Panels from _UNIT_PANELS_END on, where m is
+    below 1e-22, stay 0.
+    """
+    a = k.alpha
+    out = np.zeros((2, _POWERS.size, panels))
+    levels = max(0, math.ceil(math.log2(h / _NEAR_FIELD_MAX)))
+    head = h * 2.0 ** -levels
+    geo = head * 2.0 ** np.arange(levels)
+    for table, (w, wm) in zip(out, _weighted_panels(geo, 2.0 * geo, k)):
+        table[2:, 0] = w.ravel() ** _POWERS[2:, None] @ wm.ravel()
+    for table, order in zip(out, _JACOBI_ORDERS):
+        t, wt = _gauss_jacobi(a, order)
+        s = head * t
+        f = _m_array(s, k) * s ** (1.0 + 2.0 * a) * wt * head ** (2.0 - 2.0 * a)
+        table[2:, 0] += s ** (_POWERS[2:, None] - 2.0) @ f
+    # a chunk of panels at a time keeps the nodes and kernel values small
+    end = min(panels, math.ceil(_UNIT_PANELS_END / h))
+    for start in range(1, end, _MOMENT_CHUNK):
+        j = np.arange(start, min(start + _MOMENT_CHUNK, end))
+        for table, order, (_, wm) in zip(out, _PANEL_ORDERS, _weighted_panels(h * j, h * j + h, k)):
+            s, _ = _gauss_legendre(order)
+            table[:, j] = ((h * s)[:, None] ** _POWERS).T @ wm.T
+    return _read_only(out)[0]
+
+
 def quadratic_form(u: GridFunction, k: KernelParams) -> float:
     """Energy form: L2 norm squared plus the symmetric double integral of
-    squared differences against the kernel.
+    squared differences against the kernel,
+        Q(u) = l2 + integral_0^L P(w) m(w) dw,
+    P(w) the trapezoid sum over the nodes of |u(x_i + w) - u_i|^2 (u zero
+    beyond L), both on the cubic spline.
 
-    The double integral is reduced to an outer integral over the offset w of
-    the inner L2 profile; the w -> 0 strip is tamed with the same
-    power-substitution used for the kernel identity.
+    On each panel [j h, (j + 1) h) the profile is exactly a degree-6
+    polynomial in s = w - j h, so the integral is the sum over panels and
+    powers of its coefficients (_profile, cached on the grid function)
+    against the kernel moments (_moment_tables, cached per (alpha, h, n)):
+    no adaptive quadrature and no spline evaluation.  The moments run at
+    two rule orders, and AccuracyError is raised when the two sums differ
+    by more than max(1e-10, 1e-8 |Q|).  A complex u gives
+    Q(Re u) + Q(Im u).
+
+    The zero extension of u must not jump at L: DomainError when
+    |u(L)| > 1e-8 max |u|, the scale apply_fourier holds the tail to.
+    Below that, the last node's term (h/2) |u(L)|^2 at offsets w < h, whose
+    integral against m diverges, is left out.
     """
-    xs = u.xs
-    vals = u.samples
-    l2 = float(np.trapezoid(np.abs(vals) ** 2, dx=u.h))
-
-    def profile(w):
-        shifted = u(xs + w)
-        return float(np.trapezoid(np.abs(shifted - vals) ** 2, dx=u.h))
-
-    a = k.alpha
-    kappa = 1.0 / (2.0 - 2.0 * a)
-    w0 = 0.5
-
-    def inner(t):
-        w = t ** kappa
-        return profile(w) * kernel_m(w, k) * kappa * t ** (kappa - 1.0)
-
-    head = q.quad(inner, 0.0, w0 ** (1.0 / kappa), epsabs=1e-10, epsrel=1e-8)
-    w_cut = min(u.length, 60.0)
-    body = q.quad(lambda w: profile(w) * kernel_m(w, k), w0, w_cut,
-                  epsabs=1e-10, epsrel=1e-8, limit=400)
-    return l2 + head + body
+    vals = np.abs(u.samples)
+    if vals[-1] > _VANISH_TOL * np.max(vals):
+        raise DomainError("quadratic_form: the grid function does not vanish at x = L, "
+                          "so its zero extension jumps and the form is infinite")
+    l2, g = _profile(u)
+    low, high = l2 + _moment_tables(k, u.h, u.n - 1).reshape(2, -1) @ g.ravel()
+    if abs(high - low) > max(_FORM_EPSABS, _FORM_EPSREL * abs(high)):
+        raise AccuracyError(
+            f"quadratic_form: the rule orders disagree by {abs(high - low):.3e}")
+    return float(high)
 
 
 def _rl_of_callable(f, x: float, gamma: float) -> float:

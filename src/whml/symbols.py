@@ -2,10 +2,11 @@
 
 Two Wiener-Hopf factors and one Mellin factor make up the whole symbol: a
 unit-modulus piece c1, a vanishing-at-zero piece c2, and a beta-function
-multiplier b2.  On the boundary segment of the contour the half-line origin
-replaces the two one-sided limits of c1/c2 by circular-arc interpolants
-("loop functions") whose closed form is a ratio of sines; those are computed
-in a cosh-free rearrangement that stays finite for arbitrarily large
+multiplier b2, which the contour reads pre-multiplied (gamma1_mellin_term).
+On the boundary segment of the contour the half-line origin replaces the
+two one-sided limits of c1/c2 by circular-arc interpolants ("loop
+functions") whose closed form is a ratio of sines; those are computed in a
+cosh-free rearrangement that stays finite for arbitrarily large
 frequencies.
 """
 
@@ -27,7 +28,6 @@ __all__ = [
     "SpectralParams",
     "wh_c1",
     "wh_c2",
-    "mellin_b2",
     "loop_function",
     "c1p_inf",
     "c2p_inf",
@@ -147,17 +147,6 @@ def wh_c2(xi, sp: SpectralParams):
     return _wh_factor(xi, sp, lambda x: principal_power(-1j * x, 2.0 * a),
                       cmath.exp(-1j * math.pi * a),
                       cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a)))
-
-
-def mellin_b2(xi, sp: SpectralParams):
-    """Mellin factor B(s - 2a + 1/p' + i xi, 2a) / Gamma(2a); vanishes as
-    |xi| -> inf and is real positive at xi = 0.  Accepts arrays."""
-    sigma = sp.beta_sigma
-    if sigma <= 0.0:
-        raise PoleError("mellin_b2 needs s - 2*alpha + 1/p' > 0")
-    xa = np.asarray(xi, dtype=float)
-    val = complex_beta(sigma + 1j * xa, 2.0 * sp.alpha)
-    return val / math.gamma(2.0 * sp.alpha)
 
 
 def _coth(z: complex) -> complex:

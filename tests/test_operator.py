@@ -9,6 +9,7 @@ from whml import quadrature
 from whml.errors import DomainError, ResolutionError
 from whml.gridfn import GridFunction
 from whml.halfline import (
+    _profile,
     _rl_of_callable,
     apply_fourier,
     apply_singular,
@@ -201,8 +202,10 @@ class TestApplyFourier:
 
 class TestQuadraticForm:
     def test_zero(self):
-        z = GridFunction(np.zeros(256), 0.05)
-        assert quadratic_form(z, KernelParams(0.4)) == pytest.approx(0.0, abs=1e-14)
+        for a in (0.05, 0.4, 0.95):
+            for dtype in (float, complex):
+                z = GridFunction(np.zeros(256, dtype=dtype), 0.05)
+                assert quadratic_form(z, KernelParams(a)) == 0.0
 
     def test_dominates_l2(self):
         u = GridFunction.from_function(
@@ -218,6 +221,107 @@ class TestQuadraticForm:
         au = apply_fourier(u_smooth, k)
         inner = float(np.trapezoid(au.samples * u_smooth.samples, dx=u_smooth.h))
         assert abs(qf - inner) < 1e-3
+
+
+def _form_by_quad(u, k):
+    """The energy form by QUADPACK, the adaptive route quadratic_form took
+    before its panel sum: l2 plus integral_0^L P(w) m(w) dw, P the trapezoid
+    sum of |u(x_i + w) - u_i|^2 from array spline calls and m from scalar
+    kernel_m calls.  The head [0, 1/2] runs in t = w^(2 - 2 alpha), where the
+    integrand is bounded.
+
+    Two changes make it an oracle at every alpha.  Below w = h the
+    differences are u' w + u'' w^2 / 2 + u''' w^3 / 6 from the derivative
+    splines at the nodes: at alpha = 0.95 the head reads w = t^10, where a
+    difference of spline values has no digit left.  And there the last
+    node's (h/2) |u(L)|^2, whose integral against m diverges, is left out,
+    as quadratic_form leaves it out."""
+    xs, vals, h = u.xs, u.samples, u.h
+    taylor = [u.derivative(q)(xs[:-1]) / math.factorial(q) for q in (3, 2, 1)]
+    weights = np.full(u.n, h)
+    weights[[0, -1]] = 0.5 * h
+
+    def profile(w):
+        if w < h:
+            d = ((taylor[0] * w + taylor[1]) * w + taylor[2]) * w
+            return float(weights[:-1] @ np.abs(d) ** 2)
+        return float(weights @ np.abs(u(xs + w) - vals) ** 2)
+
+    kappa = 1.0 / (2.0 - 2.0 * k.alpha)
+
+    def head(t):
+        w = t ** kappa
+        return profile(w) * kernel_m(w, k) * kappa * t ** (kappa - 1.0)
+
+    opts = dict(epsabs=1e-15, epsrel=1e-12, limit=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        near = integrate.quad(head, 0.0, 0.5 ** (1.0 / kappa), points=[h ** (1.0 / kappa)],
+                              **opts)[0]
+        far = integrate.quad(lambda w: profile(w) * kernel_m(w, k), 0.5, u.length,
+                             points=[1.0, 2.0, 4.0], **opts)[0]
+    return float(weights @ np.abs(vals) ** 2) + near + far
+
+
+def _sine_bump():
+    return GridFunction.from_function(
+        lambda x: math.sin(math.pi * x) if x <= 1.0 else 0.0, 16.0, 2048)
+
+
+class TestFormPanelSum:
+    """quadratic_form as an exact sum over the spline's panels, against the
+    adaptive quadrature route."""
+
+    @pytest.mark.parametrize("a", [0.05, 0.4, 0.75, 0.95])
+    @pytest.mark.parametrize("n", [17, 2048, 4096])
+    def test_matches_quad_route(self, a, n):
+        # n = 17 is h = 2: panel 0 takes a Gauss-Jacobi head and geometric panels
+        u = GridFunction.from_function(lambda x: x * x * math.exp(-x), 32.0, n)
+        k = KernelParams(a)
+        assert quadratic_form(u, k) == pytest.approx(_form_by_quad(u, k), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("a", [0.4, 0.95])
+    def test_sine_bump_matches_quad_route(self, a):
+        u = _sine_bump()
+        k = KernelParams(a)
+        assert quadratic_form(u, k) == pytest.approx(_form_by_quad(u, k), rel=1e-10, abs=0.0)
+
+    def test_profile_table_is_the_profile(self):
+        # at w = 1e-6 h the profile is 1e-17 of l2, below the rounding of
+        # the expanded sums: panel 0 holds only because it is summed directly
+        u = GridFunction.from_function(lambda x: 1e6 * math.exp(-((x - 8.0) / 0.2) ** 2),
+                                       32.0, 4096)
+        l2, g = _profile(u)
+        h = u.h
+        for j, s in ((0, 1e-6), (0, 0.3), (0, 0.7), (5, 0.5), (100, 0.25), (3000, 0.9)):
+            w = (j + s) * h
+            direct = float(np.trapezoid((u(u.xs + w) - u.samples) ** 2, dx=h))
+            assert g[:, j] @ (s * h) ** np.arange(7.0) == pytest.approx(direct, rel=1e-6)
+
+    def test_complex_is_real_plus_imaginary(self):
+        re = GridFunction.from_function(lambda x: x * x * math.exp(-x), 32.0, 2048)
+        im = GridFunction.from_function(lambda x: math.sin(x) * x * math.exp(-x), 32.0, 2048)
+        z = GridFunction(re.samples + 1j * im.samples, re.h)
+        k = KernelParams(0.4)
+        assert quadratic_form(z, k) == pytest.approx(
+            quadratic_form(re, k) + quadratic_form(im, k), rel=1e-14)
+
+    def test_refuses_a_jump_at_L(self):
+        # x^2 e^-x is 2.1e-2 at L = 8: the zero extension jumps there
+        u = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 2048)
+        with pytest.raises(DomainError, match="does not vanish at x = L"):
+            quadratic_form(u, KernelParams(0.4))
+
+    def test_no_quadrature_and_no_spline_call(self, monkeypatch):
+        u = _sine_bump()
+        u._cubic()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(quadrature, "quad", refuse)
+        monkeypatch.setattr(GridFunction, "_evaluate", refuse)
+        assert quadratic_form(u, KernelParams(0.35)) > 0.0
 
 
 RL_ORDERS = (0.05, 0.3, 0.8, 1.0, 1.1, 1.7, 1.95)

@@ -12,7 +12,6 @@ from whml.symbols import (
     c1p_inf,
     c2p_inf,
     loop_function,
-    mellin_b2,
     mellin_symbol_residual,
     sin_ratio_modulus,
     wh_c1,
@@ -88,32 +87,6 @@ class TestWienerHopfFactors:
                 * principal_power(complex(xi, 1.0), m - s)
             )
             assert wh_c1(xi, SP_LOW) == pytest.approx(composed, rel=1e-13)
-
-
-class TestMellinFactor:
-    def test_zero_frequency_real_positive(self):
-        from whml.specfun import complex_beta
-        val = mellin_b2(0.0, SP_MODEL)
-        tau = SP_MODEL.tau
-        expect = complex_beta(tau + 1 - 0.8, 0.8) / math.gamma(0.8)
-        assert val.imag == pytest.approx(0.0, abs=1e-15)
-        assert val.real > 0
-        assert val == pytest.approx(expect, rel=1e-13)
-
-    def test_vanishes_at_large_frequency(self):
-        sp = SpectralParams(0.9, 2.0, 2.4)
-        assert abs(mellin_b2(50.0, sp)) < 1e-3
-        assert abs(mellin_b2(-50.0, sp)) < 1e-3
-
-    def test_decay_rate(self):
-        # |b2| ~ |xi|^(-2 alpha)
-        ratio = abs(mellin_b2(80.0, SP_LOW)) / abs(mellin_b2(40.0, SP_LOW))
-        assert ratio == pytest.approx(2.0 ** (-2.0 * SP_LOW.alpha), rel=0.05)
-
-    def test_conjugate_symmetry(self):
-        for xi in (0.7, 3.0, 11.0):
-            assert mellin_b2(-xi, SP_LOW) == pytest.approx(
-                np.conj(mellin_b2(xi, SP_LOW)), rel=1e-13)
 
 
 class TestLoopFunction:
