@@ -55,21 +55,16 @@ from .symbols import (
     SpectralParams,
     c1p_inf,
     c2p_inf,
-    loop_function,
     mellin_symbol_residual,
-    sin_ratio_modulus,
     wh_c1,
     wh_c2,
 )
 from .transcend import (
-    TranscendParams,
     alpha_c,
     arg_beta_series_residual,
     critical_s,
     inequality_scan,
     no_solution_certificate,
-    t_b,
-    t_s,
     te_residual_zero,
 )
 

@@ -3,14 +3,15 @@
 THEOREM mode encodes the proved verdicts directly: the low-regularity window
 is invertible outright; the high-regularity window is invertible below the
 critical smoothness s_c = 1 + 1/p + alpha_c and Fredholm of index -1 with
-trivial kernel above it.  At s_c the symbol touches zero at xi = 0, so THEOREM
-mode reads the symbol's modulus at that touching point and calls the triple
-not Fredholm when it is at most contour.FREDHOLM_TOL: the same test, on the
-same quantity, as the loop's minimum modulus near s_c.  NUMERIC mode
-re-derives the Fredholm flag and index from the symbol loop.  The loop's
-winding gives the index of the operator on the full half-line space; in the
-high-regularity window the classified operator acts on the codimension-one
-subspace fixed by the boundary condition, which shifts its index down by one.
+trivial kernel above it.  At s_c, and at the low window's edge s = 1/p, the
+symbol touches zero at xi = 0, so THEOREM mode reads the symbol's modulus at
+that touching point in both windows and calls the triple not Fredholm when
+it is at most contour.FREDHOLM_TOL: the same test, on the same quantity, as
+the loop's minimum modulus near either edge.  NUMERIC mode re-derives the
+Fredholm flag and index from the symbol loop.  The loop's winding gives the
+index of the operator on the full half-line space; in the high-regularity
+window the classified operator acts on the codimension-one subspace fixed
+by the boundary condition, which shifts its index down by one.
 """
 
 from __future__ import annotations
@@ -83,18 +84,19 @@ def classify(alpha: float, p: float, s: float, mode: str = "theorem") -> Classif
             )
 
     def theorem_verdict():
+        # t = 0.5 on the boundary segment is xi = 0, where the symbol
+        # touches zero at s = 1/p in LOW and at the critical smoothness in HIGH
+        touch = abs(eval_segment(Segment.G1, 0.5, sp))
+        if touch <= FREDHOLM_TOL:
+            edge = "s = 1/p" if crit is None else f"critical smoothness {crit:.12g}"
+            notes.append(
+                f"symbol modulus {touch:.3e} at xi = 0 is within {FREDHOLM_TOL:g} "
+                f"of zero ({edge}): not Fredholm"
+            )
+            return dict(fredholm=False)
         if sp.regime is Regime.LOW:
             return dict(fredholm=True, winding=0, index=0, kernel_trivial=True,
                         invertible=True)
-        # t = 0.5 on the boundary segment is xi = 0, where the symbol
-        # touches zero at the critical smoothness
-        touch = abs(eval_segment(Segment.G1, 0.5, sp))
-        if touch <= FREDHOLM_TOL:
-            notes.append(
-                f"symbol modulus {touch:.3e} at xi = 0 is within {FREDHOLM_TOL:g} "
-                f"of zero (critical smoothness {crit:.12g}): not Fredholm"
-            )
-            return dict(fredholm=False)
         if s < crit:
             return dict(fredholm=True, winding=-1, index=0, kernel_trivial=True,
                         invertible=True)

@@ -17,7 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
@@ -71,6 +70,7 @@ class GridFunction:
         piece = self._cache.get(order)
         if piece is None:
             if order == 0:
+                from scipy.interpolate import CubicSpline  # on first use, not at start-up
                 pp = CubicSpline(self.xs, self.samples, extrapolate=False)
             else:
                 pp = self._cubic().derivative(order)

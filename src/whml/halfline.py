@@ -69,6 +69,14 @@ _UNIT_PANELS_END = 48.0
 # the smooth factor w^(1 + 2 alpha) m(w) of the Gauss-Jacobi head carries a
 # w^(1 + 2 alpha) term, so the head is kept short
 _NEAR_FIELD_MAX = 2.0 ** -5
+# the edges of the kernel's panels beyond the near field: geometric
+# [2^-j, 2^(1-j)] up to 1, unit panels up to _UNIT_PANELS_END (where m is
+# below 1e-22), then doubling widths
+_EDGES = np.concatenate([
+    2.0 ** -np.arange(float(_GEOMETRIC_LEVELS), 0.0, -1.0),
+    np.arange(1.0, _UNIT_PANELS_END),
+    _UNIT_PANELS_END - 2.0 + 2.0 ** np.arange(1.0, 64.0),
+])
 # quadratic_form: the powers of s in the profile on one panel, the accuracy
 # the form is held to, and the panels per kernel call of its moment table
 _POWERS = np.arange(7.0)
@@ -119,17 +127,8 @@ def _weighted_panels(lo: np.ndarray, hi: np.ndarray, k: KernelParams) -> list:
 @lru_cache(maxsize=32)
 def _shared_panels(k: KernelParams, length: float):
     """The panels every probe at (alpha, L) starts from, with their edges
-    and integral_L^inf m.
-
-    Geometric panels [2^-j, 2^(1-j)] up to 1, unit panels up to
-    _UNIT_PANELS_END (where m is below 1e-22), then doubling widths; all cut
-    at L."""
-    edges = np.concatenate([
-        2.0 ** -np.arange(float(_GEOMETRIC_LEVELS), 0.0, -1.0),
-        np.arange(1.0, _UNIT_PANELS_END),
-        _UNIT_PANELS_END - 2.0 + 2.0 ** np.arange(1.0, 64.0),
-    ])
-    edges = np.append(edges[edges < length], length)
+    and integral_L^inf m: those of _EDGES, cut at L."""
+    edges = np.append(_EDGES[_EDGES < length], length)
     rules = [_read_only(*rule) for rule in _weighted_panels(edges[:-1], edges[1:], k)]
     return _read_only(edges)[0], rules, -potential_full(length, k)
 
@@ -390,9 +389,11 @@ def _profile(u: GridFunction):
 
 
 @lru_cache(maxsize=32)
-def _moment_tables(k: KernelParams, h: float, panels: int) -> np.ndarray:
-    """M[o, r, j] = integral_0^h s^r m(j h + s) ds at each rule order o, for
-    the powers r = 0..6 and the panels j < panels, shape (2, 7, panels).
+def _moment_tables(k: KernelParams, h: float, panels: int):
+    """(M, T): M[o, r, j] = integral_0^h s^r m(j h + s) ds at each rule
+    order o, for the powers r = 0..6 and the panels j < panels, shape
+    (2, 7, panels), and T[o] = integral_L^inf m at each order, L = panels h,
+    on the panels of _EDGES beyond L up to _UNIT_PANELS_END.
 
     Panels j >= 1: Gauss-Legendre at _PANEL_ORDERS, one kernel call per
     _MOMENT_CHUNK panels; every panel has the same offsets s, so a panel's
@@ -423,24 +424,27 @@ def _moment_tables(k: KernelParams, h: float, panels: int) -> np.ndarray:
         for table, order, (_, wm) in zip(out, _PANEL_ORDERS, _weighted_panels(h * j, h * j + h, k)):
             s, _ = _gauss_legendre(order)
             table[:, j] = ((h * s)[:, None] ** _POWERS).T @ wm.T
-    return _read_only(out)[0]
+    ends = np.append(h * panels, _EDGES[(_EDGES > h * panels) & (_EDGES <= _UNIT_PANELS_END)])
+    tails = np.array([wm.sum() for _, wm in _weighted_panels(ends[:-1], ends[1:], k)])
+    return _read_only(out, tails)
 
 
 def quadratic_form(u: GridFunction, k: KernelParams) -> float:
     """Energy form: L2 norm squared plus the symmetric double integral of
     squared differences against the kernel,
-        Q(u) = l2 + integral_0^L P(w) m(w) dw,
+        Q(u) = l2 + integral_0^inf P(w) m(w) dw,
     P(w) the trapezoid sum over the nodes of |u(x_i + w) - u_i|^2 (u zero
-    beyond L), both on the cubic spline.
+    beyond L), both on the cubic spline.  Beyond w = L every shifted value
+    has left the grid, so P = l2 there and that part is l2 integral_L^inf m.
 
     On each panel [j h, (j + 1) h) the profile is exactly a degree-6
     polynomial in s = w - j h, so the integral is the sum over panels and
     powers of its coefficients (_profile, cached on the grid function)
-    against the kernel moments (_moment_tables, cached per (alpha, h, n)):
-    no adaptive quadrature and no spline evaluation.  The moments run at
-    two rule orders, and AccuracyError is raised when the two sums differ
-    by more than max(1e-10, 1e-8 |Q|).  A complex u gives
-    Q(Re u) + Q(Im u).
+    against the kernel moments (_moment_tables, cached per (alpha, h, n)
+    with integral_L^inf m): no adaptive quadrature and no spline
+    evaluation.  The moments run at two rule orders, and AccuracyError is
+    raised when the two sums differ by more than max(1e-10, 1e-8 |Q|).
+    A complex u gives Q(Re u) + Q(Im u).
 
     The zero extension of u must not jump at L: DomainError when
     |u(L)| > 1e-8 max |u|, the scale apply_fourier holds the tail to.
@@ -452,7 +456,8 @@ def quadratic_form(u: GridFunction, k: KernelParams) -> float:
         raise DomainError("quadratic_form: the grid function does not vanish at x = L, "
                           "so its zero extension jumps and the form is infinite")
     l2, g = _profile(u)
-    low, high = l2 + _moment_tables(k, u.h, u.n - 1).reshape(2, -1) @ g.ravel()
+    moments, tails = _moment_tables(k, u.h, u.n - 1)
+    low, high = l2 + moments.reshape(2, -1) @ g.ravel() + l2 * tails
     if abs(high - low) > max(_FORM_EPSABS, _FORM_EPSREL * abs(high)):
         raise AccuracyError(
             f"quadratic_form: the rule orders disagree by {abs(high - low):.3e}")

@@ -265,18 +265,17 @@ def potential_aminus(x: float, k: KernelParams, mode: PotentialKind) -> complex:
     return front * val
 
 
+def _power_constant(lam: float, a: float) -> float:
+    """Gamma(2a - lam) Gamma(1 + lam) sin(pi (a - lam)), unguarded."""
+    return math.gamma(2.0 * a - lam) * math.gamma(1.0 + lam) * math.sin(math.pi * (a - lam))
+
+
 def frac_laplacian_constant(lam: float, k: KernelParams) -> float:
     """Coefficient turning x^lam into x^(lam - 2 alpha) under the truncated
     homogeneous operator: Gamma(2a - lam) Gamma(1 + lam) sin(pi (a - lam)) / pi."""
-    a = k.alpha
-    if not (-1.0 < lam < 2.0 * a):
+    if not (-1.0 < lam < 2.0 * k.alpha):
         raise DomainError("frac_laplacian_constant requires -1 < lam < 2*alpha")
-    return (
-        math.gamma(2.0 * a - lam)
-        * math.gamma(1.0 + lam)
-        * math.sin(math.pi * (a - lam))
-        / math.pi
-    )
+    return _power_constant(lam, k.alpha) / math.pi
 
 
 def _killing_formula(a: float) -> float:

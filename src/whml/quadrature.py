@@ -11,7 +11,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .errors import AccuracyError
 
@@ -26,6 +25,7 @@ def quad(f, a, b, *, epsabs=1e-12, epsrel=1e-10, points=None, weight=None,
     judged against the requested tolerance (with slack for its pessimism on
     piecewise-smooth integrands) and failure becomes AccuracyError.
     """
+    from scipy import integrate as _integrate  # on first use, not at start-up
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _integrate.IntegrationWarning)
         out = _integrate.quad(

@@ -4,8 +4,8 @@ Two Wiener-Hopf factors and one Mellin factor make up the whole symbol: a
 unit-modulus piece c1, a vanishing-at-zero piece c2, and a beta-function
 multiplier b2, which the contour reads pre-multiplied (gamma1_mellin_term).
 On the boundary segment of the contour the half-line origin replaces the
-two one-sided limits of c1/c2 by circular-arc interpolants ("loop
-functions") whose closed form is a ratio of sines; those are computed in a
+two one-sided limits of c1/c2 by circular-arc interpolants whose closed
+form is a ratio of sines (c1p_inf, c2p_inf); those are computed in a
 cosh-free rearrangement that stays finite for arbitrarily large
 frequencies.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as q
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .specfun import complex_beta, principal_power, scalar_or_array
 
 __all__ = [
@@ -28,11 +28,9 @@ __all__ = [
     "SpectralParams",
     "wh_c1",
     "wh_c2",
-    "loop_function",
     "c1p_inf",
     "c2p_inf",
     "gamma1_mellin_term",
-    "sin_ratio_modulus",
     "sine_ratio",
     "beta_term",
     "mellin_symbol_residual",
@@ -149,26 +147,6 @@ def wh_c2(xi, sp: SpectralParams):
                       cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a)))
 
 
-def _coth(z: complex) -> complex:
-    """coth with saturation for large |Re z| (never overflows)."""
-    x = z.real
-    if x > 20.0:
-        return 1.0 + 0j if z.imag == 0 else (1.0 + 2.0 * cmath.exp(-2.0 * z))
-    if x < -20.0:
-        return -(1.0 + 2.0 * cmath.exp(2.0 * z))
-    return cmath.cosh(z) / cmath.sinh(z)
-
-
-def loop_function(g_minus: complex, g_plus: complex, xi: float, p: float) -> complex:
-    """Arc interpolant g(-inf)(1+d)/2 + g(+inf)(1-d)/2, d = coth(pi(i/p + xi)).
-
-    Traces a circular arc between the endpoint values as xi runs over the
-    line; for p = 2 the arc degenerates to the straight segment.
-    """
-    d = _coth(math.pi * complex(xi, 1.0 / p))
-    return g_minus * (1.0 + d) / 2.0 + g_plus * (1.0 - d) / 2.0
-
-
 def sine_ratio(a, b, xi):
     """sin(pi(a - i xi)) / sin(pi(b - i xi)) via the tanh rearrangement;
     arrays broadcast.
@@ -218,22 +196,6 @@ def gamma1_mellin_term(xi, sp: SpectralParams):
     Kummer-profile origin value out of the contour code entirely.
     """
     return scalar_or_array(-beta_term(sp.alpha, sp.beta_sigma, xi))
-
-
-def sin_ratio_modulus(a: float, b: float, xi: float) -> float:
-    """|sin(pi(a - i xi)) / sin(pi(b - i xi))| in closed form:
-    sqrt((cosh 2 pi xi - cos 2 pi a) / (cosh 2 pi xi - cos 2 pi b))."""
-    two_pi_xi = 2.0 * math.pi * xi
-    ca = math.cos(2.0 * math.pi * a)
-    cb = math.cos(2.0 * math.pi * b)
-    if abs(two_pi_xi) > 700.0:
-        # cosh overflows; sech -> 0 makes the ratio 1 to machine precision
-        return 1.0
-    c = math.cosh(two_pi_xi)
-    den = c - cb
-    if den <= 0.0:
-        raise PoleError("sin_ratio_modulus pole: cosh 2 pi xi = cos 2 pi b")
-    return math.sqrt((c - ca) / den)
 
 
 def mellin_symbol_residual(gamma: float, rho: float, y: float, p: float) -> float:

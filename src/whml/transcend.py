@@ -16,14 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, PoleError
+from .kernel import _power_constant
 from .reports import VerificationReport
 from .specfun import complex_beta
 from .symbols import beta_term, sine_ratio
 
 __all__ = [
-    "TranscendParams",
-    "t_s",
-    "t_b",
     "te_residual_zero",
     "alpha_c",
     "critical_s",
@@ -32,21 +30,6 @@ __all__ = [
     "no_solution_certificate",
     "SCAN_REGIONS",
 ]
-
-
-@dataclass(frozen=True)
-class TranscendParams:
-    """Point (alpha, tau, xi) of the transcendental-equation state space."""
-
-    alpha: float
-    tau: float
-    xi: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError("TranscendParams requires 0 < alpha < 1")
-        if not (0.0 < self.tau < 2.0):
-            raise DomainError("TranscendParams requires 0 < tau < 2")
 
 
 def _ts_array(alpha, tau, xi):
@@ -60,38 +43,19 @@ def _tb_array(alpha, tau, xi):
     return beta_term(alpha, sigma, xi)
 
 
-def t_s(tp: TranscendParams) -> complex:
-    """Sine-ratio side of the transcendental equation."""
-    den_zero = tp.xi == 0.0 and abs(
-        math.sin(math.pi * (1.0 + 2.0 * tp.alpha - tp.tau))
-    ) < 1e-15
-    if den_zero:
-        raise PoleError("t_s pole: xi = 0 with tau - 2*alpha an integer")
-    return complex(_ts_array(tp.alpha, tp.tau, tp.xi))
-
-
-def t_b(tp: TranscendParams) -> complex:
-    """Beta side of the transcendental equation; vanishes as |xi| -> inf."""
-    if tp.tau + 1.0 - 2.0 * tp.alpha <= 0.0:
-        raise PoleError("t_b needs tau + 1 - 2*alpha > 0")
-    return complex(_tb_array(tp.alpha, tp.tau, tp.xi))
-
-
-def _real_gamma(x: float) -> float:
-    if abs(x - round(x)) < 1e-12 and x < 0.5:
-        raise PoleError(f"gamma pole at {x}")
-    return math.gamma(x)
-
-
 def te_residual_zero(tau: float, alpha: float) -> float:
     """Residual of the frequency-zero equation
-    Gamma(2a - tau) Gamma(tau + 1) sin(pi(a - tau)) = Gamma(2a) sin(pi a)."""
-    lhs = (
-        _real_gamma(2.0 * alpha - tau)
-        * _real_gamma(tau + 1.0)
-        * math.sin(math.pi * (alpha - tau))
-    )
-    return lhs - math.gamma(2.0 * alpha) * math.sin(math.pi * alpha)
+    Gamma(2a - tau) Gamma(tau + 1) sin(pi(a - tau)) = Gamma(2a) sin(pi a):
+    the truncated operator's constant on x^tau less its constant on x^0
+    (kernel.frac_laplacian_constant), times pi."""
+    x = 2.0 * alpha - tau
+    if abs(x - round(x)) < 1e-12 and x < 0.5:
+        raise PoleError(f"gamma pole at {x}")
+    y = tau + 1.0
+    # tau is finite here (round raised otherwise), so the cheap test may go first
+    if y < 0.5 and abs(y - round(y)) < 1e-12:
+        raise PoleError(f"gamma pole at {y}")
+    return _power_constant(tau, alpha) - _power_constant(0.0, alpha)
 
 
 def _unresolvable(alpha: float) -> DomainError:
@@ -221,20 +185,20 @@ def _te7_margin(a, ts, tb, xis):
     args_s = np.angle(ts)
     args_b = np.angle(tb)
     return np.minimum.reduce([
-        -half_pi - args_s,      # arg t_s <= -pi/2
-        args_s + math.pi,       # arg t_s > -pi
-        args_b + half_pi,       # arg t_b > -pi/2
-        -args_b,                # arg t_b < 0
+        -half_pi - args_s,      # arg of the sine side <= -pi/2
+        args_s + math.pi,       # arg of the sine side > -pi
+        args_b + half_pi,       # arg of the beta side > -pi/2
+        -args_b,                # arg of the beta side < 0
     ])
 
 
 def _arg_separation(a, ts, tb, xis):
-    """Smallest principal argument of t_s / t_b."""
+    """Smallest principal argument of the sine side over the beta side."""
     return np.abs(np.angle(ts / tb))
 
 
 def _gap(a, ts, tb, xis):
-    """|t_s - t_b|, with a non-finite value read as infinitely apart."""
+    """|sine side - beta side|, with a non-finite value read as infinitely apart."""
     gap = np.abs(ts - tb)
     return np.where(np.isfinite(gap), gap, np.inf)
 

@@ -6,7 +6,6 @@ caller-chosen grid density and returns one VerificationReport per check.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -35,9 +34,8 @@ from .symbols import (
     SpectralParams,
     c1p_inf,
     c2p_inf,
-    loop_function,
     mellin_symbol_residual,
-    sin_ratio_modulus,
+    sine_ratio,
     wh_c1,
     wh_c2,
 )
@@ -155,27 +153,36 @@ def suite_symbols(density: int = 20) -> list:
     reports.append(VerificationReport.from_residual(
         "junction_limits", "|xi| = 30 against the one-sided limits", worst, 1e-8))
 
-    def arc_deviations():
-        for p in (1.5, 2.5, 3.0, 4.0):
-            centre = 1j / math.tan(2.0 * math.pi / p)
-            radius = 1.0 / abs(math.sin(2.0 * math.pi / p))
-            for xi in np.linspace(-3.0, 3.0, max(5, density)):
-                yield abs(abs(loop_function(-1.0, 1.0, float(xi), p) - centre) - radius), None
+    xis = np.linspace(-3.0, 3.0, max(5, density))
 
-    worst, _ = _worst(arc_deviations())
+    def arc_deviation(p, arc, limit):
+        # with A, B = (g(-inf) +- g(+inf)) / 2 from the one-sided limits, the
+        # boundary-segment factor runs on the arc of centre A - i B cot(2 pi / p)
+        # and radius |B| / |sin(2 pi / p)|
+        arc_sp = SpectralParams(sp.alpha, p, sp.s)
+        t = 2.0 * math.pi / p
+        g_minus, g_plus = limit(-math.inf, arc_sp), limit(math.inf, arc_sp)
+        mid, half = (g_minus + g_plus) / 2.0, (g_minus - g_plus) / 2.0
+        dist = np.abs(arc(xis, arc_sp) - (mid - 1j * half / math.tan(t)))
+        return np.max(np.abs(dist - abs(half) / abs(math.sin(t))))
+
+    worst = float(np.max([arc_deviation(p, arc, limit) for p in (1.5, 2.5, 3.0, 4.0)
+                          for arc, limit in ((c1p_inf, wh_c1), (c2p_inf, wh_c2))]))
     reports.append(VerificationReport.from_residual(
-        "loop_arc_invariant", "endpoints -1/+1, p in {1.5, 2.5, 3, 4}", worst, 1e-10))
+        "loop_arc_invariant",
+        f"c1p_inf, c2p_inf on the arc between their limits, (alpha, s) = (0.3, 1.2), "
+        f"p in {{1.5, 2.5, 3, 4}}, {xis.size} xi in [-3, 3]", worst, 1e-10))
 
     rng = np.random.default_rng(7)
-
-    def sin_ratio_residual(a, b, xi):
-        direct = abs(cmath.sin(math.pi * (a - 1j * xi)) / cmath.sin(math.pi * (b - 1j * xi)))
-        return abs(sin_ratio_modulus(a, b, xi) - direct)
-
-    worst, _ = _worst((sin_ratio_residual(rng.uniform(0.1, 0.9), rng.uniform(0.55, 0.95),
-                                          rng.uniform(-3, 3)), None) for _ in range(100))
+    ra, rb, rxi = np.array([(rng.uniform(0.1, 0.9), rng.uniform(0.55, 0.95), rng.uniform(-3, 3))
+                            for _ in range(100)]).T
+    # the closed form |sin(pi(a - i xi)) / sin(pi(b - i xi))|
+    ch = np.cosh(2.0 * math.pi * rxi)
+    closed = np.sqrt((ch - np.cos(2.0 * math.pi * ra)) / (ch - np.cos(2.0 * math.pi * rb)))
+    worst = float(np.max(np.abs(np.abs(sine_ratio(ra, rb, rxi)) - closed)))
     reports.append(VerificationReport.from_residual(
-        "sin_ratio_closed_form", "100 random (a, b, xi)", worst, 1e-12))
+        "sin_ratio_closed_form", "|sine_ratio| against the cosh/cos closed form, "
+        "100 random (a, b, xi)", worst, 1e-12))
 
     def mellin_samples():
         for _ in range(20):

@@ -103,6 +103,22 @@ class TestClassifyNumeric:
             agreements += 1
         assert agreements == 200
 
+    def test_routes_agree_at_the_low_window_edge(self):
+        # the symbol touches zero at xi = 0 as s -> 1/p, linearly in s - 1/p;
+        # both routes read that modulus against the same tolerance
+        rng = np.random.default_rng(15)
+        not_fredholm = 0
+        for _ in range(600):
+            p = float(np.exp(rng.uniform(np.log(1.2), np.log(8.0))))
+            a = float(rng.uniform(0.02, 0.48))
+            s = 1.0 / p + float(np.exp(rng.uniform(np.log(1e-8), np.log(1e-1))))
+            rep = classify(a, p, s, mode="both")
+            assert "consistency=disagree" not in rep.notes, (a, p, s, rep.notes)
+            if rep.fredholm is False:
+                assert "(s = 1/p): not Fredholm" in rep.notes
+                not_fredholm += 1
+        assert not_fredholm > 100
+
     def test_both_mode_flags_consistency(self):
         rep = classify(0.3, 2.0, 1.0, mode="both")
         assert "consistency=agree" in rep.notes
@@ -232,10 +248,14 @@ class TestCli:
         assert cli_main(["alphac", "--grid", "0"]) == EXIT_USAGE
 
     def test_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal takes about 0.4 s to import, which every command would pay
+        # scipy.signal takes about 0.4 s to import, which every command would
+        # pay; scipy.integrate and scipy.interpolate load at the first quad
+        # call and the first spline
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, whml.cli; print('scipy.signal' in sys.modules)"],
+             "import sys, whml.cli; "
+             "print(any(m in sys.modules for m in "
+             "('scipy.signal', 'scipy.integrate', 'scipy.interpolate')))"],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
@@ -312,13 +332,13 @@ class TestCli:
         import whml.verify as verify_mod
 
         xis = set()
-        original = verify_mod.loop_function
+        original = verify_mod.c1p_inf
 
-        def recording(a, b, xi, p):
-            xis.add(xi)
-            return original(a, b, xi, p)
+        def recording(xi, sp):
+            xis.update(np.atleast_1d(xi).tolist())
+            return original(xi, sp)
 
-        monkeypatch.setattr(verify_mod, "loop_function", recording)
+        monkeypatch.setattr(verify_mod, "c1p_inf", recording)
         reports = {rep.name: rep for rep in verify_mod.suite_symbols(1)}
         assert len(xis) >= 5
         assert reports["loop_arc_invariant"].passed

@@ -166,16 +166,17 @@ class TestCrossModuleIdentity:
         # the boundary value equals e^(i pi nu) sin(pi(1/p + nu' - i xi)) /
         # sin(pi(1/p - i xi)) times (T_s - T_B): the loop vanishes exactly
         # where the two transcendental sides meet
-        from whml.transcend import TranscendParams, t_b, t_s
+        from whml.symbols import beta_term, sine_ratio
         for sp in (SP_LOW, SpectralParams(0.75, 2.0, 2.2)):
-            tau = sp.tau
+            a, tau = sp.alpha, sp.tau
             for xi in (-3.1, -0.4, 0.0, 0.7, 2.9):
-                tp = TranscendParams(sp.alpha, tau, xi)
                 common = cmath.exp(1j * math.pi * sp.nu) * (
                     cmath.sin(math.pi * (1.0 / sp.p + sp.nu_prime - 1j * xi))
                     / cmath.sin(math.pi * (1.0 / sp.p - 1j * xi))
                 )
-                expect = common * (t_s(tp) - t_b(tp))
+                sine_side = sine_ratio(1.0 + a - tau, 1.0 + 2.0 * a - tau, xi)
+                beta_side = beta_term(a, tau + 1.0 - 2.0 * a, xi)
+                expect = common * complex(sine_side - beta_side)
                 t = 0.5 + math.atan(xi) / math.pi
                 assert eval_segment(Segment.G1, t, sp) == pytest.approx(
                     expect, rel=1e-10, abs=1e-12)

@@ -19,7 +19,7 @@ from whml.halfline import (
     rl_integral,
     rl_integral_grid,
 )
-from whml.kernel import KernelParams, kernel_m
+from whml.kernel import KernelParams, kernel_m, potential_full
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +227,7 @@ def _form_by_quad(u, k):
     """The energy form by QUADPACK, the adaptive route quadratic_form took
     before its panel sum: l2 plus integral_0^L P(w) m(w) dw, P the trapezoid
     sum of |u(x_i + w) - u_i|^2 from array spline calls and m from scalar
-    kernel_m calls.  The head [0, 1/2] runs in t = w^(2 - 2 alpha), where the
+    kernel_m calls, plus l2 integral_L^inf m, where P is l2.  The head [0, 1/2] runs in t = w^(2 - 2 alpha), where the
     integrand is bounded.
 
     Two changes make it an oracle at every alpha.  Below w = h the
@@ -260,12 +260,15 @@ def _form_by_quad(u, k):
                               **opts)[0]
         far = integrate.quad(lambda w: profile(w) * kernel_m(w, k), 0.5, u.length,
                              points=[1.0, 2.0, 4.0], **opts)[0]
-    return float(weights @ np.abs(vals) ** 2) + near + far
+        # beyond L every shifted value has left the grid: the profile is l2
+        beyond = integrate.quad(lambda w: kernel_m(w, k), u.length, np.inf, **opts)[0]
+    l2 = float(weights @ np.abs(vals) ** 2)
+    return l2 + near + far + l2 * beyond
 
 
-def _sine_bump():
+def _sine_bump(length=16.0):
     return GridFunction.from_function(
-        lambda x: math.sin(math.pi * x) if x <= 1.0 else 0.0, 16.0, 2048)
+        lambda x: math.sin(math.pi * x) if x <= 1.0 else 0.0, length, 2048)
 
 
 class TestFormPanelSum:
@@ -284,6 +287,14 @@ class TestFormPanelSum:
     def test_sine_bump_matches_quad_route(self, a):
         u = _sine_bump()
         k = KernelParams(a)
+        assert quadratic_form(u, k) == pytest.approx(_form_by_quad(u, k), rel=1e-10, abs=0.0)
+
+    def test_counts_the_offsets_beyond_L(self):
+        # on [0, 12] the offsets w > L, where the profile is l2, carry 6e-8 of Q
+        u = _sine_bump(12.0)
+        k = KernelParams(0.4)
+        tail = u.h * float(np.sum(u.samples ** 2)) * -potential_full(u.length, k)
+        assert tail > 1e-8 * quadratic_form(u, k)
         assert quadratic_form(u, k) == pytest.approx(_form_by_quad(u, k), rel=1e-10, abs=0.0)
 
     def test_profile_table_is_the_profile(self):

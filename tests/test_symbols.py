@@ -4,16 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from whml.errors import DomainError, PoleError
+from whml.errors import DomainError
 from whml.specfun import principal_power
 from whml.symbols import (
     Regime,
     SpectralParams,
     c1p_inf,
     c2p_inf,
-    loop_function,
     mellin_symbol_residual,
-    sin_ratio_modulus,
+    sine_ratio,
     wh_c1,
     wh_c2,
 )
@@ -89,30 +88,63 @@ class TestWienerHopfFactors:
             assert wh_c1(xi, SP_LOW) == pytest.approx(composed, rel=1e-13)
 
 
+def loop_function(g_minus, g_plus, xi, p):
+    """The coth form of the boundary-segment arc, the oracle of c1p_inf and
+    c2p_inf: g(-inf)(1 + d)/2 + g(+inf)(1 - d)/2, d = coth(pi(xi + i/p))."""
+    z = math.pi * complex(xi, 1.0 / p)
+    d = cmath.cosh(z) / cmath.sinh(z)
+    return g_minus * (1.0 + d) / 2.0 + g_plus * (1.0 - d) / 2.0
+
+
+# each boundary-segment factor with the Wiener-Hopf factor whose limits it joins
+ARC_FACTORS = ((c1p_inf, wh_c1), (c2p_inf, wh_c2))
+
+
+def _mid_half(limit, sp):
+    """(A, B) = (g(-inf) + g(+inf)) / 2, (g(-inf) - g(+inf)) / 2."""
+    g_minus, g_plus = limit(-math.inf, sp), limit(math.inf, sp)
+    return (g_minus + g_plus) / 2.0, (g_minus - g_plus) / 2.0
+
+
 class TestLoopFunction:
+    """c1p_inf and c2p_inf run on the circular arc A + B coth(pi(xi + i/p))
+    between the one-sided limits of their Wiener-Hopf factors."""
+
     def test_endpoint_limits(self):
-        g_minus, g_plus = cmath.exp(0.3j), cmath.exp(-1.1j)
-        assert loop_function(g_minus, g_plus, 40.0, 2.5) == pytest.approx(g_minus, abs=1e-12)
-        assert loop_function(g_minus, g_plus, -40.0, 2.5) == pytest.approx(g_plus, abs=1e-12)
+        sp = SpectralParams(0.3, 2.5, 1.2)
+        for factor, limit in ARC_FACTORS:
+            assert factor(40.0, sp) == pytest.approx(limit(-math.inf, sp), abs=1e-12)
+            assert factor(-40.0, sp) == pytest.approx(limit(math.inf, sp), abs=1e-12)
 
     def test_arc_geometry_p3(self):
-        centre = 1j / math.tan(2.0 * math.pi / 3.0)
-        radius = 1.0 / math.sin(2.0 * math.pi / 3.0)
-        for xi in np.linspace(-4.0, 4.0, 10):
+        t = 2.0 * math.pi / 3.0
+        xis = np.linspace(-4.0, 4.0, 10)
+        for xi in xis:
             val = loop_function(-1.0, 1.0, float(xi), 3.0)
-            assert abs(val - centre) == pytest.approx(radius, abs=1e-10)
+            assert abs(val - 1j / math.tan(t)) == pytest.approx(1.0 / math.sin(t), abs=1e-10)
+        sp = SpectralParams(0.3, 3.0, 1.2)
+        for factor, limit in ARC_FACTORS:
+            mid, half = _mid_half(limit, sp)
+            dist = np.abs(factor(xis, sp) - (mid - 1j * half / math.tan(t)))
+            assert dist == pytest.approx(abs(half) / math.sin(t), abs=1e-10)
 
     def test_p2_degenerates_to_segment(self):
-        for xi in np.linspace(-3.0, 3.0, 11):
-            val = loop_function(-1.0, 1.0, float(xi), 2.0)
-            assert abs(val.imag) < 1e-12
-            assert -1.0 <= val.real <= 1.0
+        sp = SpectralParams(0.3, 2.0, 1.2)
+        for factor, limit in ARC_FACTORS:
+            mid, half = _mid_half(limit, sp)
+            # the position along the chord, -1 at g(+inf) and 1 at g(-inf)
+            d = (factor(np.linspace(-3.0, 3.0, 11), sp) - mid) / half
+            assert np.all(np.abs(d.imag) < 1e-12)
+            assert np.all(np.abs(d.real) <= 1.0 + 1e-12)
 
     def test_imaginary_sign_follows_p(self):
         for p, sign in ((1.5, -1.0), (3.0, 1.0), (4.0, 1.0)):
-            val = loop_function(-1.0, 1.0, 0.4, p)
-            assert math.copysign(1.0, val.imag) == math.copysign(
-                1.0, math.sin(2.0 * math.pi / p)) == sign
+            sp = SpectralParams(0.3, p, 1.2)
+            for factor, limit in ARC_FACTORS:
+                mid, half = _mid_half(limit, sp)
+                val = (mid - factor(0.4, sp)) / half
+                assert math.copysign(1.0, val.imag) == math.copysign(
+                    1.0, math.sin(2.0 * math.pi / p)) == sign
 
 
 class TestBoundarySegmentFactors:
@@ -148,21 +180,27 @@ class TestBoundarySegmentFactors:
 
 
 class TestSinRatioModulus:
+    """|sine_ratio|, the array code of the loop and the scans."""
+
     def test_equal_arguments(self):
-        assert sin_ratio_modulus(0.37, 0.37, 2.2) == 1.0
+        assert abs(sine_ratio(0.37, 0.37, 2.2)) == 1.0
 
     def test_matches_direct_quotient(self):
         a, b, xi = 0.9, 0.5, 0.3
         direct = abs(cmath.sin(math.pi * (a - 1j * xi)) / cmath.sin(math.pi * (b - 1j * xi)))
-        assert sin_ratio_modulus(a, b, xi) == pytest.approx(direct, abs=1e-12)
+        ch = math.cosh(2.0 * math.pi * xi)
+        closed = math.sqrt((ch - math.cos(2.0 * math.pi * a)) / (ch - math.cos(2.0 * math.pi * b)))
+        assert abs(sine_ratio(a, b, xi)) == pytest.approx(direct, abs=1e-12)
+        assert abs(sine_ratio(a, b, xi)) == pytest.approx(closed, abs=1e-12)
 
     def test_saturates_to_one(self):
-        assert sin_ratio_modulus(0.9, 0.4, 500.0) == 1.0
-        assert sin_ratio_modulus(0.9, 0.4, 50.0) == pytest.approx(1.0, abs=1e-12)
+        assert abs(sine_ratio(0.9, 0.4, 500.0)) == pytest.approx(1.0, abs=1e-15)
+        assert abs(sine_ratio(0.9, 0.4, 50.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pole(self):
-        with pytest.raises(PoleError):
-            sin_ratio_modulus(0.5, 1.0, 0.0)
+        # sin(pi b) = 0 at xi = 0 gives a non-finite entry, not an exception
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.isfinite(sine_ratio(0.5, 0.0, 0.0))
 
 
 class TestMellinSymbolResidual:
