@@ -49,10 +49,11 @@ def te_residual_zero(tau: float, alpha: float) -> float:
     the truncated operator's constant on x^tau less its constant on x^0
     (kernel.frac_laplacian_constant), times pi."""
     x = 2.0 * alpha - tau
+    if not math.isfinite(x):  # finite x means finite tau and alpha
+        raise DomainError(f"te_residual_zero requires finite tau and alpha, got {tau!r}, {alpha!r}")
     if abs(x - round(x)) < 1e-12 and x < 0.5:
         raise PoleError(f"gamma pole at {x}")
     y = tau + 1.0
-    # tau is finite here (round raised otherwise), so the cheap test may go first
     if y < 0.5 and abs(y - round(y)) < 1e-12:
         raise PoleError(f"gamma pole at {y}")
     return _power_constant(tau, alpha) - _power_constant(0.0, alpha)

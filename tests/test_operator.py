@@ -1,14 +1,16 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
-from whml import quadrature
-from whml.errors import DomainError, ResolutionError
+from whml import halfline, quadrature
+from whml.errors import AccuracyError, DomainError, ResolutionError
 from whml.gridfn import GridFunction
 from whml.halfline import (
+    _moment_tables,
     _profile,
     _rl_of_callable,
     apply_fourier,
@@ -19,7 +21,7 @@ from whml.halfline import (
     rl_integral,
     rl_integral_grid,
 )
-from whml.kernel import KernelParams, kernel_m, potential_full
+from whml.kernel import KernelParams, kernel_m, potential_full, potential_on_grid
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +335,102 @@ class TestFormPanelSum:
         monkeypatch.setattr(quadrature, "quad", refuse)
         monkeypatch.setattr(GridFunction, "_evaluate", refuse)
         assert quadratic_form(u, KernelParams(0.35)) > 0.0
+
+
+def _tail_by_mpmath(length: float, a: float) -> float:
+    """integral_L^inf m by 30-digit mpmath through the subordination
+    integral, (alpha / (2 Gamma(1 - alpha))) integral_0^inf e^-s s^(-1 - alpha)
+    erfc(L / (2 sqrt(s))) ds, split around its saddle at s = L/2.  Up to
+    L = 40 it agrees with mpmath.quad of c y^-nu K_nu(y) to 1e-17, at a
+    hundredth of the time (mpmath's K_1, alpha = 1/2, takes up to 0.1 s a
+    value)."""
+    with mp.workdps(30):
+        a, x = mp.mpf(a), mp.mpf(length)
+
+        def f(s):
+            return mp.exp(-s) * s ** (-1 - a) * mp.erfc(x / (2 * mp.sqrt(s)))
+
+        points = sorted({mp.mpf(0), mp.mpf(1), x * x / 4, x * x, 4 * x * x,
+                         x / 8, x / 4, x / 2, x, 2 * x, 4 * x})
+        return float(a / (2 * mp.gamma(1 - a)) * mp.quad(f, points + [mp.inf]))
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty kernel-table cache before and after the test."""
+    _moment_tables.cache_clear()
+    yield
+    _moment_tables.cache_clear()
+
+
+class TestKernelTable:
+    """The one kernel table per (alpha, h, n): its tail beyond L, the
+    potential apply_fourier reads from it, its cache, and its error
+    estimate."""
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("length", [0.5, 12.0, 32.0, 40.0])
+    def test_tail_to_rounding(self, length, a):
+        assert halfline._tail(KernelParams(a), length) == pytest.approx(
+            _tail_by_mpmath(length, a), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("length", [64.0, 100.0, 200.0])
+    def test_tail_beyond_the_unit_panels(self, length):
+        # panels of width 8 beyond 48 keep the rule at rounding where m is
+        # e^-L small (doubling widths were 3.7e-8 off at L = 100 and 2e-2 at
+        # 200); against quarter-width panels at 24 points
+        k = KernelParams(0.5)
+        ends = np.arange(length, halfline._TAIL_END, 0.25)
+        (_, wm), = halfline._weighted_panels(ends[:-1], ends[1:], k, (24,))
+        assert halfline._tail(k, length) == pytest.approx(wm.sum(), rel=1e-14, abs=0.0)
+
+    def test_probes_and_table_read_one_tail(self, u_smooth):
+        k = KernelParams(0.3)
+        table_tail = _moment_tables(k, u_smooth.h, u_smooth.n - 1)[2]
+        assert halfline._shared_panels(k, u_smooth.length)[2] == table_tail
+
+    @pytest.mark.parametrize("a", [0.05, 0.25, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("n", [17, 2048, 4096])
+    def test_potential_matches_oracles(self, n, a):
+        # against the 12-point panels between nodes (every node up to L/2,
+        # x = 0 read at h/2) to 1e-10, and QUADPACK at a sample of them to
+        # potential_full's own epsrel and epsabs: the latter, 1e-13, is the
+        # looser one from x = 10 on (1.3e-10 relative off 30-digit mpmath
+        # there at alpha 0.75, where the table is 2e-16 off)
+        k = KernelParams(a)
+        h = 32.0 / (n - 1)
+        potential = _moment_tables(k, h, n - 1)[3]
+        xs = h * np.arange(n)
+        xs[0] = 0.5 * h
+        half = xs <= 16.0
+        assert potential[half] == pytest.approx(potential_on_grid(xs, k)[half], rel=1e-10, abs=0.0)
+        for i in np.unique(np.linspace(0, np.count_nonzero(half) - 1, 12).astype(int)):
+            want = potential_full(float(xs[i]), k)
+            assert potential[i] == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+    def test_second_fourier_call_makes_no_kernel_call(self, u_smooth, monkeypatch):
+        k = KernelParams(0.35)
+        first = apply_fourier(u_smooth, k)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(halfline, "_m_array", refuse)
+        monkeypatch.setattr(quadrature, "quad", refuse)
+        assert apply_fourier(u_smooth, k).samples.tobytes() == first.samples.tobytes()
+
+    def test_estimate_fails_on_a_corrupt_rule(self, u_smooth, monkeypatch, fresh_tables):
+        # 24-point weights off by 1e-4 show on the checked panels near the
+        # origin, which carry a large share of the form
+        rule = halfline._gauss_legendre
+
+        def corrupt(order):
+            s, wt = rule(order)
+            return s, wt * (1.0 + 1e-4) if order == 24 else wt
+
+        monkeypatch.setattr(halfline, "_gauss_legendre", corrupt)
+        with pytest.raises(AccuracyError, match="rule orders disagree"):
+            quadratic_form(u_smooth, KernelParams(0.4))
 
 
 RL_ORDERS = (0.05, 0.3, 0.8, 1.0, 1.1, 1.7, 1.95)

@@ -110,6 +110,12 @@ class TestZeroFrequencyEquation:
         with pytest.raises(PoleError):
             te_residual_zero(2 * 0.35, 0.35)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_refused(self, tau):
+        # refused before the pole guard rounds it
+        with pytest.raises(DomainError, match="finite tau and alpha"):
+            te_residual_zero(tau, 0.3)
+
     def test_derivative_sign_on_monotone_regions(self):
         rng = np.random.default_rng(9)
         h = 1e-6
