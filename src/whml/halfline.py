@@ -19,11 +19,15 @@ coefficients (cached per grid function) against the moments, with no
 adaptive quadrature.  The fractional integral/derivative pair that links
 boundary differences to Mellin kernels lives here as well: the
 Riemann-Liouville integral is exact on the cubic spline through
-incomplete-beta product weights, at one point or at every node in one FFT
-convolution, with the adaptive quadrature route kept as its oracle.  The
-Caputo derivative keeps order-2 product integration on a per-order node
-table of each grid function, so a call adds only its own partial panel;
-the Mellin residual calls it inside an adaptive quad, thousands of times.
+incomplete-beta product weights.  A call between nodes sums its own
+weights; a call at a node reads one node table per (grid function, order),
+four direct convolutions built on the first node call and cached
+read-only, each node within a few ulp of its own sum.  The whole-grid FFT
+convolution (absolute error only) and the adaptive quadrature route are
+kept as its oracles.  The Caputo derivative keeps order-2 product
+integration on a per-order node table of each grid function, so a call
+adds only its own partial panel; the Mellin residual calls it inside an
+adaptive quad, thousands of times.
 """
 
 from __future__ import annotations
@@ -514,14 +518,38 @@ def _node_weights(gamma: float, n: int) -> np.ndarray:
     return w
 
 
-def _rl_coefficients(u: GridFunction, gamma: float) -> np.ndarray:
-    """The spline coefficients c[k, j] of (y - x_j)^k on panel j, once the
-    order and the grid function are admissible."""
+def _rl_check(u: GridFunction, gamma: float) -> None:
+    """Refuse an order or a grid function the RL routes do not support."""
     if not (0.0 < gamma < 2.0):
         raise DomainError("rl_integral supports 0 < gamma < 2")
     if not u.is_real:
         raise DomainError("rl_integral expects a real grid function")
+
+
+def _rl_coefficients(u: GridFunction) -> np.ndarray:
+    """The spline coefficients c[k, j] of (y - x_j)^k on panel j."""
     return u._cubic().c[::-1]
+
+
+def _rl_node_table(u: GridFunction, gamma: float) -> np.ndarray:
+    """I^gamma u at every node (0 at x = 0), built on first use and cached
+    read-only per (grid function, order).
+
+    Node m's sum S_k(m) = sum_(j<m) c[k, j] W_k(m - j) is entry m - 1 of the
+    direct convolution of c[k] with W_k(1..n-1): four O(n^2) passes, which
+    keep each node's value to rounding relative to itself (an FFT's error
+    is relative to the largest node sum, so the first nodes would lose it).
+    """
+    key = ("rl", gamma)
+    table = u._cache.get(key)
+    if table is None:
+        c = _rl_coefficients(u)
+        w = _node_weights(gamma, u.n)
+        sums = np.array([np.convolve(c[k, :u.n - 1], w[k])[:u.n - 1] for k in range(4)])
+        table = np.concatenate(([0.0], u.h ** (_K + gamma) @ sums / math.gamma(gamma)))
+        table.setflags(write=False)
+        u._cache[key] = table
+    return table
 
 
 def rl_integral(u: GridFunction, x: float, gamma: float) -> float:
@@ -535,18 +563,25 @@ def rl_integral(u: GridFunction, x: float, gamma: float) -> float:
     the product integration of Diethelm, Ford and Freed (2002) at spline
     order.  Every offset is built from the one theta; W_k is only
     Hoelder-gamma continuous at d = 1, so an offset rounded across 1 would
-    show.  A node (theta == 0) reads the cached table of W_k(1..n-1).
+    show.  A node (theta == 0, or x equal to a node of u.xs even where x / h
+    rounds off the integers) reads the cached node table of (u, gamma):
+    its first call builds it from the cached weights W_k(1..n-1) by four
+    direct convolutions (about 4 ms on 2048 points, 16 ms on 4096), and
+    every node value is within a few ulp of its own per-node sum.
     """
     if not (0.0 < x < u.length):
         raise DomainError("rl_integral requires 0 < x < L")
-    c = _rl_coefficients(u, gamma)
+    _rl_check(u, gamma)
     t = x / u.h
     m = min(int(t), u.n - 2)
     theta = t - m
-    if theta == 0.0:
-        w = _node_weights(gamma, u.n)[:, :m][:, ::-1]
-    else:
-        w = _rl_weights(np.arange(m, 0, -1) + theta, gamma)
+    xs = u.xs
+    if theta == 0.0 or x == xs[m]:
+        return float(_rl_node_table(u, gamma)[m])
+    if x == xs[m + 1]:
+        return float(_rl_node_table(u, gamma)[m + 1])
+    c = _rl_coefficients(u)
+    w = _rl_weights(np.arange(m, 0, -1) + theta, gamma)
     sums = (np.sum(c[:, :m] * w, axis=1)
             + c[:, m] * theta ** (_K + gamma) * beta_fn(_K + 1.0, gamma))
     return float(sums @ u.h ** (_K + gamma)) / math.gamma(gamma)
@@ -556,11 +591,18 @@ def rl_integral_grid(u: GridFunction, gamma: float) -> GridFunction:
     """I^gamma u at every node of u's grid (0 at x = 0, the whole spline
     integral at x = L), as a grid function on the same grid.
 
-    The node sums of rl_integral are four convolutions of the coefficient rows
-    with the weight rows, done together by FFT: the fast convolution of
-    Hairer, Lubich and Schlichte (1985).
+    The node sums are four convolutions of the coefficient rows with the
+    weight rows, done together by FFT: the fast convolution of Hairer,
+    Lubich and Schlichte (1985), and the independent oracle of rl_integral's
+    node table.  Its rounding error is absolute, of the order of machine
+    epsilon times the largest node sum, not relative to each node: where
+    the sums are small (the first nodes, and more so at large gamma and n)
+    a value can be far off in relative terms.  For x^2 e^-x on [0, 8] at
+    gamma = 1.95 the first nodes are 1.9e-6 relative off on 2048 points and
+    6.2e-4 on 4096, while every node stays within 1e-13 absolute.
     """
-    c = _rl_coefficients(u, gamma) * u.h ** _K[:, None]
+    _rl_check(u, gamma)
+    c = _rl_coefficients(u) * u.h ** _K[:, None]
     w = _node_weights(gamma, u.n)
     size = 1 << (2 * u.n - 3).bit_length()  # power of two >= linear convolution length
     spectrum = np.sum(np.fft.rfft(c, size) * np.fft.rfft(w, size), axis=0)

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import hyp1f1
 
 from whml import halfline, quadrature
 from whml.errors import AccuracyError, DomainError, ResolutionError
@@ -131,14 +132,16 @@ class TestPanelRule:
         assert gaps[2] <= gaps[1] / 4.0
 
     def test_near_boundary_matches_fourier_route(self, u_smooth):
-        # below x = 0.5 the Fourier route's resolution sets the gap: within
-        # 1e-4 at n = 4096, and at x = 0.1 it shrinks at least 4x at n = 8192
+        # below x = 0.5 the Fourier route's resolution sets the gap; each
+        # bound is about 10x the gap at x = 0.1 on n = 4096 (7.8e-9, 2.0e-7,
+        # 5.2e-6, 1.2e-4), and at x = 0.1 the gap shrinks at least 4x at
+        # n = 8192
         fine = GridFunction.from_function(lambda t: t * t * math.exp(-t), 32.0, 8192)
-        for a in (0.25, 0.5, 0.75):
+        for a, bound in ((0.25, 1e-7), (0.5, 2e-6), (0.75, 1e-4), (0.99, 2e-3)):
             k = KernelParams(a)
             au = apply_fourier(u_smooth, k)
             gaps = {x: abs(apply_singular(u_smooth, x, k) - au(x)) for x in (0.1, 0.2, 0.3)}
-            assert max(gaps.values()) <= 1e-4
+            assert max(gaps.values()) <= bound
             fine_gap = abs(apply_singular(fine, 0.1, k) - apply_fourier(fine, k)(0.1))
             assert fine_gap <= gaps[0.1] / 4.0
 
@@ -456,15 +459,20 @@ class TestExactRiemannLiouville:
             assert abs(rl_integral(g, x, gamma) - _rl_of_callable(g, x, gamma)) < 1e-9
 
     def test_n768_has_nodes_off_the_integer_grid(self):
-        # x_j / h is not an integer at some nodes of this grid; those calls
-        # take the between-nodes route and must agree with the node table
+        # x_j / h is not an integer at some nodes of this grid; a call at
+        # such a node still reads the node table, and a call a few ulp off
+        # it takes the between-nodes route and agrees with the table
         g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 768)
         t = g.xs / g.h
         off = np.flatnonzero(t != np.floor(t))
         assert off.size == 89
-        grid = rl_integral_grid(g, 0.3).samples
+        table = halfline._rl_node_table(g, 0.3)
         for j in off:
-            assert abs(rl_integral(g, float(g.xs[j]), 0.3) - grid[j]) < 1e-13
+            x = float(g.xs[j])
+            assert rl_integral(g, x, 0.3) == table[j]
+            for y in (x - 4.0 * math.ulp(x), x + 4.0 * math.ulp(x)):
+                assert y / g.h != int(y / g.h)  # theta != 0: between nodes
+                assert abs(rl_integral(g, y, 0.3) - table[j]) < 1e-13
 
     @pytest.mark.parametrize("gamma", RL_ORDERS)
     @pytest.mark.parametrize("n", [768, 2048])
@@ -493,6 +501,79 @@ class TestExactRiemannLiouville:
         for gamma in (0.0, 2.0):
             with pytest.raises(DomainError):
                 rl_integral_grid(u_short, gamma)
+
+
+def _rl_node_reference(u, m, gamma):
+    """The per-call node sum the node table replaced: node m's four sums
+    over the panels below it against the reversed weights W_k(m..1), each
+    reduced by np.sum on its own."""
+    c = u._cubic().c[::-1]
+    w = halfline._node_weights(gamma, u.n)[:, :m][:, ::-1]
+    sums = np.sum(c[:, :m] * w, axis=1)
+    return float(sums @ u.h ** (np.arange(4.0) + gamma)) / math.gamma(gamma)
+
+
+class TestRiemannLiouvilleNodeTable:
+    """rl_integral at a node reads one cached table per (grid function, gamma)."""
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.7, 1.5, 1.95])
+    @pytest.mark.parametrize("n", [768, 2048, 4096])
+    def test_every_node_matches_per_call_sum(self, n, gamma):
+        # relative per node, the first nodes included, where the FFT route
+        # (absolute error) is up to 6.2e-4 relative off at gamma = 1.95
+        g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, n)
+        nodes = range(1, n - 1)
+        got = np.array([rl_integral(g, float(g.xs[m]), gamma) for m in nodes])
+        ref = np.array([_rl_node_reference(g, m, gamma) for m in nodes])
+        rel = np.abs(got - ref) / np.abs(ref)
+        assert np.max(rel[:8]) <= 4e-15
+        assert np.max(rel) <= 4e-15
+
+    def test_second_call_builds_nothing(self, monkeypatch):
+        g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 256)
+        first = rl_integral(g, float(g.xs[100]), 0.6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("table rebuilt")
+
+        monkeypatch.setattr(np, "convolve", refuse)
+        monkeypatch.setattr(halfline, "_node_weights", refuse)
+        assert rl_integral(g, float(g.xs[100]), 0.6) == first
+        rl_integral(g, float(g.xs[7]), 0.6)
+        rl_integral(g, float(g.xs[254]), 0.6)
+
+    def test_table_is_read_only_and_per_order(self):
+        g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 256)
+        rl_integral(g, float(g.xs[10]), 0.6)
+        table = g._cache[("rl", 0.6)]
+        assert not table.flags.writeable
+        assert table.shape == (g.n,) and table[0] == 0.0
+        rl_integral(g, float(g.xs[10]), 0.9)
+        assert g._cache[("rl", 0.6)] is table
+        assert g._cache[("rl", 0.9)] is not table
+
+    def test_checks_hold_once_a_table_exists(self):
+        g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 256)
+        x = float(g.xs[10])
+        rl_integral(g, x, 0.6)
+        for gamma in (0.0, 2.0, 2.5):
+            with pytest.raises(DomainError, match="0 < gamma < 2"):
+                rl_integral(g, x, gamma)
+        for bad_x in (0.0, g.length, -1.0):
+            with pytest.raises(DomainError, match="0 < x < L"):
+                rl_integral(g, bad_x, 0.6)
+        z = GridFunction((1 + 1j) * g.samples, g.h)
+        with pytest.raises(DomainError, match="real grid function"):
+            rl_integral(z, x, 0.6)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.8, 1.5])
+    def test_nodes_match_closed_form(self, gamma):
+        # I^g (x^2 e^-x) = x^(g+2) 2/Gamma(g+3) 1F1(3; g+3; -x)
+        g = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 2048)
+        xs = g.xs[1:-1]
+        got = np.array([rl_integral(g, float(x), gamma) for x in xs])
+        exact = xs ** (gamma + 2.0) * 2.0 / math.gamma(gamma + 3.0) * hyp1f1(3.0, gamma + 3.0, -xs)
+        assert np.max(np.abs(got - exact)) < 1e-9
 
 
 def _caputo_reference(u, x, gamma):
