@@ -14,7 +14,6 @@ from .contour import (
     build_loop,
     build_validation_loop,
     export_loop,
-    fredholm_index,
     min_modulus,
     winding_number,
 )
@@ -36,16 +35,13 @@ from .halfline import (
     rl_integral,
 )
 from .kernel import (
-    DeltaImage,
     KernelParams,
-    PotentialKind,
     bernstein_residual,
     delta_image,
     frac_laplacian_constant,
     kernel_m,
     kernel_m_oracle,
     killing_coefficient,
-    potential_aminus,
     potential_full,
     symbol_identity_residual,
 )
@@ -61,7 +57,6 @@ from .symbols import (
 )
 from .transcend import (
     alpha_c,
-    arg_beta_series_residual,
     critical_s,
     inequality_scan,
     no_solution_certificate,

@@ -39,7 +39,6 @@ __all__ = [
     "build_validation_loop",
     "min_modulus",
     "winding_number",
-    "fredholm_index",
     "export_loop",
     "FREDHOLM_TOL",
 ]
@@ -395,12 +394,6 @@ def winding_number(loop: SymbolLoop) -> int:
             f"accumulated phase {total} is not within 0.01 of an integer"
         )
     return int(rounded)
-
-
-def fredholm_index(loop: SymbolLoop) -> int:
-    """Index of the symbol's operator on the full half-line space:
-    minus the winding number."""
-    return -winding_number(loop)
 
 
 def export_loop(loop: SymbolLoop, fmt: str = "csv") -> bytes:

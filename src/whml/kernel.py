@@ -1,5 +1,5 @@
 """Jump kernel of the half-line operator, its added potential, and the
-delta-image functions, each next to an independent quadrature oracle.
+boundary delta image, each next to an independent route.
 
 The kernel m is the Levy density of the process generated by the symbol
 (1 + xi^2)^alpha: it behaves like |y|^(-1-2*alpha) at the origin and decays
@@ -10,7 +10,6 @@ closed form here is paired with a direct-integral route used by the tests.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,8 +22,6 @@ from .specfun import bessel_k, kummer_u
 
 __all__ = [
     "KernelParams",
-    "DeltaImage",
-    "PotentialKind",
     "kernel_m",
     "kernel_m_oracle",
     "symbol_identity_residual",
@@ -32,7 +29,6 @@ __all__ = [
     "potential_full",
     "potential_on_grid",
     "delta_image",
-    "potential_aminus",
     "frac_laplacian_constant",
     "killing_coefficient",
 ]
@@ -63,17 +59,6 @@ class KernelParams:
         """(nu, c) of the kernel c |y|^(-nu) K_nu(|y|), computed once."""
         nu = 0.5 + self.alpha
         return nu, self.prefactor * 2.0 ** nu / math.sqrt(math.pi)
-
-
-class DeltaImage(enum.Enum):
-    A_MINUS_DELTA = "a_minus_delta"
-    A_EQ_DELTA = "a_eq_delta"
-    A_EQ_DELTAPRIME_MINUS_DELTA = "a_eq_deltaprime_minus_delta"
-
-
-class PotentialKind(enum.Enum):
-    A_MINUS = "a_minus"
-    A_EQ = "a_eq"
 
 
 def _m_array(y, k: KernelParams):
@@ -177,21 +162,24 @@ def potential_full(x: float, k: KernelParams) -> float:
     """Added potential -integral_x^inf m(w) dw; strictly negative, x > 0.
 
     Blows up like x^(-2 alpha) as x -> 0+ and decays exponentially.  For
-    x < 1 the leading term c0 w^(-1 - 2 alpha) of m (c0 = 2 alpha times the
-    killing coefficient's formula) is integrated in closed form over
-    [x, 2] and quadrature takes only the remainder, to a tolerance set by
-    the closed-form total: integrating m itself loses the head to
-    cancellation and can return a value of the wrong sign.
+    x < 1 the leading term c0 w^(-1 - 2 alpha) of m (c0 = 2 alpha
+    killing_coefficient(k)) is integrated in closed form over [x, 2] and
+    quadrature takes only the remainder m - c0 w^(-1 - 2 alpha), to a
+    tolerance set by the closed-form total: integrating m itself loses the
+    head to cancellation and can return a value of the wrong sign.  An
+    error in c0 comes back through the remainder, so the total does not
+    rest on it.  For x >= 1 the tolerance is relative only: the potential
+    falls below any fixed absolute bound.
     """
     if x <= 0.0:
         raise DomainError("potential_full requires x > 0")
     if x >= 1.0:
         split = max(2.0 * x, 2.0)
         val = q.quad_split_inf(lambda w: _m_array(w, k), x, split,
-                               epsabs=1e-13, epsrel=1e-10)
+                               epsabs=0.0, epsrel=1e-10)
         return -val
     a = k.alpha
-    lead = _killing_formula(a)
+    lead = killing_coefficient(k)
     closed = lead * (x ** (-2.0 * a) - 2.0 ** (-2.0 * a))
     c0 = 2.0 * a * lead
     head = q.quad(lambda w: _m_array(w, k) - c0 * w ** (-1.0 - 2.0 * a), x, 2.0,
@@ -214,45 +202,15 @@ def potential_on_grid(xs: np.ndarray, k: KernelParams) -> np.ndarray:
     return -np.append(np.cumsum(panel[::-1])[::-1] + tail, tail)
 
 
-def delta_image(x: float, k: KernelParams, mode: DeltaImage) -> complex:
-    """Closed-form boundary delta images, each a Kummer-U profile times the
-    complex constant carried by the symbol factorisation."""
+def delta_image(x: float, k: KernelParams) -> complex:
+    """Closed-form image of the boundary delta under the order-reduced
+    operator: a Kummer-U profile times the complex constant carried by the
+    symbol factorisation.  Re(i delta_image(x)) has the x^(-2 alpha)
+    leading term of -potential_full(x)."""
     if x <= 0.0:
         raise DomainError("delta_image requires x > 0")
     a = k.alpha
-    c = k.c_alpha
-    if mode is DeltaImage.A_MINUS_DELTA:
-        return c * math.exp(-x) * kummer_u(a + 1.0, 2.0 * a + 1.0, 2.0 * x)
-    if mode is DeltaImage.A_EQ_DELTA:
-        return 0.5j * c * math.exp(-x) * kummer_u(a + 1.0, 2.0 * a, 2.0 * x)
-    if mode is DeltaImage.A_EQ_DELTAPRIME_MINUS_DELTA:
-        return -1j * c * math.exp(-x) * kummer_u(a + 1.0, 2.0 * a + 1.0, 2.0 * x)
-    raise DomainError(f"unknown delta image mode {mode!r}")
-
-
-def potential_aminus(x: float, k: KernelParams, mode: PotentialKind) -> complex:
-    """Potential of the order-reduced operators, by quadrature of the
-    delta-image profile over (x, inf) to 1e-9 absolute."""
-    if x <= 0.0:
-        raise DomainError("potential_aminus requires x > 0")
-    a = k.alpha
-    if mode is PotentialKind.A_MINUS:
-        if not (a < 0.5):
-            raise DomainError("A_MINUS potential requires alpha < 1/2")
-        b = 2.0 * a + 1.0
-        front = k.c_alpha
-    elif mode is PotentialKind.A_EQ:
-        b = 2.0 * a
-        front = 0.5j * k.c_alpha
-    else:
-        raise DomainError(f"unknown potential kind {mode!r}")
-
-    def integrand(t):
-        return math.exp(-t) * kummer_u(a + 1.0, b, 2.0 * t)
-
-    split = max(2.0 * x, 4.0)
-    val = q.quad_split_inf(integrand, x, split, epsabs=1e-10, epsrel=1e-10)
-    return front * val
+    return k.c_alpha * math.exp(-x) * kummer_u(a + 1.0, 2.0 * a + 1.0, 2.0 * x)
 
 
 def _power_constant(lam: float, a: float) -> float:
@@ -268,20 +226,7 @@ def frac_laplacian_constant(lam: float, k: KernelParams) -> float:
     return _power_constant(lam, k.alpha) / math.pi
 
 
-def _killing_formula(a: float) -> float:
-    """2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(1 - a)): the coefficient of
-    x^(-2 alpha) in integral_x^inf m as x -> 0+, for any 0 < alpha < 1."""
-    return (
-        2.0 ** (2.0 * a - 1.0)
-        * math.gamma(a + 0.5)
-        / (math.sqrt(math.pi) * math.gamma(1.0 - a))
-    )
-
-
 def killing_coefficient(k: KernelParams) -> float:
     """Magnitude of the x^(-2 alpha) leading singularity of the killing
-    potential, 2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(1 - a))."""
-    a = k.alpha
-    if not (0.5 < a < 1.0):
-        raise DomainError("killing_coefficient is stated for 1/2 < alpha < 1")
-    return _killing_formula(a)
+    potential: frac_laplacian_constant(0, k), Gamma(2a) sin(pi a) / pi."""
+    return frac_laplacian_constant(0.0, k)

@@ -18,14 +18,15 @@ import numpy as np
 from .errors import DomainError, PoleError
 from .kernel import _power_constant
 from .reports import VerificationReport
-from .specfun import complex_beta
+# complex_beta is no longer called here; it stays importable from this
+# module, where perfbench's tracer looks it up
+from .specfun import complex_beta  # noqa: F401
 from .symbols import beta_term, sine_ratio
 
 __all__ = [
     "te_residual_zero",
     "alpha_c",
     "critical_s",
-    "arg_beta_series_residual",
     "inequality_scan",
     "no_solution_certificate",
     "SCAN_REGIONS",
@@ -102,33 +103,6 @@ def alpha_c(alpha: float) -> float:
 def critical_s(alpha: float, p: float) -> float:
     """The non-Fredholm smoothness value 1 + 1/p + alpha_c(alpha)."""
     return 1.0 + 1.0 / p + alpha_c(alpha)
-
-
-def arg_beta_series_residual(sigma: float, gamma: float, xi: float, n_terms: int) -> float:
-    """Difference (mod 2 pi) between the arctan series for arg B(sigma+i xi, gamma)
-    and the directly computed argument.
-
-    The truncated sum is completed with the exact antiderivative of its
-    integral tail, so the residual reflects the series identity rather than
-    truncation.
-    """
-    if sigma <= 0.0 or gamma <= 0.0 or xi < 0.0:
-        raise DomainError("arg_beta_series_residual requires sigma, gamma > 0 and xi >= 0")
-    if xi == 0.0:
-        return 0.0
-    n = np.arange(n_terms, dtype=float)
-    series = float(
-        np.sum(np.arctan(xi / (sigma + gamma + n)) - np.arctan(xi / (sigma + n)))
-    )
-
-    def antideriv(base: float, t: float) -> float:
-        u = base + t
-        return u * math.atan2(xi, u) + 0.5 * xi * math.log(u * u + xi * xi)
-
-    tail = antideriv(sigma, float(n_terms)) - antideriv(sigma + gamma, float(n_terms))
-    direct = float(np.angle(complex_beta(complex(sigma, xi), gamma)))
-    diff = (series + tail) - direct
-    return abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
 
 
 def _midgrid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -316,6 +316,18 @@ class TestCli:
         assert cli_main(["verify", "--suite", "symbols"]) == EXIT_VERIFY_FAIL
         capsys.readouterr()
 
+    def test_boundary_cancellation_fails_on_a_wrong_constant(self, capsys, monkeypatch):
+        # the constant both routes are held to, off by 1e-5 relative
+        import whml.verify as verify_mod
+        original = verify_mod.frac_laplacian_constant
+        monkeypatch.setattr(verify_mod, "frac_laplacian_constant",
+                            lambda lam, k: original(lam, k) * (1.0 + 1e-5))
+        row = {rep.name: rep for rep in verify_mod.suite_kernel()}["boundary_cancellation"]
+        assert row.to_json_dict()["pass"] is False
+        assert row.max_residual == pytest.approx(1e-5, rel=1e-2)
+        assert cli_main(["verify", "--suite", "kernel", "--json"]) == EXIT_VERIFY_FAIL
+        capsys.readouterr()
+
     @pytest.mark.parametrize("density", ["0", "-5"])
     def test_verify_density_below_one_is_usage_error(self, density):
         proc = subprocess.run(

@@ -18,7 +18,6 @@ from whml.contour import (
     build_validation_loop,
     eval_segment,
     export_loop,
-    fredholm_index,
     min_modulus,
     winding_number,
 )
@@ -128,7 +127,6 @@ class TestWinding:
         for n in range(1, 5):
             loop = build_validation_loop(n, 256)
             assert winding_number(loop) == -n
-            assert fredholm_index(loop) == n
 
     def test_low_regime_examples(self):
         assert winding_number(build_loop(SpectralParams(0.25, 4.0, 0.7), 256)) == 0

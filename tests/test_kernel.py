@@ -5,9 +5,7 @@ import pytest
 
 from whml.errors import DomainError
 from whml.kernel import (
-    DeltaImage,
     KernelParams,
-    PotentialKind,
     _m_array,
     bernstein_residual,
     delta_image,
@@ -15,7 +13,6 @@ from whml.kernel import (
     kernel_m,
     kernel_m_oracle,
     killing_coefficient,
-    potential_aminus,
     potential_full,
     potential_on_grid,
     symbol_identity_residual,
@@ -192,27 +189,27 @@ class TestPotentialNearOrigin:
         want = _potential_by_subordination(x, a)
         assert potential_full(x, KernelParams(a)) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("a", [0.05, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("x", [10.0, 10.2, 11.6, 20.0])
+    def test_matches_mpmath_beyond_one(self, a, x):
+        # the tolerance is relative alone: the potential is below 1e-3 here,
+        # and an absolute 1e-13 left it 1.4e-10 off at x = 10.2, alpha 0.5
+        want = _potential_by_subordination(x, a)
+        assert potential_full(x, KernelParams(a)) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_leading_term_is_the_killing_formula(self):
-        # the closed-form head carries the whole x^(-2 alpha) singularity
-        for a in (0.6, 0.75, 0.9):
+        # the closed-form head carries the whole x^(-2 alpha) singularity:
+        # x^(2 alpha) times the potential at x and x/2, with one Richardson
+        # step on the x^(2 alpha) correction, is the killing coefficient
+        for a in (0.1, 0.25, 0.5, 0.6, 0.75, 0.9):
             k = KernelParams(a)
-            ratio = -potential_full(1e-10, k) * 1e-10 ** (2.0 * a) / killing_coefficient(k)
-            assert ratio == pytest.approx(1.0, abs=1e-5)
-
-
-def _finv_bessel(t: float, a: float) -> float:
-    """Inverse transform of (1+xi^2)^(a-1) in its Bessel closed form."""
-    return 2.0 ** a / math.gamma(1.0 - a) * t ** (0.5 - a) * bessel_k(a - 0.5, t)
+            near, far = (-potential_full(x, k) * x ** (2.0 * a) for x in (5e-9, 1e-8))
+            t = 0.5 ** (2.0 * a)
+            ratio = (near - t * far) / (1.0 - t) / killing_coefficient(k)
+            assert ratio == pytest.approx(1.0, abs=1e-8), a
 
 
 class TestDeltaImage:
-    def test_mode_ratio(self):
-        k = KernelParams(0.35)
-        for x in (0.3, 1.0, 2.5):
-            ratio = delta_image(x, k, DeltaImage.A_EQ_DELTAPRIME_MINUS_DELTA) / \
-                delta_image(x, k, DeltaImage.A_MINUS_DELTA)
-            assert ratio == pytest.approx(-1j, rel=1e-13)
-
     def test_fourier_integral_oracle(self):
         # (i/sqrt(2 pi)) (1 + d/dx) applied to the inverse transform of
         # (1+xi^2)^(a-1), evaluated by oscillatory quadrature
@@ -227,7 +224,7 @@ class TestDeltaImage:
         h = 1e-5
         oracle = 1j / math.sqrt(2.0 * math.pi) * (
             finv(x0) + (finv(x0 + h) - finv(x0 - h)) / (2.0 * h))
-        assert delta_image(x0, k, DeltaImage.A_MINUS_DELTA) == pytest.approx(
+        assert delta_image(x0, k) == pytest.approx(
             oracle, rel=1e-8)
 
     def test_small_x_limit(self):
@@ -235,69 +232,22 @@ class TestDeltaImage:
         k = KernelParams(a)
         limit = k.c_alpha * 2.0 ** (-2 * a) * math.gamma(2 * a) / math.gamma(a + 1.0)
         x = 1e-7
-        val = x ** (2 * a) * delta_image(x, k, DeltaImage.A_MINUS_DELTA)
+        val = x ** (2 * a) * delta_image(x, k)
         assert val == pytest.approx(limit, rel=1e-3)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            delta_image(-1.0, KernelParams(0.3), DeltaImage.A_MINUS_DELTA)
-
-
-class TestPotentialAminus:
-    def test_decreasing_modulus(self):
-        k = KernelParams(0.3)
-        vals = [abs(potential_aminus(x, k, PotentialKind.A_MINUS))
-                for x in np.linspace(0.5, 5.0, 8)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_bessel_convolution_oracle(self):
-        # convolution of the boundary delta image with the left half-line
-        # indicator, assembled from the Bessel closed form:
-        # integral_x^inf F - F(x), times i/sqrt(2 pi)
-        a, x0 = 0.3, 1.0
-        k = KernelParams(a)
-        tail = quad(lambda t: _finv_bessel(t, a), x0, np.inf,
-                    epsabs=1e-12, epsrel=1e-11)
-        oracle = 1j / math.sqrt(2.0 * math.pi) * (tail - _finv_bessel(x0, a))
-        assert potential_aminus(x0, k, PotentialKind.A_MINUS) == pytest.approx(
-            oracle, rel=1e-9)
-
-    def test_near_origin_structure(self):
-        # the non-smooth component scales like x^(1-2a): the difference from
-        # the origin limit stays bounded after x^(2a-1) scaling
-        a = 0.3
-        k = KernelParams(a)
-        base = potential_aminus(1e-8, k, PotentialKind.A_MINUS)
-        scaled = [
-            abs(potential_aminus(x, k, PotentialKind.A_MINUS) - base) * x ** (2 * a - 1.0)
-            for x in (1e-2, 1e-3, 1e-4)
-        ]
-        assert max(scaled) < 10.0 * abs(k.c_alpha)
-
-    def test_a_eq_integral_form(self):
-        # direct quadrature cross-check of the A_EQ profile
-        from scipy.special import hyperu
-        a, x0 = 0.5, 0.7
-        k = KernelParams(a)
-        val = quad(lambda t: math.exp(-t) * hyperu(a + 1.0, 2.0 * a, 2.0 * t),
-                   x0, np.inf, epsabs=1e-11, epsrel=1e-10)
-        assert potential_aminus(x0, k, PotentialKind.A_EQ) == pytest.approx(
-            0.5j * k.c_alpha * val, rel=1e-10)
-
-    def test_window(self):
-        with pytest.raises(DomainError):
-            potential_aminus(1.0, KernelParams(0.6), PotentialKind.A_MINUS)
-        with pytest.raises(DomainError):
-            potential_aminus(0.0, KernelParams(0.3), PotentialKind.A_MINUS)
+            delta_image(-1.0, KernelParams(0.3))
 
     def test_non_finite_profile_raises(self, monkeypatch):
         # the profile goes through the guarded kummer_u, so a non-finite U
-        # is reported rather than integrated
+        # is reported rather than returned
         import whml.specfun as specfun_mod
         monkeypatch.setattr(specfun_mod._sp, "hyperu", lambda a, b, x: math.nan)
-        for kind in PotentialKind:
-            with pytest.raises(AccuracyOverflow):
-                potential_aminus(1.0, KernelParams(0.3), kind)
+        with pytest.raises(AccuracyOverflow):
+            delta_image(1.0, KernelParams(0.3))
+
+
 
 
 class TestConstants:
@@ -322,8 +272,17 @@ class TestConstants:
                                 epsabs=1e-14, epsrel=1e-13)
             assert abs(killing_coefficient(k) - oracle) < 1e-8
 
+    def test_killing_coefficient_is_the_duplication_formula(self):
+        # Gamma(2a) sin(pi a) / pi, by the duplication and reflection
+        # formulas, is 2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(1 - a))
+        for a in np.linspace(0.01, 0.99, 99):
+            a = float(a)
+            want = 2.0 ** (2.0 * a - 1.0) * math.gamma(a + 0.5) / (
+                math.sqrt(math.pi) * math.gamma(1.0 - a))
+            assert killing_coefficient(KernelParams(a)) == pytest.approx(want, rel=1e-13), a
+
     def test_windows(self):
         with pytest.raises(DomainError):
             frac_laplacian_constant(0.9, KernelParams(0.4))
-        with pytest.raises(DomainError):
-            killing_coefficient(KernelParams(0.4))
+        k = KernelParams(0.4)
+        assert killing_coefficient(k) == frac_laplacian_constant(0.0, k)

@@ -397,9 +397,7 @@ class TestKernelTable:
     def test_potential_matches_oracles(self, n, a):
         # against the 12-point panels between nodes (every node up to L/2,
         # x = 0 read at h/2) to 1e-10, and QUADPACK at a sample of them to
-        # potential_full's own epsrel and epsabs: the latter, 1e-13, is the
-        # looser one from x = 10 on (1.3e-10 relative off 30-digit mpmath
-        # there at alpha 0.75, where the table is 2e-16 off)
+        # potential_full's own epsrel, which is relative alone
         k = KernelParams(a)
         h = 32.0 / (n - 1)
         potential = _moment_tables(k, h, n - 1)[3]
@@ -409,7 +407,7 @@ class TestKernelTable:
         assert potential[half] == pytest.approx(potential_on_grid(xs, k)[half], rel=1e-10, abs=0.0)
         for i in np.unique(np.linspace(0, np.count_nonzero(half) - 1, 12).astype(int)):
             want = potential_full(float(xs[i]), k)
-            assert potential[i] == pytest.approx(want, rel=1e-10, abs=1e-13)
+            assert potential[i] == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_second_fourier_call_makes_no_kernel_call(self, u_smooth, monkeypatch):
         k = KernelParams(0.35)

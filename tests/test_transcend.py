@@ -10,7 +10,6 @@ from whml.errors import DomainError, PoleError
 from whml.symbols import SpectralParams, beta_term, sine_ratio
 from whml.transcend import (
     alpha_c,
-    arg_beta_series_residual,
     critical_s,
     inequality_scan,
     no_solution_certificate,
@@ -191,12 +190,6 @@ class TestCriticalRoot:
 
 
 class TestArgBetaSeries:
-    def test_zero_frequency(self):
-        assert arg_beta_series_residual(1.0, 0.5, 0.0, 100) == 0.0
-
-    def test_agreement(self):
-        assert arg_beta_series_residual(1.2, 0.8, 0.5, 10 ** 5) < 1e-6
-
     def test_series_sign(self):
         # the summed series is negative for 0 < gamma < 1
         sigma, gamma, xi = 1.1, 0.6, 0.8
