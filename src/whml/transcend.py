@@ -5,11 +5,15 @@ of the inequality estimates that keep them apart everywhere else.
 Everything is parameterised by (alpha, tau, xi) with tau = s - 1/p; the
 regularity-order bookkeeping collapses because the sine ratio only sees
 tau (the m = 1 convention is fixed throughout).
+
+Scans run in slabs of whole alphas, on one thread per usable CPU, and their
+reports are bit-identical to a serial per-alpha scan's.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -125,28 +129,42 @@ class _Region:
     grid: str
 
 
-def _cell_min(margin, a, taus, xis):
-    """Smallest margin over the (tau, xi) grid at one alpha, and its cell."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ts = _ts_array(a, taus[:, None], xis[None, :])
-        tb = _tb_array(a, taus[:, None], xis[None, :])
-        m = margin(a, ts, tb, xis[None, :])
-    i = np.unravel_index(np.argmin(m), m.shape)
-    return m[i], i
+_SLAB_CELLS = 2 ** 13
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _slab_min(margin, alphas, taus, xis):
+    """Each alpha's smallest margin over its own (tau, xi) grid, with a row
+    of ``taus`` per alpha, in one array call: rows (margin, tau, xi)."""
+    a, t = alphas[:, None, None], taus[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a per-thread state
+        m = margin(a, _ts_array(a, t, xis), _tb_array(a, t, xis), xis).reshape(len(alphas), -1)
+    rows, i = np.arange(len(alphas)), np.argmin(m, axis=1)
+    return np.stack([m[rows, i], taus[rows, i // len(xis)], xis[i % len(xis)]])
 
 
 def _scan(region: _Region, density: int):
     """Per-alpha midpoint scan of a region: the grid minimum of its margin
-    and the (alpha, tau, xi) where it occurred."""
+    and the (alpha, tau, xi) where it occurred.  Slabs of whole alphas of
+    about _SLAB_CELLS cells run on a thread per usable CPU when there is more
+    than one: numpy keeps the GIL on loops of a few hundred elements."""
     xis = _midgrid(*region.xis, density)
-    worst = math.inf
-    arg = None
-    for a in _midgrid(*region.alphas, density):
-        taus = np.concatenate([_midgrid(lo, hi, density) for lo, hi in region.tau_windows(a)])
-        m, i = _cell_min(region.margin, a, taus, xis)
-        if m < worst:
+    alphas = _midgrid(*region.alphas, density)
+    taus = np.array([np.concatenate([_midgrid(lo, hi, density) for lo, hi in region.tau_windows(a)])
+                     for a in alphas])
+    n = min(len(alphas), max(1, taus.size * len(xis) // _SLAB_CELLS))
+    slabs = ([region.margin] * n, np.array_split(alphas, n), np.array_split(taus, n), [xis] * n)
+    if n == 1 or _WORKERS == 1:
+        parts = list(map(_slab_min, *slabs))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(_WORKERS) as pool:  # read in slab order: the first error is raised
+            parts = list(pool.map(_slab_min, *slabs))
+    worst, arg = math.inf, None
+    for a, m, tau, xi in zip(alphas, *np.concatenate(parts, axis=1)):
+        if m < worst:  # a NaN row minimum fails this and is skipped
             worst = float(m)
-            arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
+            arg = (float(a), float(tau), float(xi))
     return worst, arg
 
 
@@ -206,12 +224,16 @@ _LOW = _Region((0.0, 0.5), lambda a: [(0.0, 1.0)], (0.0, _XI_FAR), _gap,
                "alpha x tau x xi midpoint grid")
 
 
+def _check_density(caller: str, d) -> None:
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 20:
+        raise DomainError(f"{caller} requires an integer grid_density >= 20, got {d!r}")
+
+
 def inequality_scan(region: str, grid_density: int = 40) -> VerificationReport:
     """Evaluate one inequality estimate on a midpoint grid of its stated
     region; reports the minimum margin and where it occurred (violations are
     content, not errors)."""
-    if grid_density < 20:
-        raise DomainError("inequality_scan requires grid_density >= 20")
+    _check_density("inequality_scan", grid_density)
     try:
         spec = SCAN_REGIONS[region.upper()]
     except KeyError as exc:
@@ -228,37 +250,35 @@ def no_solution_certificate(regime: str, grid_density: int = 30,
 
     LOW scans the full admissible cube and reports the smallest separation.
     HIGH scans (tau, xi) per alpha and passes when the grid minimum sits
-    within one cell of the known touching point (xi = 0, tau = 1 + alpha_c).
+    within one cell of the known touching point (xi = 0, tau = 1 + alpha_c);
+    it refuses an empty set of alphas and any alpha outside (0, 1).
     """
-    if grid_density < 20:
-        raise DomainError("no_solution_certificate requires grid_density >= 20")
+    _check_density("no_solution_certificate", grid_density)
     regime = regime.upper()
     if regime == "LOW":
         worst, arg = _scan(_LOW, grid_density)
         return VerificationReport.from_margin(
             "NO_SOLUTION_LOW", f"{_LOW.grid}, {grid_density}^3 cells", worst, 1e-3, arg)
     if regime == "HIGH":
+        if len(alphas) == 0 or not all(0.0 < a < 1.0 for a in alphas):
+            raise DomainError(f"the HIGH certificate requires alphas in (0, 1), got {alphas!r}")
         # the touching point sits exactly at xi = 0, so the frequency grid
         # keeps that row; the tau grid stays at cell midpoints
         taus = _midgrid(1.0, 2.0, grid_density)
         xis = np.linspace(0.0, _XI_FAR, grid_density)
-        tau_cell = (2.0 - 1.0) / grid_density
-        xi_cell = _XI_FAR / grid_density
-        overall_min = math.inf
-        arg = None
-        localized = True
-        details = []
-        for a in alphas:
-            gap, i = _cell_min(_gap, a, taus, xis)
+        tau_cell, xi_cell = 1.0 / grid_density, _XI_FAR / grid_density
+        rows = _slab_min(_gap, np.array(alphas, dtype=float), np.tile(taus, (len(alphas), 1)), xis)
+        overall_min, arg = math.inf, None
+        localized, details = True, []
+        for a, gap, tau, xi in zip(alphas, *rows):
             tau_star = 1.0 + alpha_c(a)
-            ok = (abs(taus[i[0]] - tau_star) <= tau_cell
-                  and xis[i[1]] <= xi_cell)
+            ok = abs(tau - tau_star) <= tau_cell and xi <= xi_cell
             localized &= ok
-            details.append(f"alpha={a}: argmin (tau={taus[i[0]]:.4f}, xi={xis[i[1]]:.4f}) "
+            details.append(f"alpha={a}: argmin (tau={tau:.4f}, xi={xi:.4f}) "
                            f"target tau={tau_star:.4f} ok={ok}")
             if gap < overall_min:
                 overall_min = float(gap)
-                arg = (float(a), float(taus[i[0]]), float(xis[i[1]]))
+                arg = (float(a), float(tau), float(xi))
         return VerificationReport(
             name="NO_SOLUTION_HIGH",
             grid=f"tau x xi midpoint grid, {grid_density}^2 cells per alpha; " + "; ".join(details),

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whml import transcend
 from whml.errors import DomainError, PoleError
+from whml.specfun import AccuracyOverflow
 from whml.symbols import SpectralParams, beta_term, sine_ratio
 from whml.transcend import (
     alpha_c,
@@ -220,6 +223,17 @@ class TestScans:
         with pytest.raises(DomainError):
             inequality_scan("TE99", 20)
 
+    @pytest.mark.parametrize("density", [20.5, 20.0, True, np.float64(20.0), "20"])
+    def test_non_integer_density_refused(self, density):
+        # 20.5 would run a 21-point midgrid whose last point is the region's edge
+        with pytest.raises(DomainError, match="integer grid_density"):
+            inequality_scan("TE2", density)
+        with pytest.raises(DomainError, match="integer grid_density"):
+            no_solution_certificate("LOW", density)
+
+    def test_numpy_integer_density_accepted(self):
+        assert inequality_scan("TE2", np.int64(20)) == inequality_scan("TE2", 20)
+
 
 class TestCertificates:
     def test_low(self):
@@ -237,6 +251,17 @@ class TestCertificates:
             no_solution_certificate("LOW", 5)
         with pytest.raises(DomainError):
             no_solution_certificate("MID", 25)
+
+    @pytest.mark.parametrize("alphas", [(), [], (0.0,), (0.3, math.nan), (math.inf,),
+                                        (0.5, 1.2), (-0.1, 0.5), (1.0,)])
+    def test_high_refuses_bad_alphas_before_scanning(self, alphas, monkeypatch):
+        # an empty set used to pass vacuously; 0, nan and 1.2 failed only
+        # inside or after the scan
+        def no_scan(*args):
+            raise AssertionError("scanned")
+        monkeypatch.setattr(transcend, "_slab_min", no_scan)
+        with pytest.raises(DomainError, match="alphas in"):
+            no_solution_certificate("HIGH", 20, alphas=alphas)
 
 
 # exact grid minima and their cells at density 20; a change to a region's
@@ -260,3 +285,106 @@ def test_pinned_minimum_at_density_20(region):
     else:
         rep = inequality_scan(region, 20)
     assert (rep.min_margin, rep.argmin) == _PINNED_20[region]
+
+
+# the same at density 40, generated once by the serial per-alpha scan that
+# the slab scan replaced: a one-window region runs here in 7 slabs
+_PINNED_40 = {
+    "TE2": (0.12963285186551543, (0.48125, 0.487734375, 0.371875)),
+    "TE3": (1.5015863417607936e-05, (0.00625, 0.018671875, 0.003125)),
+    "TE4": (0.0006251119428544237, (0.00625, 7.8125e-05, 9.875)),
+    "TE6": (0.509707706017623, (0.0125, 1.79015625, 0.371875)),
+    "TE7": (0.0015927258407049645, (0.50625, 1.993828125, 0.003125)),
+    "TE8": (0.0037411943287516333, (0.0125, 1.00015625, 9.875)),
+    "LOW": (0.1272305900109259, (0.43125, 0.0125, 0.125)),
+    "HIGH": (0.020059496046807124, (0.3, 1.2125, 0.0)),
+}
+
+
+@pytest.mark.parametrize("region", sorted(_PINNED_40))
+def test_pinned_minimum_at_density_40(region):
+    if region in ("LOW", "HIGH"):
+        rep = no_solution_certificate(region, 40)
+    else:
+        rep = inequality_scan(region, 40)
+    assert (rep.min_margin, rep.argmin) == _PINNED_40[region]
+
+
+def _serial_scan(region, density):
+    """The per-alpha scan the slabs replaced: one (tau, xi) grid per alpha,
+    minima reduced in alpha order with a strict comparison."""
+    xis = transcend._midgrid(*region.xis, density)
+    worst, arg = math.inf, None
+    for a in transcend._midgrid(*region.alphas, density):
+        taus = np.concatenate([transcend._midgrid(lo, hi, density)
+                               for lo, hi in region.tau_windows(a)])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ts = transcend._ts_array(a, taus[:, None], xis[None, :])
+            tb = transcend._tb_array(a, taus[:, None], xis[None, :])
+            m = region.margin(a, ts, tb, xis[None, :])
+        i = np.unravel_index(np.argmin(m), m.shape)
+        if m[i] < worst:
+            worst, arg = float(m[i]), (float(a), float(taus[i[0]]), float(xis[i[1]]))
+    return worst, arg
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("region", ["TE3", "TE6", "LOW"])
+    def test_one_worker_and_the_pool_agree(self, region, monkeypatch):
+        def scan():
+            if region == "LOW":
+                return no_solution_certificate("LOW", 40).to_json_dict()
+            return inequality_scan(region, 40).to_json_dict()
+        monkeypatch.setattr(transcend, "_WORKERS", 1)
+        serial = scan()
+        monkeypatch.setattr(transcend, "_WORKERS", 2)
+        assert scan() == serial
+
+    def test_density_20_is_one_slab_on_the_calling_thread(self, monkeypatch):
+        calls = []
+        slab_min = transcend._slab_min
+
+        def recorded(*args):
+            calls.append(threading.current_thread())
+            return slab_min(*args)
+        monkeypatch.setattr(transcend, "_slab_min", recorded)
+        monkeypatch.setattr(transcend, "_WORKERS", 2)
+        for region in transcend.SCAN_REGIONS:
+            inequality_scan(region, 20)
+        no_solution_certificate("LOW", 20)
+        no_solution_certificate("HIGH", 20)
+        assert calls == [threading.main_thread()] * 8
+
+    def test_nan_row_is_skipped_as_in_a_serial_scan(self, monkeypatch):
+        te6 = transcend.SCAN_REGIONS["TE6"]
+        # NaN on one cell of the row that holds TE6's minimum at density 40,
+        # and of the last row
+        a_nan, _, xi_nan = _PINNED_40["TE6"][1]
+        a_last = transcend._midgrid(*te6.alphas, 40)[-1]
+
+        def margin(a, ts, tb, xis):
+            m = te6.margin(a, ts, tb, xis)
+            return np.where(((a == a_nan) | (a == a_last)) & (xis == xi_nan), np.nan, m)
+        region = transcend._Region(te6.alphas, te6.tau_windows, te6.xis, margin, te6.grid)
+        monkeypatch.setattr(transcend, "_WORKERS", 2)
+        worst, arg = transcend._scan(region, 40)
+        assert (worst, arg) == _serial_scan(region, 40)
+        assert arg[0] not in (a_nan, a_last) and worst > _PINNED_40["TE6"][0]
+
+    def test_first_failing_slab_raises_and_threads_end(self, monkeypatch):
+        te2 = transcend.SCAN_REGIONS["TE2"]
+        alphas = transcend._midgrid(*te2.alphas, 40)
+
+        def margin(a, ts, tb, xis):
+            # the third slab and the last both fail; the third is read first
+            if np.any(a == alphas[15]):
+                raise PoleError("third slab")
+            if np.any(a == alphas[-1]):
+                raise AccuracyOverflow("last slab")
+            return te2.margin(a, ts, tb, xis)
+        region = transcend._Region(te2.alphas, te2.tau_windows, te2.xis, margin, te2.grid)
+        monkeypatch.setattr(transcend, "_WORKERS", 2)
+        before = threading.active_count()
+        with pytest.raises(PoleError, match="third slab"):
+            transcend._scan(region, 40)
+        assert threading.active_count() == before
