@@ -6,9 +6,9 @@ The loop lives on a six-segment closed contour.  Four segments are exact
 loop-function interpolants with the Mellin factor.  Each curved segment is
 compactified through xi = tan(pi (t - 1/2)) so the infinite junctions are
 honest endpoint limits, then refined until adjacent phase increments are
-small enough for branch-safe unwrapping.  Every segment is evaluated as one
-array of parameters, and each refinement pass bisects all of a segment's
-offending intervals at once.
+small enough for branch-safe unwrapping.  Every evaluation takes one array
+of parameters: a refinement pass bisects all of a segment's offending
+intervals at once, and a pass of the minimum's zoom polish is one grid.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ _MAX_POINTS = 10 ** 6
 _PHASE_CAP = math.pi / 2.0
 _JUNCTION_TOL = 1e-6
 _XI_SATURATION = 1e8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_POLISH_STEPS = 60
-_POLISH_DEPTH = 5
+_POLISH_POINTS = 65
 
 
 class Segment(enum.Enum):
@@ -189,7 +187,8 @@ def _validation_functions(n: int) -> dict:
 
     Its two one-sided limits coincide, so the boundary and multiplier
     segments are constant and the whole loop reduces to the unit-circle
-    curve, traversed clockwise n times.  Each map accepts an array of t.
+    curve, traversed clockwise n times.  Each map is c(xi(t)) on the xi(t)
+    table of the symbol (1 on G1) and accepts an array of t.
     """
 
     def c(xi):
@@ -197,17 +196,10 @@ def _validation_functions(n: int) -> dict:
         xf = np.where(finite, xi, 0.0)
         return np.where(finite, ((xf + 1j) / (xf - 1j)) ** n, 1.0 + 0j)
 
-    def one(t):
-        return np.ones(np.shape(t), dtype=complex)
-
-    return {
-        Segment.G1: one,
-        Segment.G2P: one,
-        Segment.G3P: lambda t: c(-_lambda_down(np.asarray(t, dtype=float))),
-        Segment.G4: lambda t: c(np.zeros(np.shape(t))),
-        Segment.G3M: lambda t: c(_lambda_up(np.asarray(t, dtype=float))),
-        Segment.G2M: one,
-    }
+    funcs = {seg: (lambda t, xi=xi: c(xi(np.asarray(t, dtype=float))))
+             for seg, xi in _SEGMENT_XI.items()}
+    funcs[Segment.G1] = lambda t: np.ones(np.shape(t), dtype=complex)
+    return funcs
 
 
 def _refine(f, t: np.ndarray, budget: int):
@@ -241,9 +233,13 @@ def _refine(f, t: np.ndarray, budget: int):
         v = np.insert(v, idx + 1, f(tm))
 
 
+def _check_count(what: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _assemble(seg_funcs: dict, n_base: int) -> SymbolLoop:
-    if n_base < 64:
-        raise DomainError("build_loop requires n_base >= 64")
+    _check_count("build_loop's n_base", n_base, 64)
     counts = {
         Segment.G1: n_base,
         Segment.G2P: max(2, n_base // 8),
@@ -288,14 +284,13 @@ def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
 
 def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
     """Loop of the rational validation symbol with known winding -n."""
-    if n < 1:
-        raise DomainError("validation symbol order must be >= 1")
+    _check_count("validation symbol order", n, 1)
     return _assemble(_validation_functions(n), n_base)
 
 
 def min_modulus(loop: SymbolLoop) -> float:
-    """Minimum |value| over the refined loop, polished by a golden-section
-    search inside the bracketing parameter interval of the discrete argmin.
+    """Minimum |value| over the refined loop, polished by a zoom search in
+    the discrete argmin's two parameter intervals on its own segment.
 
     The polished value is cached on the loop, so a second call (and
     winding_number) costs no evaluations.
@@ -320,53 +315,21 @@ def _polished_min_modulus(loop: SymbolLoop) -> float:
 
     # polish by re-evaluating along the same segment when evaluators exist
     f = loop.segment_eval.get(SEGMENT_ORDER[k]) if loop.segment_eval else None
-    if f is None:
-        return best
-
-    return min(best, _golden_min(f, a, b))
+    return best if f is None else min(best, _zoom_min(f, a, b))
 
 
-def _golden_min(f, a: float, b: float) -> float:
-    """Smallest |f| at the final points of a golden-section search on
-    [a, b]: at most _POLISH_STEPS steps, stopping once b - a < 1e-14.
-
-    Where a step's new point lies depends only on which side of the bracket
-    the previous steps kept, so the new points of the next _POLISH_DEPTH
-    steps along every branch are evaluated in one array call; the search
-    then follows the branch its comparisons choose.  The iterates are those
-    of the one-point-at-a-time search.
-    """
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = np.abs(f(np.array([x1, x2]))).tolist()
-    state = (a, b, x1, x2)
-    steps = 0
-    while True:
-        # levels[k][j]: bracket after k more steps along branch j, whose
-        # k-th step kept the left part [a, x2] when j is even
-        levels = [[state]]
-        for _ in range(_POLISH_DEPTH):
-            levels.append([
-                child
-                for lo, hi, y1, y2 in levels[-1]
-                for child in ((lo, y2, y2 - _INVPHI * (y2 - lo), y1),
-                              (y1, hi, y2, y1 + _INVPHI * (hi - y1)))
-            ])
-        new_points = [s[2] if j % 2 == 0 else s[3]
-                      for level in levels[1:] for j, s in enumerate(level)]
-        new_values = np.abs(f(np.array(new_points))).tolist()
-        j = offset = 0
-        for level in levels[1:]:
-            j = 2 * j + (0 if f1 < f2 else 1)
-            state = level[j]
-            if j % 2 == 0:
-                f1, f2 = new_values[offset + j], f1
-            else:
-                f1, f2 = f2, new_values[offset + j]
-            offset += len(level)
-            steps += 1
-            if steps == _POLISH_STEPS or state[1] - state[0] < 1e-14:
-                return min(f1, f2)
+def _zoom_min(f, a: float, b: float) -> float:
+    """Smallest |f| seen by a zoom search on [a, b]: each pass evaluates
+    _POLISH_POINTS equally spaced points in one call and keeps the two cells
+    around their argmin (at least 32-fold narrower), until b - a < 1e-14."""
+    best = math.inf
+    while b - a >= 1e-14:
+        x = np.linspace(a, b, _POLISH_POINTS)
+        mods = np.abs(f(x))
+        j = int(np.argmin(mods))
+        best = min(best, float(mods[j]))
+        a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, _POLISH_POINTS - 1)])
+    return best
 
 
 def winding_number(loop: SymbolLoop) -> int:

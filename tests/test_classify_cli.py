@@ -10,7 +10,7 @@ import pytest
 
 from whml.classify import classify
 from whml.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, cli_main
-from whml.contour import Segment, build_loop, eval_segment, min_modulus
+from whml.contour import FREDHOLM_TOL, Segment, build_loop, eval_segment, min_modulus
 from whml.errors import DomainError, NotFredholmError, ResolutionError
 from whml.symbols import SpectralParams
 from whml.transcend import alpha_c, critical_s
@@ -132,9 +132,14 @@ class TestClassifyNumeric:
             rep = classify(a, p, critical_s(a, p) + gap, mode="both")
             assert "consistency=agree" in rep.notes, (a, p, gap, rep.notes)
 
-    @pytest.mark.parametrize("a,p,gap", [(0.2, 2.0, 8e-5), (0.5, 2.0, -8e-5), (0.9, 2.0, 8e-5)])
+    # the benchmark's near-critical triples and their mirrors across s_c:
+    # the loop's minimum modulus lies just above the Fredholm tolerance
+    @pytest.mark.parametrize("a,p,gap", [(0.2, 2.0, 8e-5), (0.5, 2.0, -8e-5), (0.9, 2.0, 8e-5),
+                                         (0.2, 2.0, -8e-5), (0.5, 2.0, 8e-5), (0.9, 2.0, -8e-5)])
     def test_near_critical_verdict_follows_the_side(self, a, p, gap):
-        rep = classify(a, p, critical_s(a, p) + gap, mode="both")
+        s = critical_s(a, p) + gap
+        assert FREDHOLM_TOL < min_modulus(build_loop(SpectralParams(a, p, s))) < 3 * FREDHOLM_TOL
+        rep = classify(a, p, s, mode="both")
         assert "consistency=agree" in rep.notes
         assert rep.fredholm is True
         assert rep.index == (0 if gap < 0 else -1)
@@ -163,7 +168,7 @@ class TestCli:
         assert str(path) in out and "sha256=" in out
         digest = out.strip().split("sha256=")[1]
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["alpha", "alpha_c"]
         assert len(rows) == 6
         for alpha_text, ac_text in rows[1:]:
@@ -195,7 +200,7 @@ class TestCli:
                          "--out", str(path), "--points", "64"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "sha256=" in out
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["segment", "t", "re", "im"]
         for row in rows[1:]:
             z = complex(float(row[2]), float(row[3]))

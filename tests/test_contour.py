@@ -93,6 +93,21 @@ class TestBuildLoop:
         with pytest.raises(DomainError):
             build_loop(SP_LOW, 32)
 
+    @pytest.mark.parametrize("n_base", [256.0, True, np.float64(256.0)])
+    def test_loop_size_must_be_an_integer(self, n_base):
+        with pytest.raises(DomainError, match="n_base must be an integer >= 64"):
+            build_loop(SP_MODEL, n_base)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, False, 0])
+    def test_validation_order_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="order must be an integer >= 1"):
+            build_validation_loop(n)
+
+    def test_numpy_integers_accepted(self):
+        loop = build_validation_loop(np.int64(2), np.int32(128))
+        assert winding_number(loop) == -2
+        assert len(build_loop(SP_MODEL, np.int64(64)).values()) > 0
+
     def test_base_counts_over_the_point_cap(self, monkeypatch):
         # refused before any evaluation: 3 * 340000 + 3 * 42500 base points
         # already exceed the 10^6 cap
@@ -120,6 +135,28 @@ class TestMinModulus:
     def test_near_critical_dip(self):
         loop = build_loop(SpectralParams(0.75, 2.0, 2.226), 256)
         assert min_modulus(loop) < 0.05
+
+    def test_seeded_sample_matches_sequential_golden_section(self, monkeypatch):
+        # LOW, HIGH, and HIGH within 1e-7 to 1e-2 of the critical s
+        calls = []
+        original = contour_mod.eval_segment
+
+        def counting(seg, t, sp):
+            calls.append(seg)
+            return original(seg, t, sp)
+
+        triples = _polish_sample(34, seed=20)
+        assert len(triples) >= 100
+        for triple in triples:
+            loop = build_loop(SpectralParams(*triple))
+            ref = _golden_reference(loop)
+            monkeypatch.setattr(contour_mod, "eval_segment", counting)
+            calls.clear()
+            mm = min_modulus(loop)
+            monkeypatch.undo()
+            assert len(calls) <= 10, triple
+            assert mm == pytest.approx(ref, rel=1e-13, abs=5e-15), triple
+            assert mm <= float(np.min(np.abs(loop.values()))), triple
 
 
 class TestWinding:
@@ -247,6 +284,65 @@ def _validation_value(seg, t, n):
     return (complex(xi, 1.0) / complex(xi, -1.0)) ** n
 
 
+def _sequential_golden_min(f, a, b):
+    """Golden-section search on [a, b], one new point per step, stopping
+    after 60 steps or once b - a < 1e-14: the reference for the polish of
+    min_modulus."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = abs(complex(f(x1))), abs(complex(f(x2)))
+    for _ in range(60):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = abs(complex(f(x1)))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = abs(complex(f(x2)))
+        if b - a < 1e-14:
+            break
+    return min(f1, f2)
+
+
+def _golden_reference(loop):
+    """The discrete minimum modulus, polished by the sequential search on
+    the argmin's neighbouring intervals of its own segment."""
+    seg_index, t, values = loop.arrays()
+    i = int(np.argmin(np.abs(values)))
+    k = seg_index[i]
+    lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
+    hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
+    best = float(abs(values[i]))
+    if t[hi] <= t[lo]:
+        return best
+    f = loop.segment_eval[SEGMENT_ORDER[k]]
+    return min(best, _sequential_golden_min(f, float(t[lo]), float(t[hi])))
+
+
+def _polish_sample(n, seed):
+    """n seeded triples in each of LOW, HIGH, and HIGH at |s - s_c| from
+    1e-7 to 1e-2, with alpha in (0.02, 0.98) and p log-spread over (1.1, 20)."""
+    from whml.transcend import alpha_c
+    rng = np.random.default_rng(seed)
+    out = []
+    for cls in ("LOW", "HIGH", "NEAR"):
+        for _ in range(n):
+            p = float(np.exp(rng.uniform(math.log(1.1), math.log(20.0))))
+            if cls == "LOW":
+                a = float(rng.uniform(0.02, 0.48))
+                s = 1.0 / p + float(rng.uniform(0.02, 0.98))
+            elif cls == "HIGH":
+                a = float(rng.uniform(0.02, 0.98))
+                s = 1.0 + 1.0 / p + float(rng.uniform(0.02, 0.98))
+            else:
+                a = float(rng.uniform(0.02, 0.98))
+                gap = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -2.0))
+                s = 1.0 + 1.0 / p + alpha_c(a) + gap
+            out.append((a, p, s))
+    return out
+
+
 def _sequential_refine(f, n):
     """Midpoint refinement one interval at a time, splitting an interval and
     re-checking its left half before moving on: the reference for the
@@ -330,28 +426,10 @@ class TestArrayAssembly:
         assert calls == []
 
     def test_batched_polish_matches_sequential_golden_section(self):
-        # one new point per step, as a plain golden-section search does
-        def sequential(f, a, b):
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-            f1, f2 = abs(complex(f(x1))), abs(complex(f(x2)))
-            for _ in range(60):
-                if f1 < f2:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - invphi * (b - a)
-                    f1 = abs(complex(f(x1)))
-                else:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + invphi * (b - a)
-                    f2 = abs(complex(f(x2)))
-                if b - a < 1e-14:
-                    break
-            return min(f1, f2)
-
         for triple in README_TRIPLES + ((0.75, 2.0, 2.226),):
             loop = build_loop(SpectralParams(*triple), 128)
             seg_index, t, values = loop.arrays()
             i = int(np.argmin(np.abs(values)))
             f = loop.segment_eval[SEGMENT_ORDER[seg_index[i]]]
-            ref = min(float(abs(values[i])), sequential(f, t[i - 1], t[i + 1]))
+            ref = min(float(abs(values[i])), _sequential_golden_min(f, t[i - 1], t[i + 1]))
             assert min_modulus(loop) == pytest.approx(ref, rel=1e-13, abs=1e-16)

@@ -263,15 +263,6 @@ class TestConstants:
         lhs = frac_laplacian_constant(0.0, k) * math.pi
         assert lhs == pytest.approx(math.gamma(2 * a) * math.sin(math.pi * a), rel=1e-13)
 
-    def test_killing_oracle(self):
-        for a in (0.6, 0.75, 0.9):
-            k = KernelParams(a)
-            c1a = a * 2.0 ** (2 * a) * math.gamma(a + 0.5) / (
-                math.sqrt(math.pi) * math.gamma(1.0 - a))
-            oracle = c1a * quad(lambda t: (1.0 + t) ** (-1.0 - 2.0 * a), 0.0, np.inf,
-                                epsabs=1e-14, epsrel=1e-13)
-            assert abs(killing_coefficient(k) - oracle) < 1e-8
-
     def test_killing_coefficient_is_the_duplication_formula(self):
         # Gamma(2a) sin(pi a) / pi, by the duplication and reflection
         # formulas, is 2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(1 - a))
