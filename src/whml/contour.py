@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotFredholmError, ResolutionError
+from .errors import DomainError, NotFredholmError, ResolutionError, is_integer
 from .specfun import scalar_or_array
 from .symbols import (
     SpectralParams,
@@ -234,7 +234,7 @@ def _refine(f, t: np.ndarray, budget: int):
 
 
 def _check_count(what: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    if not is_integer(value) or value < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
 
 

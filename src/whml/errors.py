@@ -1,4 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer test of count arguments."""
+
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class DomainError(ValueError):
@@ -10,7 +17,8 @@ class PoleError(DomainError):
 
 
 class GammaOverflowError(DomainError):
-    """Gamma argument beyond the overflow guard |Re z| > 170."""
+    """The base of specfun.AccuracyOverflow, which is raised when a special
+    function gives inf or nan on finite input; nothing raises this directly."""
 
 
 class AccuracyError(RuntimeError):

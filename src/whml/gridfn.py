@@ -5,20 +5,21 @@ A grid function evaluates as its not-a-knot cubic spline, zero outside
 A real function at one Python float (the callbacks of adaptive quadrature)
 is evaluated in pure Python on zero-copy views of the same breakpoints and
 coefficient rows, repeating ``PPoly``'s own interval search and summation
-order, so it returns the array call's bits at about a tenth of its cost.  Rules
-that read a derivative at every node below a point (the Caputo product
-rule) take its node values and panel slopes from a table built once per
-derivative order.
+order, so it returns the array call's bits at about a tenth of its cost.
+Other modules read the coefficient rows through ``coefficients()`` and keep
+their tables of a grid function on it through ``table(key, build)``.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 
 __all__ = ["GridFunction"]
 
@@ -35,19 +36,19 @@ class GridFunction:
 
     samples: np.ndarray
     h: float
-    # built on first use: the node array under "xs", per derivative order
-    # the piecewise polynomial with its scalar views, and per derivative
-    # order under ("nodes", order) its node table (see _node_table), and
-    # under "profile" the energy form's coefficient table
-    # (halfline._profile)
+    # built on first use: per derivative order the piecewise polynomial with
+    # its scalar views (_piecewise), and each read-only table under its key
+    # (table): the nodes, the coefficient rows and the tables of other modules.
+    # xs and is_real, read on every call of the halfline routes, are cached
+    # properties as well
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
         if samples.ndim != 1 or samples.size < _MIN_POINTS:
             raise DomainError(f"GridFunction needs at least {_MIN_POINTS} samples")
-        if not (self.h > 0.0):
-            raise DomainError("GridFunction needs spacing h > 0")
+        if not (self.h > 0.0 and math.isfinite(float(self.h) * (samples.size - 1))):
+            raise DomainError("GridFunction needs spacing h > 0 and a finite length (n - 1) h")
         if not np.all(np.isfinite(samples)):
             raise DomainError("GridFunction samples must be finite")
         samples = samples.astype(complex) if np.iscomplexobj(samples) else samples.astype(float)
@@ -56,6 +57,8 @@ class GridFunction:
 
     @classmethod
     def from_function(cls, f, length: float, n: int) -> "GridFunction":
+        if not is_integer(n):
+            raise DomainError(f"GridFunction.from_function needs an integer n, got {n!r}")
         if n < _MIN_POINTS:
             raise DomainError(f"GridFunction needs at least {_MIN_POINTS} samples")
         h = length / (n - 1)
@@ -81,27 +84,26 @@ class GridFunction:
             self._cache[order] = piece
         return piece
 
-    def _node_table(self, order: int):
-        """(nodes, f, slopes) of the spline's derivative of the given order,
-        built on first use: f its values at every node from one array call,
-        slopes those of its linear interpolant on each panel,
-        np.diff(f) / np.diff(nodes), and nodes the node array.  All three
-        are read-only."""
-        key = ("nodes", order)
+    def _cubic(self) -> CubicSpline:
+        """The not-a-knot cubic spline through the samples, built on first use."""
+        return self._piecewise(0)[0]
+
+    def table(self, key, build):
+        """The table kept under key, built by build() on first use; every
+        array in it, or in the tuple it is, is made read-only."""
         table = self._cache.get(key)
         if table is None:
-            nodes = self.xs
-            f = self.derivative(order)(nodes)
-            slopes = np.diff(f) / np.diff(nodes)
-            f.setflags(write=False)
-            slopes.setflags(write=False)
-            table = self._cache[key] = (nodes, f, slopes)
+            table = build()
+            for part in table if isinstance(table, tuple) else (table,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            self._cache[key] = table
         return table
 
-    def _cubic(self) -> CubicSpline:
-        """The not-a-knot cubic spline through the samples, built on first use;
-        its ``c[3 - k, j]`` multiplies ``(x - x_j)^k`` on panel j."""
-        return self._piecewise(0)[0]
+    def coefficients(self) -> np.ndarray:
+        """The spline's coefficient rows, read-only: c[k, j] multiplies
+        (x - x_j)^k on panel j, k = 0..3."""
+        return self.table("coefficients", lambda: self._cubic().c[::-1])
 
     @property
     def n(self) -> int:
@@ -111,17 +113,12 @@ class GridFunction:
     def length(self) -> float:
         return self.h * (self.n - 1)
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
         """The nodes j*h, read-only and built once."""
-        xs = self._cache.get("xs")
-        if xs is None:
-            xs = self.h * np.arange(self.n)
-            xs.setflags(write=False)
-            self._cache["xs"] = xs
-        return xs
+        return self.table("xs", lambda: self.h * np.arange(self.n))
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.samples)
 

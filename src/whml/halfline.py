@@ -19,15 +19,12 @@ coefficients (cached per grid function) against the moments, with no
 adaptive quadrature.  The fractional integral/derivative pair that links
 boundary differences to Mellin kernels lives here as well: the
 Riemann-Liouville integral is exact on the cubic spline through
-incomplete-beta product weights.  A call between nodes sums its own
-weights; a call at a node reads one node table per (grid function, order),
-four direct convolutions built on the first node call and cached
-read-only, each node within a few ulp of its own sum, and the whole-grid
-route returns that table.  The adaptive quadrature route is kept as its
-oracle.  The Caputo derivative keeps order-2 product integration on a
-per-order node table of each grid function, so a call adds only its own
-partial panel; the Mellin residual calls it inside an adaptive quad,
-thousands of times.
+incomplete-beta product weights, with the adaptive quadrature route as its
+oracle; a call at a node reads the node table of (grid function, order).
+The Caputo derivative is order-2 product integration on a node table of
+the derivative, so a call adds only its own partial panel.  The tables of
+one grid function (the form's profile coefficients and both node tables)
+are kept on it, read-only, through GridFunction.table.
 """
 
 from __future__ import annotations
@@ -42,9 +39,9 @@ from scipy.special import beta as beta_fn, betainc, roots_jacobi
 from . import quadrature as q
 from .errors import AccuracyError, DomainError, ResolutionError
 from .gridfn import GridFunction
-# kernel_m and potential_on_grid are no longer called here; they stay
-# importable from this module, where perfbench's tracer looks them up
-from .kernel import KernelParams, _m_array, kernel_m, potential_on_grid  # noqa: F401
+# potential_on_grid is no longer called here; it stays importable from this
+# module, where perfbench's tracer looks it up
+from .kernel import KernelParams, kernel_m, potential_on_grid  # noqa: F401
 
 __all__ = [
     "apply_singular",
@@ -123,7 +120,7 @@ def _weighted_panels(lo: np.ndarray, hi: np.ndarray, k: KernelParams, orders=_PA
         s, wt = _gauss_legendre(order)
         width = (hi - lo)[:, None]
         rules.append((lo[:, None] + width * s, width * wt))
-    m = _m_array(np.concatenate([w.ravel() for w, _ in rules]), k)
+    m = kernel_m(np.concatenate([w.ravel() for w, _ in rules]), k)
     out, at = [], 0
     for w, wt in rules:
         out.append((w, wt * m[at:at + w.size].reshape(w.shape)))
@@ -191,13 +188,13 @@ def _second_difference(u: GridFunction, x: float):
     which G uses up to w = min(x, 1): there the difference of spline
     values would cancel against a large kernel.
     """
-    xs, c = u.xs, u._cubic().c
+    xs, c = u.xs, u.coefficients()
     j = min(int(np.searchsorted(xs, x, side="right")) - 1, u.n - 2)
     s = x - xs[j]
     ux = u(x)
-    u2 = 2.0 * c[1, j] + 6.0 * c[0, j] * s
+    u2 = 2.0 * c[2, j] + 6.0 * c[3, j] * s
     delta = min(xs[j + 1] - x, s if s > 0.0 else x - xs[j - 1], _NEAR_FIELD_MAX)
-    jump = 0.0 if s > 0.0 else c[0, j] - c[0, j - 1]
+    jump = 0.0 if s > 0.0 else c[3, j] - c[3, j - 1]
 
     reach = min(x, 1.0)
     lo = max(int(np.searchsorted(xs, x - reach, side="left")), 1)
@@ -205,7 +202,7 @@ def _second_difference(u: GridFunction, x: float):
     dist = np.abs(x - xs[lo:hi])
     order = np.argsort(dist)
     dist = dist[order]
-    jumps = (c[0, lo:hi] - c[0, lo - 1:hi - 1])[order]
+    jumps = (c[3, lo:hi] - c[3, lo - 1:hi - 1])[order]
     # prefix sums of J_i d_i^p, p = 0..3, led by zeros
     sums = np.zeros((4, dist.size + 1))
     sums[:, 1:] = np.cumsum(jumps * dist ** _K[:, None], axis=1)
@@ -232,7 +229,7 @@ def _near_field(k: KernelParams, u2: float, jump: float, delta: float,
     scale = np.array([1.0, -1.0][:ends.size]) * ends ** (2.0 - 2.0 * a)
     rules = [_gauss_jacobi(a, order) for order in _JACOBI_ORDERS]
     w = np.concatenate([np.outer(ends, s).ravel() for s, _ in rules])
-    f = _m_array(w, k) * w ** (1.0 + 2.0 * a) * (-u2 - jump * w)
+    f = kernel_m(w, k) * w ** (1.0 + 2.0 * a) * (-u2 - jump * w)
     out, at = [], 0
     for s, wt in rules:
         out.append(float(scale @ (f[at:at + ends.size * s.size].reshape(ends.size, -1) @ wt)))
@@ -360,7 +357,7 @@ def _profile_table(u: GridFunction):
     (h/2) u(L)^2, whose integral against m diverges, is left out.
     """
     n, h = u.n, u.h
-    c = u._cubic().c[::-1]
+    c = u.coefficients()
     om = np.full(n, h)
     om[[0, -1]] *= 0.5
     weighted = om * u.samples
@@ -386,15 +383,13 @@ def _profile(u: GridFunction):
     """(l2, G) of _profile_table, cached on the grid function; a complex one
     adds the tables of its real and imaginary parts (the spline is linear in
     its samples, so the form splits the same way)."""
-    table = u._cache.get("profile")
-    if table is None:
+    def build():
         if u.is_real:
-            l2, g = _profile_table(u)
-        else:
-            parts = [_profile_table(GridFunction(p, u.h)) for p in (u.samples.real, u.samples.imag)]
-            l2, g = parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]
-        table = u._cache["profile"] = (l2, _read_only(g)[0])
-    return table
+            return _profile_table(u)
+        parts = [_profile_table(GridFunction(p, u.h)) for p in (u.samples.real, u.samples.imag)]
+        return parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]
+
+    return u.table("profile", build)
 
 
 @lru_cache(maxsize=32)
@@ -424,7 +419,7 @@ def _moment_tables(k: KernelParams, h: float, panels: int):
     for table, order in zip((low, high), _JACOBI_ORDERS):
         t, wt = _gauss_jacobi(k.alpha, order)
         s = head * t
-        f = _m_array(s, k) * s ** (1.0 + 2.0 * k.alpha) * wt * head ** (2.0 - 2.0 * k.alpha)
+        f = kernel_m(s, k) * s ** (1.0 + 2.0 * k.alpha) * wt * head ** (2.0 - 2.0 * k.alpha)
         table[2:, 0] += s ** (_POWERS[2:, None] - 2.0) @ f
 
     def moments(tables, j, orders):
@@ -513,22 +508,15 @@ def _rl_weights(d: np.ndarray, gamma: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _node_weights(gamma: float, n: int) -> np.ndarray:
     """W_k(1..n-1): the weights of every node on an n-point grid."""
-    w = _rl_weights(np.arange(1.0, n), gamma)
-    w.setflags(write=False)
-    return w
+    return _read_only(_rl_weights(np.arange(1.0, n), gamma))[0]
 
 
-def _rl_check(u: GridFunction, gamma: float) -> None:
-    """Refuse an order or a grid function the RL routes do not support."""
+def _rl_check(u: GridFunction, gamma: float, caller: str = "rl_integral") -> None:
+    """Refuse an order or a grid function the RL and Caputo routes do not support."""
     if not (0.0 < gamma < 2.0):
-        raise DomainError("rl_integral supports 0 < gamma < 2")
+        raise DomainError(f"{caller} supports 0 < gamma < 2")
     if not u.is_real:
-        raise DomainError("rl_integral expects a real grid function")
-
-
-def _rl_coefficients(u: GridFunction) -> np.ndarray:
-    """The spline coefficients c[k, j] of (y - x_j)^k on panel j."""
-    return u._cubic().c[::-1]
+        raise DomainError(f"{caller} expects a real grid function")
 
 
 def _rl_node_table(u: GridFunction, gamma: float) -> np.ndarray:
@@ -542,16 +530,13 @@ def _rl_node_table(u: GridFunction, gamma: float) -> np.ndarray:
     6.2e-4 relative at node 1 for x^2 e^-x on [0, 8], gamma 1.95, 4096
     points).
     """
-    key = ("rl", gamma)
-    table = u._cache.get(key)
-    if table is None:
-        c = _rl_coefficients(u)
+    def build():
+        c = u.coefficients()
         w = _node_weights(gamma, u.n)
         sums = np.array([np.convolve(c[k, :u.n - 1], w[k])[:u.n - 1] for k in range(4)])
-        table = np.concatenate(([0.0], u.h ** (_K + gamma) @ sums / math.gamma(gamma)))
-        table.setflags(write=False)
-        u._cache[key] = table
-    return table
+        return np.concatenate(([0.0], u.h ** (_K + gamma) @ sums / math.gamma(gamma)))
+
+    return u.table(("rl", gamma), build)
 
 
 def rl_integral(u: GridFunction, x: float, gamma: float) -> float:
@@ -582,7 +567,7 @@ def rl_integral(u: GridFunction, x: float, gamma: float) -> float:
         return float(_rl_node_table(u, gamma)[m])
     if x == xs[m + 1]:
         return float(_rl_node_table(u, gamma)[m + 1])
-    c = _rl_coefficients(u)
+    c = u.coefficients()
     w = _rl_weights(np.arange(m, 0, -1) + theta, gamma)
     sums = (np.sum(c[:, :m] * w, axis=1)
             + c[:, m] * theta ** (_K + gamma) * beta_fn(_K + 1.0, gamma))
@@ -598,6 +583,19 @@ def rl_integral_grid(u: GridFunction, gamma: float) -> GridFunction:
     return GridFunction(_rl_node_table(u, gamma), u.h)
 
 
+def _node_table(u: GridFunction, order: int):
+    """(nodes, f, slopes) of the spline's derivative of the given order,
+    kept read-only on the grid function: f its values at every node from
+    one array call, slopes those of its linear interpolant on each panel,
+    np.diff(f) / np.diff(nodes), and nodes the node array."""
+    def build():
+        nodes = u.xs
+        f = u.derivative(order)(nodes)
+        return nodes, f, np.diff(f) / np.diff(nodes)
+
+    return u.table(("nodes", order), build)
+
+
 def caputo_derivative(u: GridFunction, x: float, gamma: float) -> float:
     """Caputo fractional derivative: the RL integral of order beta = n - gamma
     of the n-th derivative f = u^(n), n = 1 for gamma < 1 and n = 2 for
@@ -607,26 +605,23 @@ def caputo_derivative(u: GridFunction, x: float, gamma: float) -> float:
     and x itself, and each panel is integrated against (x - y)^(beta - 1)
     exactly, so the singular endpoint carries no quadrature error.  Only
     the last, partial panel is new at each x: f at every node and the slopes
-    of the full panels come from the grid function's node table, built once
-    per order, and f(x) from the scalar spline path.  One power pass over
-    t = x - y serves both ends of every panel, since x - x_(j+1) is both the
-    right end of panel j and the left end of panel j + 1.
+    of the full panels come from the node table of (u, order), built once,
+    and f(x) from the scalar spline path.  One power pass over t = x - y
+    serves both ends of every panel, since x - x_(j+1) is both the right end
+    of panel j and the left end of panel j + 1.
 
     gamma = 1 returns u'(x) - u'(0) exactly (the degenerate case of the
     definition); the one-sided derivative at 0 comes from the spline.
     """
     if not (0.0 < x < u.length):
         raise DomainError("caputo_derivative requires 0 < x < L")
-    if not (0.0 < gamma < 2.0):
-        raise DomainError("caputo_derivative supports 0 < gamma < 2")
-    if not u.is_real:
-        raise DomainError("caputo_derivative expects a real grid function")
+    _rl_check(u, gamma, "caputo_derivative")
     if gamma == 1.0:
         du = u.derivative(1)
         return du(x) - du(0.0)
     n = 1 if gamma < 1.0 else 2
     beta = n - gamma
-    nodes, f, slopes = u._node_table(n)
+    nodes, f, slopes = _node_table(u, n)
     m = bisect_left(memoryview(nodes), x)  # the nodes below x
     t = np.empty(m + 1)
     np.subtract(x, nodes[:m], out=t[:m])

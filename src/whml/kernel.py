@@ -61,23 +61,17 @@ class KernelParams:
         return nu, self.prefactor * 2.0 ** nu / math.sqrt(math.pi)
 
 
-def _m_array(y, k: KernelParams):
-    """Kernel values c |y|^(-nu) K_nu(|y|), nu = 1/2 + alpha, for y != 0;
-    accepts arrays, and bessel_k guards every entry.  A float y skips the
-    array conversion; np.power and K run the same loops on it."""
+def kernel_m(y, k: KernelParams):
+    """Closed-form jump kernel m(y) = c |y|^(-nu) K_nu(|y|), nu = 1/2 + alpha,
+    even and positive, on arrays; bessel_k's guard refuses y = 0 in any
+    entry.  A float gives a float, skipping the array conversion."""
     nu, c = k._m_constants
     ay = abs(y) if isinstance(y, float) else np.abs(np.asarray(y, dtype=float))
+    kv = bessel_k(nu, ay)  # first, so that y = 0 is refused before the power divides by 0
     # np.power, not **: on a numpy scalar ** calls the C library's pow, while
     # np.power runs the array loop, so a scalar gets the array's last bit
-    return c * np.power(ay, -nu) * bessel_k(nu, ay)
-
-
-def kernel_m(y: float, k: KernelParams) -> float:
-    """Closed-form jump kernel m(y); even in y, strictly positive, y != 0.
-    A scalar view of the array formula."""
-    if y == 0.0:
-        raise DomainError("kernel_m is singular at y = 0")
-    return float(_m_array(y, k))
+    m = c * np.power(ay, -nu) * kv
+    return float(m) if isinstance(y, float) else m
 
 
 def kernel_m_oracle(y: float, k: KernelParams) -> float:
@@ -124,13 +118,13 @@ def symbol_identity_residual(xi: float, k: KernelParams) -> float:
     def inner(t):
         y = t ** kappa
         osc = 2.0 * math.sin(0.5 * y * axi) ** 2
-        return osc * _m_array(y, k) * kappa * t ** (kappa - 1.0)
+        return osc * kernel_m(y, k) * kappa * t ** (kappa - 1.0)
 
     inner_val = q.quad(inner, 0.0, y0 ** (1.0 / kappa), epsabs=1e-11, epsrel=1e-10)
 
     y_cut = 60.0  # m(60) ~ 1e-28, far below any tolerance in play
-    plain = q.quad(lambda y: _m_array(y, k), y0, y_cut, epsabs=1e-11, epsrel=1e-10)
-    cosw = q.quad(lambda y: _m_array(y, k), y0, y_cut, weight="cos", wvar=axi,
+    plain = q.quad(lambda y: kernel_m(y, k), y0, y_cut, epsabs=1e-11, epsrel=1e-10)
+    cosw = q.quad(lambda y: kernel_m(y, k), y0, y_cut, weight="cos", wvar=axi,
                   epsabs=1e-11, epsrel=1e-10)
     total = 2.0 * (inner_val + plain - cosw)
     return abs((1.0 + xi * xi) ** a - 1.0 - total)
@@ -175,16 +169,16 @@ def potential_full(x: float, k: KernelParams) -> float:
         raise DomainError("potential_full requires x > 0")
     if x >= 1.0:
         split = max(2.0 * x, 2.0)
-        val = q.quad_split_inf(lambda w: _m_array(w, k), x, split,
+        val = q.quad_split_inf(lambda w: kernel_m(w, k), x, split,
                                epsabs=0.0, epsrel=1e-10)
         return -val
     a = k.alpha
     lead = killing_coefficient(k)
     closed = lead * (x ** (-2.0 * a) - 2.0 ** (-2.0 * a))
     c0 = 2.0 * a * lead
-    head = q.quad(lambda w: _m_array(w, k) - c0 * w ** (-1.0 - 2.0 * a), x, 2.0,
+    head = q.quad(lambda w: kernel_m(w, k) - c0 * w ** (-1.0 - 2.0 * a), x, 2.0,
                   epsabs=1e-10 * closed, epsrel=1e-10)
-    tail = q.quad(lambda w: _m_array(w, k), 2.0, np.inf, epsabs=1e-13, epsrel=1e-10)
+    tail = q.quad(lambda w: kernel_m(w, k), 2.0, np.inf, epsabs=1e-13, epsrel=1e-10)
     return -(closed + head + tail)
 
 
@@ -197,7 +191,7 @@ def potential_on_grid(xs: np.ndarray, k: KernelParams) -> np.ndarray:
         raise DomainError("potential_on_grid needs an increasing grid with x > 0")
     t, wt = np.polynomial.legendre.leggauss(12)
     half, mid = 0.5 * (xs[1:] - xs[:-1]), 0.5 * (xs[1:] + xs[:-1])
-    panel = half * (_m_array(mid[:, None] + half[:, None] * t, k) @ wt)
+    panel = half * (kernel_m(mid[:, None] + half[:, None] * t, k) @ wt)
     tail = -potential_full(xs[-1], k)
     return -np.append(np.cumsum(panel[::-1])[::-1] + tail, tail)
 

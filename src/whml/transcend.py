@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, is_integer
 from .kernel import _power_constant
 from .reports import VerificationReport
 # complex_beta is no longer called here; it stays importable from this
@@ -225,7 +225,7 @@ _LOW = _Region((0.0, 0.5), lambda a: [(0.0, 1.0)], (0.0, _XI_FAR), _gap,
 
 
 def _check_density(caller: str, d) -> None:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 20:
+    if not is_integer(d) or d < 20:
         raise DomainError(f"{caller} requires an integer grid_density >= 20, got {d!r}")
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .gridfn import GridFunction
 from .halfline import (
     apply_fourier,
@@ -248,6 +248,10 @@ SUITES = {
 
 
 def run_suite(name: str, density: int = 20) -> list:
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; the suites are {', '.join(SUITES)}")
+    if not is_integer(density):
+        raise DomainError(f"density must be an integer, got {density!r}")
     if density < 1:
         raise DomainError(f"density must be at least 1, got {density}")
     return SUITES[name](density)

@@ -345,6 +345,17 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("name, density, message", [
+        ("bogus", 20, "unknown suite 'bogus'"),
+        ("kernel", 25.5, "density must be an integer, got 25.5"),
+        ("kernel", True, "density must be an integer, got True"),
+        ("kernel", 0, "density must be at least 1, got 0"),
+    ])
+    def test_run_suite_refuses_bad_arguments(self, name, density, message):
+        from whml.verify import run_suite
+        with pytest.raises(DomainError, match=message):
+            run_suite(name, density)
+
     def test_symbols_suite_floors_its_xi_grid(self, monkeypatch):
         import whml.verify as verify_mod
 

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import whml
 from whml.errors import DomainError
 from whml.gridfn import GridFunction
 
@@ -16,6 +18,13 @@ def test_construction_guards():
     bad[3] = np.nan
     with pytest.raises(DomainError):
         GridFunction(bad, 0.1)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, 1e308, np.float64(1e308)])
+def test_refuses_a_non_finite_spacing_or_length(h):
+    # h = 1e308 is finite, but the grid's end 15 h is not
+    with pytest.raises(DomainError, match="finite length"):
+        GridFunction(np.ones(16), h)
 
 
 def test_geometry():
@@ -72,6 +81,19 @@ def test_from_function_rejects_short_grid_before_sampling():
         with pytest.raises(DomainError):
             GridFunction.from_function(calls.append, 1.0, n)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [16.5, 2048.0, "32", None])
+def test_from_function_refuses_a_non_integer_count_before_sampling(n):
+    calls = []
+    with pytest.raises(DomainError, match="integer n"):
+        GridFunction.from_function(calls.append, 1.0, n)
+    assert calls == []
+
+
+def test_from_function_takes_a_numpy_integer_count():
+    u = GridFunction.from_function(math.sin, 1.0, np.int64(17))
+    assert u.n == 17 and u.h == 1.0 / 16
 
 
 def test_load_text_names_the_malformed_line(tmp_path):
@@ -166,3 +188,58 @@ def test_derivative_and_nodes_are_built_once():
     assert u.xs is u.xs and not u.xs.flags.writeable
     assert u._piecewise(1) is u._piecewise(1)
     assert u._piecewise(0)[0] is u._cubic()
+
+
+def test_table_is_built_once_and_kept():
+    u = _bump()
+    builds = []
+
+    def build():
+        builds.append(1)
+        return np.arange(3.0)
+
+    first = u.table("probe", build)
+    assert u.table("probe", build) is first
+    assert builds == [1]
+    assert u.table("other", lambda: np.arange(3.0)) is not first
+
+
+def test_table_arrays_are_read_only():
+    u = _bump()
+    single = u.table("single", lambda: np.zeros(4))
+    scale, a, b = u.table("tuple", lambda: (1.5, np.zeros(3), np.ones(2)))
+    assert scale == 1.5
+    for array in (single, a, b):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_coefficients_reproduce_the_spline_at_the_nodes():
+    u = _bump()
+    c = u.coefficients()
+    assert c.shape == (4, u.n - 1) and not c.flags.writeable
+    assert u.coefficients() is c
+    nodes = u.xs[:-1]
+    np.testing.assert_array_equal(c[0], u(nodes))
+    np.testing.assert_array_equal(c[0], u.samples[:-1])
+    np.testing.assert_array_equal(c[1], u.derivative(1)(nodes))
+    np.testing.assert_array_equal(2.0 * c[2], u.derivative(2)(nodes))
+    # between nodes the rows are the panel's powers of x - x_j
+    s = 0.3 * u.h
+    between = c.T @ s ** np.arange(4.0)
+    np.testing.assert_allclose(between, u(nodes + s), rtol=1e-14, atol=1e-16)
+
+
+def test_only_gridfn_reads_the_spline_internals():
+    # the spline's storage and the grid function's cache belong to gridfn,
+    # and kernel_m is the kernel's one array-first implementation
+    offenders = []
+    for path in sorted(Path(whml.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "gridfn.py":
+            offenders += [(path.name, name) for name in ("._cache", "._cubic(", "._piecewise(")
+                          if name in text]
+        if "_m_array" in text:
+            offenders.append((path.name, "_m_array"))
+    assert offenders == []

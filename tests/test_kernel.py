@@ -6,7 +6,6 @@ import pytest
 from whml.errors import DomainError
 from whml.kernel import (
     KernelParams,
-    _m_array,
     bernstein_residual,
     delta_image,
     frac_laplacian_constant,
@@ -42,9 +41,9 @@ class TestKernelM:
         for a in ALPHAS:
             k = KernelParams(a)
             scalar = np.array([kernel_m(y, k) for y in ys.tolist()])
-            one_element = np.array([float(_m_array(np.array([y]), k)[0]) for y in ys])
+            one_element = np.array([float(kernel_m(np.array([y]), k)[0]) for y in ys])
             np.testing.assert_array_equal(scalar.view(np.int64), one_element.view(np.int64))
-            np.testing.assert_array_equal(scalar.view(np.int64), _m_array(ys, k).view(np.int64))
+            np.testing.assert_array_equal(scalar.view(np.int64), kernel_m(ys, k).view(np.int64))
             assert [kernel_m(-y, k) for y in ys.tolist()] == scalar.tolist()
 
     def test_non_finite_bessel_raises(self, monkeypatch):
@@ -91,6 +90,8 @@ class TestKernelM:
     def test_singular_point(self):
         with pytest.raises(DomainError):
             kernel_m(0.0, KernelParams(0.3))
+        with pytest.raises(DomainError):
+            kernel_m(np.array([1.0, 0.0]), KernelParams(0.3))
         with pytest.raises(DomainError):
             kernel_m_oracle(0.0, KernelParams(0.3))
 

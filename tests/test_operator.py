@@ -416,7 +416,7 @@ class TestKernelTable:
         def refuse(*args, **kwargs):
             raise AssertionError("called")
 
-        monkeypatch.setattr(halfline, "_m_array", refuse)
+        monkeypatch.setattr(halfline, "kernel_m", refuse)
         monkeypatch.setattr(quadrature, "quad", refuse)
         assert apply_fourier(u_smooth, k).samples.tobytes() == first.samples.tobytes()
 
@@ -628,11 +628,11 @@ class TestCaputoNodeTable:
     def test_table_is_built_once_per_order(self):
         u = GridFunction.from_function(lambda x: x * x * math.exp(-x), 8.0, 128)
         caputo_derivative(u, 1.3, 0.4)
-        table = u._node_table(1)
+        table = halfline._node_table(u, 1)
         caputo_derivative(u, 2.7, 0.8)
-        assert u._node_table(1) is table
+        assert halfline._node_table(u, 1) is table
         caputo_derivative(u, 2.7, 1.2)
-        assert u._node_table(2) is not table
+        assert halfline._node_table(u, 2) is not table
         nodes, f, slopes = table
         assert not (f.flags.writeable or slopes.flags.writeable or nodes.flags.writeable)
         assert np.array_equal(f, u.derivative(1)(u.xs))
