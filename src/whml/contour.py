@@ -5,15 +5,17 @@ The loop lives on a six-segment closed contour.  Four segments are exact
 (constants or the unit-modulus factor alone); the boundary segment mixes the
 loop-function interpolants with the Mellin factor.  Each curved segment is
 compactified through xi = tan(pi (t - 1/2)) so the infinite junctions are
-honest endpoint limits, then refined until adjacent phase increments are
-small enough for branch-safe unwrapping.  Every evaluation takes one array
-of parameters: a refinement pass bisects all of a segment's offending
-intervals at once, and a pass of the minimum's zoom polish is one grid.
+honest endpoint limits.  The loop is one array of (segment index, t) pairs
+with one evaluator: each segment maps t to xi, and a symbol is the pair of
+its boundary value and its unit-modulus factor at xi.  One refinement pass
+per level bisects every interval of the loop whose phase increment is not
+branch-safe, and the minimum modulus is polished once, at assembly.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -84,23 +86,26 @@ class SymbolLoop:
 
     The samples are held as read-only arrays (segment index into
     SEGMENT_ORDER, t, value); `points` gives the same samples as
-    ContourPoint records, built on first use.  `segment_eval` maps each
-    segment to its evaluator for the sub-grid polish of the minimum
-    modulus, which min_modulus caches.
+    ContourPoint records, built on first use.  `min_modulus` is the
+    smallest |value| on the loop: the polished one for a built loop, the
+    smallest sample's otherwise.  An empty loop is refused.
     """
 
     def __init__(self, segment_index, t, values, closure_gap, junction_gaps,
-                 segment_eval=None):
+                 min_modulus=None):
         arrays = (np.asarray(segment_index, dtype=np.intp), np.asarray(t, dtype=float),
                   np.asarray(values, dtype=complex))
+        if arrays[2].size == 0:
+            raise DomainError("a symbol loop needs at least one point")
         for a in arrays:
             a.flags.writeable = False
         self._arrays = arrays
         self._points = None
         self.closure_gap = closure_gap
         self.junction_gaps = tuple(junction_gaps)
-        self.segment_eval = segment_eval
-        self._min_modulus = None
+        if min_modulus is None:
+            min_modulus = float(np.min(np.abs(arrays[2])))
+        self.min_modulus = min_modulus
 
     @property
     def points(self) -> tuple:
@@ -153,8 +158,10 @@ def _saturated(xi):
     return np.where(np.abs(xi) < _XI_SATURATION, xi, np.copysign(np.inf, xi))
 
 
-# xi(t) of the segments on which the symbol is the unit-modulus factor c1
+# xi(t) of each segment; the symbol is its boundary value at xi on G1 and
+# its unit-modulus factor at xi on the five others
 _SEGMENT_XI = {
+    Segment.G1: _xi_line,
     Segment.G2P: lambda t: np.full(t.shape, -np.inf),
     Segment.G3P: lambda t: _saturated(-_lambda_down(t)),
     Segment.G4: lambda t: np.zeros(t.shape),
@@ -163,56 +170,52 @@ _SEGMENT_XI = {
 }
 
 
+def _loop_values(boundary, unit, seg_index, t):
+    """Symbol values at the (segment index, t) pairs: one boundary(xi) call
+    for the G1 points and one unit(xi) call for the others.  Only the
+    segments present are mapped to xi."""
+    xi = np.empty(t.shape)
+    for k in np.unique(seg_index):
+        on = seg_index == k
+        xi[on] = _SEGMENT_XI[SEGMENT_ORDER[k]](t[on])
+    out = np.empty(t.shape, dtype=complex)
+    on_g1 = seg_index == 0
+    if on_g1.any():
+        out[on_g1] = boundary(xi[on_g1])
+    if not on_g1.all():
+        out[~on_g1] = unit(xi[~on_g1])
+    return out
+
+
+def _symbol(sp: SpectralParams) -> tuple:
+    """The generalized symbol's (boundary, unit) pair of functions of xi."""
+    return (lambda xi: _boundary_value(xi, sp)), (lambda xi: wh_c1(xi, sp))
+
+
 def eval_segment(seg: Segment, t, sp: SpectralParams):
     """Value of the generalized symbol at parameter t of one segment.
     Accepts an array of t and returns the array of values."""
     ta = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all((ta >= 0.0) & (ta <= 1.0)):
         raise DomainError("segment parameter must lie in [0, 1]")
-    if seg is Segment.G1:
-        out = _boundary_value(_xi_line(ta), sp)
-    elif seg in _SEGMENT_XI:
-        out = wh_c1(_SEGMENT_XI[seg](ta), sp)
-    else:
+    if seg not in SEGMENT_ORDER:
         raise DomainError(f"unknown segment {seg!r}")
+    out = _loop_values(*_symbol(sp), np.full(ta.shape, SEGMENT_ORDER.index(seg)), ta)
     return scalar_or_array(out.reshape(np.shape(t)))
 
 
-def _segment_functions(sp: SpectralParams) -> dict:
-    return {seg: (lambda t, s=seg: eval_segment(s, t, sp)) for seg in SEGMENT_ORDER}
-
-
-def _validation_functions(n: int) -> dict:
-    """Segment maps for the rational test symbol (xi+i)^n (xi-i)^(-n).
-
-    Its two one-sided limits coincide, so the boundary and multiplier
-    segments are constant and the whole loop reduces to the unit-circle
-    curve, traversed clockwise n times.  Each map is c(xi(t)) on the xi(t)
-    table of the symbol (1 on G1) and accepts an array of t.
-    """
-
-    def c(xi):
-        finite = np.isfinite(xi)
-        xf = np.where(finite, xi, 0.0)
-        return np.where(finite, ((xf + 1j) / (xf - 1j)) ** n, 1.0 + 0j)
-
-    funcs = {seg: (lambda t, xi=xi: c(xi(np.asarray(t, dtype=float))))
-             for seg, xi in _SEGMENT_XI.items()}
-    funcs[Segment.G1] = lambda t: np.ones(np.shape(t), dtype=complex)
-    return funcs
-
-
-def _refine(f, t: np.ndarray, budget: int):
-    """Bisect every interval whose phase increment is not branch-safe, in
-    one batched pass per level, until none is left.
+def _refine(f, seg_index: np.ndarray, t: np.ndarray, budget: int):
+    """Bisect every interval of the loop whose phase increment is not
+    branch-safe, in one batched pass per level, until none is left.
 
     An interval is split when its endpoint values differ in phase by at
-    least _PHASE_CAP (or one of them is zero) and it is wider than 1e-12.
-    Each decision depends only on the interval's own endpoints, so the
-    final grid does not depend on the order of the splits.  Raises once
-    more than `budget` points would be added.
+    least _PHASE_CAP (or one of them is zero) and it is wider than 1e-12,
+    so no junction, where t falls from 1 to 0, is split.  Each decision
+    depends only on the interval's own endpoints, so every segment's grid
+    does not depend on the order of the splits.  Raises once more than
+    `budget` points would be added.
     """
-    v = f(t)
+    v = f(seg_index, t)
     added = 0
     while True:
         v0, v1 = v[:-1], v[1:]
@@ -221,16 +224,17 @@ def _refine(f, t: np.ndarray, budget: int):
             dphi = np.where(nonzero, np.abs(np.angle(v1 / v0)), math.pi)
         idx = np.flatnonzero((dphi >= _PHASE_CAP) & (np.diff(t) > 1e-12))
         if idx.size == 0:
-            return t, v, added
+            return seg_index, t, v
         added += idx.size
         if added > budget:
             raise ResolutionError(
                 "phase refinement exhausted the point budget; "
                 "the loop may pass through the origin"
             )
-        tm = 0.5 * (t[idx] + t[idx + 1])
+        k, tm = seg_index[idx], 0.5 * (t[idx] + t[idx + 1])
+        seg_index = np.insert(seg_index, idx + 1, k)
         t = np.insert(t, idx + 1, tm)
-        v = np.insert(v, idx + 1, f(tm))
+        v = np.insert(v, idx + 1, f(k, tm))
 
 
 def _check_count(what: str, value, least: int) -> None:
@@ -238,70 +242,69 @@ def _check_count(what: str, value, least: int) -> None:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _assemble(seg_funcs: dict, n_base: int) -> SymbolLoop:
+def _assemble(boundary, unit, n_base: int) -> SymbolLoop:
+    """Refined loop of the symbol given by its (boundary, unit) pair."""
     _check_count("build_loop's n_base", n_base, 64)
-    counts = {
-        Segment.G1: n_base,
-        Segment.G2P: max(2, n_base // 8),
-        Segment.G3P: n_base,
-        Segment.G4: max(2, n_base // 8),
-        Segment.G3M: n_base,
-        Segment.G2M: max(2, n_base // 8),
-    }
-    base = sum(counts.values())
+    # n_base points on each curved segment (G1, G3P, G3M), and fewer on the
+    # constant segments between them in traversal order
+    counts = [n_base, max(2, n_base // 8)] * 3
+    base = sum(counts)
     if base > _MAX_POINTS:
         raise DomainError(
             f"n_base = {n_base} needs {base} loop points before refinement; "
             f"the cap is {_MAX_POINTS}"
         )
-    budget = _MAX_POINTS - base
-    per_segment = {}
-    for seg in SEGMENT_ORDER:
-        t, v, added = _refine(seg_funcs[seg], np.linspace(0.0, 1.0, counts[seg]), budget)
-        budget -= added
-        per_segment[seg] = (t, v)
+    f = functools.partial(_loop_values, boundary, unit)
+    seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)), counts)
+    t = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts])
+    seg_index, t, values = _refine(f, seg_index, t, _MAX_POINTS - base)
 
-    junction_gaps = []
-    for idx, seg in enumerate(SEGMENT_ORDER):
-        nxt = SEGMENT_ORDER[(idx + 1) % len(SEGMENT_ORDER)]
-        junction_gaps.append(float(abs(per_segment[seg][1][-1] - per_segment[nxt][1][0])))
+    # each segment's last point against the next one's first, G2M closing on G1
+    last = np.append(np.flatnonzero(np.diff(seg_index)), -1)
+    junction_gaps = np.abs(values[last] - values[last + 1]).tolist()
     if any(g > _JUNCTION_TOL for g in junction_gaps):
         raise ResolutionError(
             f"junction gaps {junction_gaps} exceed {_JUNCTION_TOL}"
         )
-    t = np.concatenate([per_segment[seg][0] for seg in SEGMENT_ORDER])
-    values = np.concatenate([per_segment[seg][1] for seg in SEGMENT_ORDER])
-    seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)),
-                          [len(per_segment[seg][0]) for seg in SEGMENT_ORDER])
-    return SymbolLoop(seg_index, t, values, float(abs(values[-1] - values[0])),
-                      junction_gaps, seg_funcs)
+    return SymbolLoop(seg_index, t, values, junction_gaps[-1], junction_gaps,
+                      _polished_min_modulus(f, seg_index, t, values))
 
 
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
     """Assemble and refine the generalized-symbol loop for one parameter set."""
-    return _assemble(_segment_functions(sp), n_base)
+    return _assemble(*_symbol(sp), n_base)
 
 
 def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
-    """Loop of the rational validation symbol with known winding -n."""
+    """Loop of the rational validation symbol (xi+i)^n (xi-i)^(-n), with
+    known winding -n.
+
+    Its two one-sided limits coincide, so the boundary and multiplier
+    segments are constant and the whole loop reduces to the unit-circle
+    curve, traversed clockwise n times.
+    """
     _check_count("validation symbol order", n, 1)
-    return _assemble(_validation_functions(n), n_base)
+
+    def unit(xi):
+        finite = np.isfinite(xi)
+        xf = np.where(finite, xi, 0.0)
+        return np.where(finite, ((xf + 1j) / (xf - 1j)) ** n, 1.0 + 0j)
+
+    return _assemble(lambda xi: np.ones(xi.shape, dtype=complex), unit, n_base)
 
 
 def min_modulus(loop: SymbolLoop) -> float:
-    """Minimum |value| over the refined loop, polished by a zoom search in
-    the discrete argmin's two parameter intervals on its own segment.
-
-    The polished value is cached on the loop, so a second call (and
-    winding_number) costs no evaluations.
-    """
-    if loop._min_modulus is None:
-        loop._min_modulus = _polished_min_modulus(loop)
-    return loop._min_modulus
+    """Minimum |value| of the loop.  For a built loop it is the discrete
+    minimum polished at assembly, so reading it costs no evaluation."""
+    return loop.min_modulus
 
 
-def _polished_min_modulus(loop: SymbolLoop) -> float:
-    seg_index, t, values = loop.arrays()
+def _polished_min_modulus(f, seg_index, t, values) -> float:
+    """Minimum |value| over the refined loop, polished by a zoom search on
+    [a, b], the discrete argmin's two parameter intervals on its own
+    segment: each pass evaluates _POLISH_POINTS equally spaced points in one
+    call and keeps the two cells around their argmin (at least 32-fold
+    narrower), until b - a < 1e-14."""
     mods = np.abs(values)
     i = int(np.argmin(mods))
     best = float(mods[i])
@@ -310,22 +313,9 @@ def _polished_min_modulus(loop: SymbolLoop) -> float:
     lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
     hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
     a, b = float(t[lo]), float(t[hi])
-    if b <= a:
-        return best
-
-    # polish by re-evaluating along the same segment when evaluators exist
-    f = loop.segment_eval.get(SEGMENT_ORDER[k]) if loop.segment_eval else None
-    return best if f is None else min(best, _zoom_min(f, a, b))
-
-
-def _zoom_min(f, a: float, b: float) -> float:
-    """Smallest |f| seen by a zoom search on [a, b]: each pass evaluates
-    _POLISH_POINTS equally spaced points in one call and keeps the two cells
-    around their argmin (at least 32-fold narrower), until b - a < 1e-14."""
-    best = math.inf
     while b - a >= 1e-14:
         x = np.linspace(a, b, _POLISH_POINTS)
-        mods = np.abs(f(x))
+        mods = np.abs(f(np.full(x.shape, k), x))
         j = int(np.argmin(mods))
         best = min(best, float(mods[j]))
         a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, _POLISH_POINTS - 1)])
@@ -337,13 +327,10 @@ def winding_number(loop: SymbolLoop) -> int:
 
     Requires the loop to stay away from the origin (min modulus above
     FREDHOLM_TOL); the accumulated phase must land on an integer
-    multiple of 2 pi to within 1 percent.  Reads the minimum modulus a
-    previous min_modulus call cached instead of polishing again.
+    multiple of 2 pi to within 1 percent.  Reads the minimum modulus kept
+    on the loop.
     """
-    mm = loop._min_modulus
-    if mm is None:
-        mm = min_modulus(loop)
-    if mm <= FREDHOLM_TOL:
+    if loop.min_modulus <= FREDHOLM_TOL:
         raise NotFredholmError(
             f"loop minimum modulus is below {FREDHOLM_TOL}; winding undefined"
         )
@@ -362,8 +349,6 @@ def winding_number(loop: SymbolLoop) -> int:
 def export_loop(loop: SymbolLoop, fmt: str = "csv") -> bytes:
     """Serialize the loop: CSV columns segment,t,re,im or an SVG polyline
     with a dashed unit-circle reference ring."""
-    if len(loop.values()) == 0:
-        raise DomainError("cannot export an empty loop")
     fmt = fmt.lower()
     if fmt == "csv":
         buf = io.StringIO()

@@ -26,12 +26,13 @@ __all__ = ["GridFunction"]
 _MIN_POINTS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """A function sampled on the uniform grid x_j = j*h, j = 0..n-1.
 
     Immutable after construction; the cubic-spline evaluator is built lazily
-    and treats the function as zero outside [0, L].
+    and treats the function as zero outside [0, L].  Equality and hash go by
+    identity, as do the tables cached on each object.
     """
 
     samples: np.ndarray
@@ -41,7 +42,7 @@ class GridFunction:
     # (table): the nodes, the coefficient rows and the tables of other modules.
     # xs and is_real, read on every call of the halfline routes, are cached
     # properties as well
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -177,6 +178,7 @@ class GridFunction:
 
     @classmethod
     def load_text(cls, path) -> "GridFunction":
+        """Read save_text's format: a uniform grid starting at x = 0."""
         xs = []
         vals = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -198,6 +200,8 @@ class GridFunction:
         xs = np.asarray(xs)
         if xs.size < 2:
             raise DomainError("grid file holds fewer than two samples")
+        if xs[0] != 0.0:
+            raise DomainError(f"grid file starts at x = {xs[0]:.17g}, not at x = 0")
         steps = np.diff(xs)
         h = steps[0]
         if not np.allclose(steps, h, rtol=1e-10, atol=0.0):

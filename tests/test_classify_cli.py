@@ -218,9 +218,9 @@ class TestCli:
         import whml.contour as contour_mod
 
         def no_evaluation(*args):
-            raise AssertionError("segment evaluated before the point cap check")
+            raise AssertionError("loop evaluated before the point cap check")
 
-        monkeypatch.setattr(contour_mod, "eval_segment", no_evaluation)
+        monkeypatch.setattr(contour_mod, "_loop_values", no_evaluation)
         assert cli_main(["index", "--alpha", "0.75", "--p", "2", "--s", "2.3",
                          "--points", "340000"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -283,22 +283,27 @@ class TestCli:
 
     def test_index_polishes_once(self, capsys, monkeypatch):
         import whml.contour as contour_mod
-        from whml.contour import build_loop, min_modulus
+        from whml.contour import build_loop, min_modulus, winding_number
         from whml.symbols import SpectralParams
         calls = []
-        original = contour_mod.eval_segment
+        original = contour_mod._loop_values
 
-        def counting(seg, t, sp):
-            calls.append(seg)
-            return original(seg, t, sp)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(contour_mod, "eval_segment", counting)
-        min_modulus(build_loop(SpectralParams(0.75, 2.0, 2.2), 256))
-        one_pass = len(calls)
+        # one assembly, its polish included; reading the minimum and the
+        # winding evaluate nothing more
+        monkeypatch.setattr(contour_mod, "_loop_values", counting)
+        loop = build_loop(SpectralParams(0.75, 2.0, 2.2), 256)
+        one_build = len(calls)
+        min_modulus(loop)
+        winding_number(loop)
+        assert len(calls) == one_build
         calls.clear()
         assert cli_main(["index", "--alpha", "0.75", "--p", "2", "--s", "2.2"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "winding -1 index 1"
-        assert len(calls) == one_pass
+        assert len(calls) == one_build
 
     def test_verify_single_suite(self, capsys):
         assert cli_main(["verify", "--suite", "transcend", "--density", "20",

@@ -112,9 +112,9 @@ class TestBuildLoop:
         # refused before any evaluation: 3 * 340000 + 3 * 42500 base points
         # already exceed the 10^6 cap
         def no_evaluation(*args):
-            raise AssertionError("segment evaluated before the point cap check")
+            raise AssertionError("loop evaluated before the point cap check")
 
-        monkeypatch.setattr(contour_mod, "eval_segment", no_evaluation)
+        monkeypatch.setattr(contour_mod, "_loop_values", no_evaluation)
         with pytest.raises(DomainError):
             build_loop(SpectralParams(0.75, 2.0, 2.3), 340000)
 
@@ -138,24 +138,17 @@ class TestMinModulus:
 
     def test_seeded_sample_matches_sequential_golden_section(self, monkeypatch):
         # LOW, HIGH, and HIGH within 1e-7 to 1e-2 of the critical s
-        calls = []
-        original = contour_mod.eval_segment
-
-        def counting(seg, t, sp):
-            calls.append(seg)
-            return original(seg, t, sp)
-
+        calls = _recording(monkeypatch)
         triples = _polish_sample(34, seed=20)
         assert len(triples) >= 100
         for triple in triples:
-            loop = build_loop(SpectralParams(*triple))
-            ref = _golden_reference(loop)
-            monkeypatch.setattr(contour_mod, "eval_segment", counting)
+            sp = SpectralParams(*triple)
             calls.clear()
+            loop = build_loop(sp)
+            _, polish = _split_calls(calls, loop)
+            assert len(polish) <= 10, triple
             mm = min_modulus(loop)
-            monkeypatch.undo()
-            assert len(calls) <= 10, triple
-            assert mm == pytest.approx(ref, rel=1e-13, abs=5e-15), triple
+            assert mm == pytest.approx(_golden_reference(loop, sp), rel=1e-13, abs=5e-15), triple
             assert mm <= float(np.min(np.abs(loop.values()))), triple
 
 
@@ -261,6 +254,8 @@ class TestExport:
     def test_empty_loop_rejected(self):
         with pytest.raises(DomainError):
             export_loop(SymbolLoop([], [], [], 0.0, (0.0,) * 6), "csv")
+        with pytest.raises(DomainError, match="at least one point"):
+            SymbolLoop([], [], [], 0.0, (0.0,) * 6, min_modulus=1.0)
 
     def test_unknown_format(self):
         loop = build_loop(SP_LOW, 64)
@@ -305,7 +300,7 @@ def _sequential_golden_min(f, a, b):
     return min(f1, f2)
 
 
-def _golden_reference(loop):
+def _golden_reference(loop, sp):
     """The discrete minimum modulus, polished by the sequential search on
     the argmin's neighbouring intervals of its own segment."""
     seg_index, t, values = loop.arrays()
@@ -316,8 +311,8 @@ def _golden_reference(loop):
     best = float(abs(values[i]))
     if t[hi] <= t[lo]:
         return best
-    f = loop.segment_eval[SEGMENT_ORDER[k]]
-    return min(best, _sequential_golden_min(f, float(t[lo]), float(t[hi])))
+    return min(best, _sequential_golden_min(lambda x: eval_segment(SEGMENT_ORDER[k], x, sp),
+                                            float(t[lo]), float(t[hi])))
 
 
 def _polish_sample(n, seed):
@@ -346,9 +341,13 @@ def _polish_sample(n, seed):
 def _sequential_refine(f, n):
     """Midpoint refinement one interval at a time, splitting an interval and
     re-checking its left half before moving on: the reference for the
-    batched refinement of build_loop."""
+    batched refinement of build_loop.  Also returns the deepest level of a
+    point: 0 on the base grid, and for a midpoint one more than the level
+    of its interval's later endpoint, which is the batched pass that
+    inserts it."""
     ts = list(np.linspace(0.0, 1.0, n))
     vals = [complex(f(t)) for t in ts]
+    levels = [0] * n
     i = 0
     while i < len(ts) - 1:
         v0, v1 = vals[i], vals[i + 1]
@@ -357,9 +356,47 @@ def _sequential_refine(f, n):
             tm = 0.5 * (ts[i] + ts[i + 1])
             ts.insert(i + 1, tm)
             vals.insert(i + 1, complex(f(tm)))
+            levels.insert(i + 1, max(levels[i], levels[i + 1]) + 1)
         else:
             i += 1
-    return np.array(ts), np.array(vals)
+    return np.array(ts), np.array(vals), max(levels)
+
+
+def _recording(monkeypatch) -> list:
+    """The (segment index, t) arrays of each later call of the loop's
+    evaluator, in call order."""
+    calls = []
+    original = contour_mod._loop_values
+
+    def recording(boundary, unit, seg_index, t):
+        calls.append((seg_index.copy(), t.copy()))
+        return original(boundary, unit, seg_index, t)
+
+    monkeypatch.setattr(contour_mod, "_loop_values", recording)
+    return calls
+
+
+def _split_calls(calls, loop):
+    """The evaluator calls of one assembly, split into the refinement
+    passes, which evaluate every loop point exactly once, and the polish
+    passes, each a grid on the minimum's own segment."""
+    seg_index, t, _ = loop.arrays()
+    done = 0
+    for j, (_, tc) in enumerate(calls):
+        done += tc.size
+        if done == t.size:
+            refine, polish = calls[:j + 1], calls[j + 1:]
+            break
+    else:
+        raise AssertionError("the evaluator calls do not cover the loop's points")
+    seg_all = np.concatenate([sc for sc, _ in refine])
+    t_all = np.concatenate([tc for _, tc in refine])
+    order = np.lexsort((t_all, seg_all))
+    assert np.array_equal(seg_all[order], seg_index) and np.array_equal(t_all[order], t)
+    k = seg_index[int(np.argmin(np.abs(loop.values())))]
+    for sc, tc in polish:
+        assert tc.size == contour_mod._POLISH_POINTS and np.all(sc == k)
+    return refine, polish
 
 
 class TestArrayAssembly:
@@ -381,17 +418,36 @@ class TestArrayAssembly:
             self._check_points(build_validation_loop(n, 256),
                                lambda seg, t, n=n: _validation_value(seg, t, n))
 
-    def test_batched_refinement_matches_sequential(self):
-        # the near-critical triple needs midpoint insertions on G1
-        for triple, n_base in (((0.75, 2.0, 2.226), 256), ((0.3, 2.0, 1.2), 64)):
-            loop = build_loop(SpectralParams(*triple), n_base)
-            seg_index, t, values = loop.arrays()
-            for k, seg in enumerate(SEGMENT_ORDER):
-                n = n_base if seg in (Segment.G1, Segment.G3P, Segment.G3M) else max(2, n_base // 8)
-                ref_t, ref_v = _sequential_refine(loop.segment_eval[seg], n)
-                mine = seg_index == k
-                assert np.array_equal(t[mine], ref_t)
-                assert np.max(np.abs(values[mine] - ref_v)) <= 1e-13
+    def _check_refinement(self, calls, build, value_of, n_base):
+        # the loop's grid and values against the sequential refinement of
+        # each segment; one evaluator call for the base grid and one per level
+        calls.clear()
+        loop = build(n_base)
+        refine, _ = _split_calls(calls, loop)
+        seg_index, t, values = loop.arrays()
+        levels = 0
+        for k, seg in enumerate(SEGMENT_ORDER):
+            n = n_base if seg in (Segment.G1, Segment.G3P, Segment.G3M) else max(2, n_base // 8)
+            ref_t, ref_v, depth = _sequential_refine(lambda x, seg=seg: value_of(seg, x), n)
+            levels = max(levels, depth)
+            mine = seg_index == k
+            assert np.array_equal(t[mine], ref_t)
+            assert np.max(np.abs(values[mine] - ref_v)) <= 1e-13
+        assert len(refine) == 1 + levels
+        return levels
+
+    def test_batched_refinement_matches_sequential(self, monkeypatch):
+        # the near-critical triple needs midpoint insertions on G1, and the
+        # order-64 validation symbol two levels on both G3P and G3M
+        calls = _recording(monkeypatch)
+        for triple, n_base, levels in (((0.75, 2.0, 2.226), 256, 1), ((0.3, 2.0, 1.2), 64, 0)):
+            sp = SpectralParams(*triple)
+            assert self._check_refinement(
+                calls, lambda n_base, sp=sp: build_loop(sp, n_base),
+                lambda seg, x, sp=sp: eval_segment(seg, x, sp), n_base) == levels
+        assert self._check_refinement(
+            calls, lambda n_base: build_validation_loop(64, n_base),
+            lambda seg, x: _validation_value(seg, x, 64), 64) == 2
         assert len(build_loop(SpectralParams(0.75, 2.0, 2.226), 256).points) > 3 * 256 + 3 * 32
 
     def test_constructor_gives_points_and_arrays(self):
@@ -408,28 +464,34 @@ class TestArrayAssembly:
         assert export_loop(loop, "csv") == export_loop(built, "csv")
 
     def test_min_modulus_cached(self, monkeypatch):
-        import whml.contour as contour_mod
+        # polished once at assembly; reading it and winding evaluate nothing
+        calls = _recording(monkeypatch)
         loop = build_loop(SpectralParams(0.75, 2.0, 2.2), 128)
-        calls = []
-        original = contour_mod.eval_segment
-
-        def counting(seg, t, sp):
-            calls.append(seg)
-            return original(seg, t, sp)
-
-        monkeypatch.setattr(contour_mod, "eval_segment", counting)
-        first = min_modulus(loop)
-        assert calls
+        _, polish = _split_calls(calls, loop)
+        assert polish
         calls.clear()
+        first = min_modulus(loop)
+        assert first == loop.min_modulus < float(np.min(np.abs(loop.values())))
         assert min_modulus(loop) == first
         assert winding_number(loop) == -1
         assert calls == []
 
+    def test_eval_segment_is_the_loop_evaluator(self):
+        # the one-segment view gives the loop's values at its own points
+        for triple in README_TRIPLES + ((0.75, 2.0, 2.226), (0.3, 2.0, 1.2)):
+            sp = SpectralParams(*triple)
+            seg_index, t, values = build_loop(sp, 128).arrays()
+            for k, seg in enumerate(SEGMENT_ORDER):
+                mine = seg_index == k
+                assert np.array_equal(eval_segment(seg, t[mine], sp), values[mine])
+
     def test_batched_polish_matches_sequential_golden_section(self):
         for triple in README_TRIPLES + ((0.75, 2.0, 2.226),):
-            loop = build_loop(SpectralParams(*triple), 128)
+            sp = SpectralParams(*triple)
+            loop = build_loop(sp, 128)
             seg_index, t, values = loop.arrays()
             i = int(np.argmin(np.abs(values)))
-            f = loop.segment_eval[SEGMENT_ORDER[seg_index[i]]]
-            ref = min(float(abs(values[i])), _sequential_golden_min(f, t[i - 1], t[i + 1]))
+            seg = SEGMENT_ORDER[seg_index[i]]
+            ref = min(float(abs(values[i])), _sequential_golden_min(
+                lambda x: eval_segment(seg, x, sp), t[i - 1], t[i + 1]))
             assert min_modulus(loop) == pytest.approx(ref, rel=1e-13, abs=1e-16)

@@ -75,6 +75,21 @@ def test_header_lines_ignored(tmp_path):
     assert v(0.5) == pytest.approx(5.0, abs=1e-12)
 
 
+def test_load_text_refuses_a_grid_not_starting_at_zero(tmp_path):
+    # the samples at x = 5.0, 5.1, ... would load as a grid on [0, 1.9]
+    path = tmp_path / "u.txt"
+    path.write_text("".join(f"{5.0 + 0.1 * j:.17g} {float(j):.17g}\n" for j in range(20)))
+    with pytest.raises(DomainError, match="starts at x = 5, not at x = 0"):
+        GridFunction.load_text(path)
+
+
+def test_compared_and_hashed_by_identity():
+    u, v = GridFunction(np.ones(16), 1.0), GridFunction(np.ones(16), 1.0)
+    assert u == u and u != v
+    assert hash(u) == hash(u) and hash(u) != hash(v)
+    assert len({u, v, u}) == 2
+
+
 def test_from_function_rejects_short_grid_before_sampling():
     calls = []
     for n in (1, 0, 15):
