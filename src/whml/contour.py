@@ -281,9 +281,15 @@ def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
 
     Its two one-sided limits coincide, so the boundary and multiplier
     segments are constant and the whole loop reduces to the unit-circle
-    curve, traversed clockwise n times.
+    curve, traversed clockwise n times.  DomainError for n > n_base: from
+    about 1.5 n_base turns the n_base base points of that curve undersample
+    it and the loop winds wrongly (26 for n = 100 at n_base 64).
     """
     _check_count("validation symbol order", n, 1)
+    _check_count("build_loop's n_base", n_base, 64)
+    if n > n_base:
+        raise DomainError(f"validation symbol order {n} exceeds n_base {n_base}: "
+                          "the loop is held to at most one turn per base point")
 
     def unit(xi):
         finite = np.isfinite(xi)

@@ -149,28 +149,20 @@ def _probe_panels(x: float, length: float, lo: float, edges: np.ndarray):
     """The panels of one probe beyond lo: the shared ones it keeps (a mask
     over the shared panels) and its own, as (lo, hi) arrays.
 
-    A shared panel that holds lo, x or L - x is replaced by its pieces: the
-    second difference has a kink or a jump where u(x - w) leaves the grid
-    (w = x) and where u(x + w) does (w = L - x).  Below the shared panels,
-    geometric panels start at lo."""
-    breaks = [b for b in (x, length - x) if b > lo]
-    pieces = []
-    if lo < edges[0]:
-        ends = [lo]
-        while 2.0 * ends[-1] < edges[0]:
-            ends.append(2.0 * ends[-1])
-        ends = sorted(set(ends + [b for b in breaks if b < edges[0]] + [edges[0]]))
-        pieces = list(zip(ends[:-1], ends[1:]))
-    keep = edges[1:] > lo
-    for b in [lo] + breaks:
-        i = int(np.searchsorted(edges, b, side="right")) - 1
-        if 0 <= i < keep.size and edges[i] < b and keep[i]:
-            keep[i] = False
-            ends = [max(edges[i], lo), edges[i + 1]]
-            ends = sorted(set(ends + [c for c in breaks if ends[0] < c < ends[1]]))
-            pieces += list(zip(ends[:-1], ends[1:]))
-    pieces = np.asarray(pieces, dtype=float).reshape(-1, 2)
-    return keep, pieces[:, 0], pieces[:, 1]
+    One cut list: the shared edges above lo, lo, x and L - x (the second
+    difference has a kink or a jump where u(x - w) leaves the grid, w = x,
+    and where u(x + w) does, w = L - x), and the geometric cuts lo, 2 lo,
+    ... below the first edge.  A piece between two consecutive shared edges
+    is a kept shared panel; every other piece is the probe's own."""
+    levels = max(math.frexp(edges[0])[1] - math.frexp(lo)[1], 0)
+    geo = np.ldexp(lo, np.arange(levels + 1))  # exact doublings of lo
+    cuts = np.unique(np.concatenate([edges[edges > lo], [lo, x, length - x], geo[geo < edges[0]]]))
+    at = np.searchsorted(edges, cuts)
+    on_edge = edges[at] == cuts
+    shared = on_edge[:-1] & on_edge[1:]
+    keep = np.zeros(edges.size - 1, dtype=bool)
+    keep[at[:-1][shared]] = True
+    return keep, cuts[:-1][~shared], cuts[1:][~shared]
 
 
 def _second_difference(u: GridFunction, x: float):
@@ -219,30 +211,29 @@ def _second_difference(u: GridFunction, x: float):
     return ux, u2, jump, delta, g
 
 
-def _near_field(k: KernelParams, u2: float, jump: float, delta: float,
-                eps: float) -> list:
-    """integral_eps^delta -(u''(x) w^2 + J w^3) m(w) dw at each Gauss-Jacobi
-    order: the head on [0, delta] minus the head on [0, eps], each a rule of
-    weight w^(1 - 2 alpha) on the smooth factor w^(1 + 2 alpha) m(w)."""
+def _near_field(k: KernelParams, u2: float, jump: float, delta: float) -> list:
+    """integral_0^delta -(u''(x) w^2 + J w^3) m(w) dw at each Gauss-Jacobi
+    order: a rule of weight w^(1 - 2 alpha) on the smooth factor
+    w^(1 + 2 alpha) m(w)."""
     a = k.alpha
-    ends = np.array([delta, eps][:2 if eps > 0.0 else 1])
-    scale = np.array([1.0, -1.0][:ends.size]) * ends ** (2.0 - 2.0 * a)
+    ends = np.array([delta])
+    scale = ends ** (2.0 - 2.0 * a)
     rules = [_gauss_jacobi(a, order) for order in _JACOBI_ORDERS]
-    w = np.concatenate([np.outer(ends, s).ravel() for s, _ in rules])
+    w = np.concatenate([delta * s for s, _ in rules])
     f = kernel_m(w, k) * w ** (1.0 + 2.0 * a) * (-u2 - jump * w)
     out, at = [], 0
     for s, wt in rules:
-        out.append(float(scale @ (f[at:at + ends.size * s.size].reshape(ends.size, -1) @ wt)))
-        at += ends.size * s.size
+        out.append(float(scale @ (f[at:at + s.size].reshape(1, -1) @ wt)))
+        at += s.size
     return out
 
 
-def apply_singular(u: GridFunction, x: float, k: KernelParams, eps: float = 0.0) -> float:
-    """Pointwise operator value u(x) + integral_eps^inf G(w) m(w) dw on the
+def apply_singular(u: GridFunction, x: float, k: KernelParams) -> float:
+    """Pointwise operator value u(x) + integral_0^inf G(w) m(w) dw on the
     cubic spline, with G = 2u(x) - u(x + w) - u(x - w) for w < x and
     u(x) - u(x + w) beyond (u is zero outside [0, L]).
 
-    - Near field [eps, delta], delta the distance from x to the nearest
+    - Near field [0, delta], delta the distance from x to the nearest
       other node: G is exactly -u''(x) w^2 there (minus J w^3 on a node,
       J the jump of the cubic coefficient), so the hypersingular head is a
       Gauss-Jacobi rule with weight w^(1 - 2 alpha): no cutoff, no
@@ -250,33 +241,28 @@ def apply_singular(u: GridFunction, x: float, k: KernelParams, eps: float = 0.0)
     - Beyond delta: Gauss-Legendre panels, geometric up to 1, unit widths
       beyond, with nodes and weight * m shared by every probe at the same
       (alpha, L) (_shared_panels); only the panels holding delta, x and
-      L - x are re-split.  The spline is read in one array call per pass.
+      L - x are cut (_probe_panels).  The spline is read in one array call
+      per pass.
     - u(x) * integral_L^inf m (_tail), cached with the shared panels.
 
     Each panel runs at two orders.  While their total disagreement exceeds
     max(1e-11, 1e-9 |value|), the panels that hold most of it are bisected;
-    AccuracyError after _MAX_BISECTIONS passes.  eps > 0 gives the
-    truncated integral.
+    AccuracyError after _MAX_BISECTIONS passes.
     """
     if not (0.0 < x < u.length / 2.0):
         raise DomainError("apply_singular requires 0 < x < L/2")
-    if eps < 0.0:
-        raise DomainError("apply_singular requires eps >= 0")
     if not u.is_real:
         raise DomainError("apply_singular expects a real grid function")
     length = u.length
     ux, u2, jump, delta, g = _second_difference(u, x)
     edges, shared, tail = _shared_panels(k, length)
-    if eps >= length:
-        tail = _tail(k, eps)
-    lo = max(eps, delta)
-    keep, own_lo, own_hi = _probe_panels(x, length, lo, edges)
+    keep, own_lo, own_hi = _probe_panels(x, length, delta, edges)
     rules = [(np.concatenate([w[keep], ow]), np.concatenate([wm[keep], owm]))
              for (w, wm), (ow, owm) in zip(shared, _weighted_panels(own_lo, own_hi, k))]
     p_lo = np.concatenate([edges[:-1][keep], own_lo])
     p_hi = np.concatenate([edges[1:][keep], own_hi])
 
-    near = _near_field(k, u2, jump, delta, eps) if eps < delta else [0.0, 0.0]
+    near = _near_field(k, u2, jump, delta)
     done = ux + ux * tail + near[-1]
     done_err = abs(near[-1] - near[0])
     for bisections in range(_MAX_BISECTIONS + 1):

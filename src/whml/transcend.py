@@ -106,6 +106,8 @@ def alpha_c(alpha: float) -> float:
 
 def critical_s(alpha: float, p: float) -> float:
     """The non-Fredholm smoothness value 1 + 1/p + alpha_c(alpha)."""
+    if not (1.0 < p < math.inf):
+        raise DomainError("critical_s requires 1 < p < infinity")
     return 1.0 + 1.0 / p + alpha_c(alpha)
 
 

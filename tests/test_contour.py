@@ -158,6 +158,15 @@ class TestWinding:
             loop = build_validation_loop(n, 256)
             assert winding_number(loop) == -n
 
+    def test_every_order_up_to_n_base(self):
+        for n in range(1, 65):
+            assert winding_number(build_validation_loop(n, 64)) == -n, n
+
+    def test_order_over_n_base_refused(self):
+        # unrefused, order 100 at n_base 64 winds 26 times
+        with pytest.raises(DomainError, match="order 100 exceeds n_base 64"):
+            build_validation_loop(100, 64)
+
     def test_low_regime_examples(self):
         assert winding_number(build_loop(SpectralParams(0.25, 4.0, 0.7), 256)) == 0
 

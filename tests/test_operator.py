@@ -4,6 +4,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import hyp1f1
 
@@ -12,8 +14,10 @@ from whml.errors import AccuracyError, DomainError, ResolutionError
 from whml.gridfn import GridFunction
 from whml.halfline import (
     _moment_tables,
+    _probe_panels,
     _profile,
     _rl_of_callable,
+    _shared_panels,
     apply_fourier,
     apply_singular,
     caputo_derivative,
@@ -51,23 +55,11 @@ class TestApplySingular:
         val = apply_singular(u_smooth, 1.0, KernelParams(0.75))
         assert math.isfinite(val)
 
-    def test_truncation_convergence_slope(self, u_smooth):
-        # the cutoff error scales like eps^(2-2a), with a log correction at
-        # alpha = 1/2; the empirical slope must sit within 0.3 of the rate
-        for a in (0.25, 0.5, 0.75):
-            k = KernelParams(a)
-            eps = [0.08, 0.04, 0.02]
-            vals = [apply_singular(u_smooth, 2.0, k, e) for e in eps]
-            slope = math.log2(abs(vals[1] - vals[0]) / abs(vals[2] - vals[1]))
-            assert abs(slope - (2.0 - 2.0 * a)) < 0.3
-
     def test_domain(self, u_smooth):
         with pytest.raises(DomainError):
             apply_singular(u_smooth, 0.0, KernelParams(0.3))
         with pytest.raises(DomainError):
             apply_singular(u_smooth, 17.0, KernelParams(0.3))
-        with pytest.raises(DomainError):
-            apply_singular(u_smooth, 1.0, KernelParams(0.3), eps=-1.0)
 
 
 def _quad_oracle(u, x, k, eps):
@@ -99,13 +91,22 @@ class TestPanelRule:
     """apply_singular on the spline's own panels (Gauss-Jacobi head, shared
     Gauss-Legendre panels) against QUADPACK and the Fourier route."""
 
-    @pytest.mark.parametrize("a", [0.25, 0.75])
-    @pytest.mark.parametrize("x", [0.7, 2.0])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("x", [0.7, 2.0, 3.3])
     def test_truncated_integral_matches_quad_oracle(self, a, x):
+        # the full value against QUADPACK's integral truncated at eps0, half
+        # the distance to the nearest node, plus the exact head: below eps0
+        # the spline's second difference is -u''(x) w^2, and w = t^(1/(2 - 2a))
+        # makes w^2 m(w) dw smooth in t
         u = GridFunction.from_function(lambda t: t * t * math.exp(-t), 16.0, 256)
         k = KernelParams(a)
-        for eps in (0.08, 0.02, 1e-3):
-            assert abs(apply_singular(u, x, k, eps) - _quad_oracle(u, x, k, eps)) < 1e-10
+        eps0 = 0.5 * float(np.min(np.abs(u.xs - x)))
+        kappa = 1.0 / (2.0 - 2.0 * a)
+        moment = integrate.quad(lambda t: t ** (2.0 * kappa) * kernel_m(t ** kappa, k)
+                                * kappa * t ** (kappa - 1.0), 0.0, eps0 ** (1.0 / kappa),
+                                epsabs=1e-15, epsrel=1e-13)[0]
+        head = -u.derivative(2)(x) * moment
+        assert abs(apply_singular(u, x, k) - (_quad_oracle(u, x, k, eps0) + head)) < 1e-10
 
     def test_probe_on_a_node(self, u_smooth):
         # on a node the near field carries the cubic coefficient's jump; the
@@ -154,12 +155,60 @@ class TestPanelRule:
 
         monkeypatch.setattr(quadrature, "quad", refuse)
         assert math.isfinite(apply_singular(u_smooth, 5.3, k))
-        assert math.isfinite(apply_singular(u_smooth, 2.0, k, eps=0.01))
 
     def test_complex_input_rejected(self):
         z = GridFunction(np.zeros(256, dtype=complex) + 1j, 0.05)
         with pytest.raises(DomainError):
             apply_singular(z, 1.0, KernelParams(0.4))
+
+
+_PANEL_L = 16.0
+
+
+def _panel_edges():
+    return _shared_panels(KernelParams(0.5), _PANEL_L)[0]
+
+
+@st.composite
+def _probe_and_lo(draw):
+    """(x, lo) with 0 < lo <= x < L/2: lo a fraction of x, a shared edge, or
+    below the first shared edge 2^-30."""
+    half = _PANEL_L / 2.0
+    kind = draw(st.sampled_from(["fraction", "edge", "tiny"]))
+    if kind == "fraction":
+        x = draw(st.floats(0.0, half, exclude_min=True, exclude_max=True))
+        lo = x * draw(st.floats(0.0, 1.0, exclude_min=True))
+        return x, max(lo, math.ulp(0.0))
+    if kind == "edge":
+        edges = _panel_edges()
+        lo = float(edges[draw(st.integers(0, int(np.sum(edges < half)) - 1))])
+    else:
+        lo = draw(st.floats(0.0, 2.0 ** -30, exclude_min=True, exclude_max=True))
+    return draw(st.floats(lo, half, exclude_max=True)), lo
+
+
+class TestProbePanels:
+    @given(_probe_and_lo())
+    @example((0.7, 2.0 ** -5))
+    @example((0.5, 0.5))
+    @example((2.0 ** -31, 2.0 ** -40))
+    @example((3.0, 5e-324))
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_tile_lo_to_L_and_hold_no_break(self, case):
+        x, lo = case
+        edges = _panel_edges()
+        keep, own_lo, own_hi = _probe_panels(x, _PANEL_L, lo, edges)
+        starts = np.concatenate([edges[:-1][keep], own_lo])
+        ends = np.concatenate([edges[1:][keep], own_hi])
+        order = np.argsort(starts)
+        starts, ends = starts[order], ends[order]
+        assert starts[0] == lo and ends[-1] == _PANEL_L
+        assert np.array_equal(starts[1:], ends[:-1]) and np.all(starts < ends)
+        breaks = np.concatenate([[lo, x, _PANEL_L - x], edges])
+        assert not np.any((starts[:, None] < breaks) & (breaks < ends[:, None]))
+        # below the first shared edge the pieces are geometric, ratio at most 2
+        below = ends <= edges[0]
+        assert np.all(ends[below] <= 2.0 * starts[below])
 
 
 class TestApplyFourier:

@@ -151,6 +151,11 @@ class TestCriticalRoot:
         assert alpha_c(0.75) == pytest.approx(0.726, abs=2e-3)
         assert critical_s(0.75, 2.0) == pytest.approx(2.226, abs=2e-3)
 
+    @pytest.mark.parametrize("p", [1.0, -2.0, math.inf, math.nan, 0.0, 0.5])
+    def test_critical_s_refuses_p_outside_one_to_infinity(self, p):
+        with pytest.raises(DomainError, match="1 < p < infinity"):
+            critical_s(0.5, p)
+
     def test_gap_shrinks_toward_one(self):
         gaps = [a - alpha_c(a) for a in (0.9, 0.95, 0.99)]
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
