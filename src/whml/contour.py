@@ -7,9 +7,12 @@ loop-function interpolants with the Mellin factor.  Each curved segment is
 compactified through xi = tan(pi (t - 1/2)) so the infinite junctions are
 honest endpoint limits.  The loop is one array of (segment index, t) pairs
 with one evaluator: each segment maps t to xi, and a symbol is the pair of
-its boundary value and its unit-modulus factor at xi.  One refinement pass
-per level bisects every interval of the loop whose phase increment is not
-branch-safe, and the minimum modulus is polished once, at assembly.
+its boundary value and its unit-modulus factor at xi, for a triple the
+methods of its symbols.LoopSymbol, whose constants are computed once per
+triple.  One refinement pass per level bisects every interval of the loop
+whose phase increment is not branch-safe; an interval still turning by
+pi/2 or more at width 1e-12 is recorded on the loop, and the winding
+refuses it.  The minimum modulus is polished once, at assembly.
 """
 
 from __future__ import annotations
@@ -24,13 +27,10 @@ import numpy as np
 
 from .errors import DomainError, NotFredholmError, ResolutionError, is_integer
 from .specfun import scalar_or_array
-from .symbols import (
-    SpectralParams,
-    c1p_inf,
-    c2p_inf,
-    gamma1_mellin_term,
-    wh_c1,
-)
+from .symbols import XI_SATURATION, SpectralParams
+# the loop reads the symbol through SpectralParams.loop_symbol; these names
+# stay importable from this module, where perfbench's tracer looks them up
+from .symbols import c1p_inf, c2p_inf, gamma1_mellin_term, wh_c1  # noqa: F401
 
 __all__ = [
     "Segment",
@@ -50,8 +50,11 @@ FREDHOLM_TOL = 1e-4
 _MAX_POINTS = 10 ** 6
 _PHASE_CAP = math.pi / 2.0
 _JUNCTION_TOL = 1e-6
-_XI_SATURATION = 1e8
+_MIN_WIDTH = 1e-12
 _POLISH_POINTS = 65
+# np.linspace(a, b, _POLISH_POINTS) is _RAMP * step + a with its last point
+# set to b, for step = (b - a) / (_POLISH_POINTS - 1) > 0
+_RAMP = np.arange(_POLISH_POINTS, dtype=float)
 
 
 class Segment(enum.Enum):
@@ -88,11 +91,14 @@ class SymbolLoop:
     SEGMENT_ORDER, t, value); `points` gives the same samples as
     ContourPoint records, built on first use.  `min_modulus` is the
     smallest |value| on the loop: the polished one for a built loop, the
-    smallest sample's otherwise.  An empty loop is refused.
+    smallest sample's otherwise.  `unresolved` holds the indices i whose
+    interval from sample i to i + 1 the refinement left still turning the
+    phase by pi/2 or more, at width 1e-12 or less.  An empty loop is
+    refused.
     """
 
     def __init__(self, segment_index, t, values, closure_gap, junction_gaps,
-                 min_modulus=None):
+                 min_modulus=None, unresolved=()):
         arrays = (np.asarray(segment_index, dtype=np.intp), np.asarray(t, dtype=float),
                   np.asarray(values, dtype=complex))
         if arrays[2].size == 0:
@@ -106,6 +112,7 @@ class SymbolLoop:
         if min_modulus is None:
             min_modulus = float(np.min(np.abs(arrays[2])))
         self.min_modulus = min_modulus
+        self.unresolved = tuple(int(i) for i in unresolved)
 
     @property
     def points(self) -> tuple:
@@ -126,8 +133,10 @@ class SymbolLoop:
 
 def _xi_line(t):
     """Compactified coordinate for a full line, t in [0, 1] -> xi."""
-    return np.where(t <= 0.0, -np.inf,
-                    np.where(t >= 1.0, np.inf, np.tan(np.pi * (t - 0.5))))
+    xi = np.tan(np.pi * (t - 0.5))
+    if t.min() > 0.0 and t.max() < 1.0:
+        return xi
+    return np.where(t <= 0.0, -np.inf, np.where(t >= 1.0, np.inf, xi))
 
 
 def _lambda_down(t):
@@ -141,21 +150,9 @@ def _lambda_up(t):
     return _lambda_down(1.0 - t)
 
 
-def _boundary_value(xi, sp: SpectralParams):
-    """Symbol on the boundary segment: c1p + (mellin term) * c2p, with the
-    one-sided limits beyond |xi| = _XI_SATURATION."""
-    inner = np.abs(xi) <= _XI_SATURATION
-    x = xi[inner]
-    out = np.empty(xi.shape, dtype=complex)
-    out[inner] = c1p_inf(x, sp) + gamma1_mellin_term(x, sp) * c2p_inf(x, sp)
-    if not inner.all():
-        out[~inner] = wh_c1(np.where(xi[~inner] > 0.0, -np.inf, np.inf), sp)
-    return out
-
-
 def _saturated(xi):
-    """xi, with the one-sided limit +-inf beyond |xi| = _XI_SATURATION."""
-    return np.where(np.abs(xi) < _XI_SATURATION, xi, np.copysign(np.inf, xi))
+    """xi, with the one-sided limit +-inf beyond |xi| = XI_SATURATION."""
+    return np.where(np.abs(xi) < XI_SATURATION, xi, np.copysign(np.inf, xi))
 
 
 # xi(t) of each segment; the symbol is its boundary value at xi on G1 and
@@ -172,24 +169,27 @@ _SEGMENT_XI = {
 
 def _loop_values(boundary, unit, seg_index, t):
     """Symbol values at the (segment index, t) pairs: one boundary(xi) call
-    for the G1 points and one unit(xi) call for the others.  Only the
-    segments present are mapped to xi."""
+    for the G1 points and one unit(xi) call for the others.  seg_index is
+    nondecreasing, as along the loop, so each segment present is one run
+    of pairs, mapped to xi as a slice; pairs on one segment, as in every
+    polish pass and most refinement passes, take one map and one call."""
+    k = seg_index[0]
+    if k == seg_index[-1]:
+        xi = _SEGMENT_XI[SEGMENT_ORDER[k]](t)
+        return boundary(xi) if k == 0 else unit(xi)
+    ends = np.searchsorted(seg_index, np.arange(1, len(SEGMENT_ORDER) + 1)).tolist()
     xi = np.empty(t.shape)
-    for k in np.unique(seg_index):
-        on = seg_index == k
-        xi[on] = _SEGMENT_XI[SEGMENT_ORDER[k]](t[on])
+    start = 0
+    for seg, end in zip(SEGMENT_ORDER, ends):
+        if end > start:
+            xi[start:end] = _SEGMENT_XI[seg](t[start:end])
+        start = end
     out = np.empty(t.shape, dtype=complex)
-    on_g1 = seg_index == 0
-    if on_g1.any():
-        out[on_g1] = boundary(xi[on_g1])
-    if not on_g1.all():
-        out[~on_g1] = unit(xi[~on_g1])
+    g1 = ends[0]
+    if g1 > 0:
+        out[:g1] = boundary(xi[:g1])
+    out[g1:] = unit(xi[g1:])
     return out
-
-
-def _symbol(sp: SpectralParams) -> tuple:
-    """The generalized symbol's (boundary, unit) pair of functions of xi."""
-    return (lambda xi: _boundary_value(xi, sp)), (lambda xi: wh_c1(xi, sp))
 
 
 def eval_segment(seg: Segment, t, sp: SpectralParams):
@@ -200,7 +200,8 @@ def eval_segment(seg: Segment, t, sp: SpectralParams):
         raise DomainError("segment parameter must lie in [0, 1]")
     if seg not in SEGMENT_ORDER:
         raise DomainError(f"unknown segment {seg!r}")
-    out = _loop_values(*_symbol(sp), np.full(ta.shape, SEGMENT_ORDER.index(seg)), ta)
+    sym = sp.loop_symbol
+    out = _loop_values(sym.boundary, sym.unit, np.full(ta.shape, SEGMENT_ORDER.index(seg)), ta)
     return scalar_or_array(out.reshape(np.shape(t)))
 
 
@@ -209,11 +210,12 @@ def _refine(f, seg_index: np.ndarray, t: np.ndarray, budget: int):
     branch-safe, in one batched pass per level, until none is left.
 
     An interval is split when its endpoint values differ in phase by at
-    least _PHASE_CAP (or one of them is zero) and it is wider than 1e-12,
-    so no junction, where t falls from 1 to 0, is split.  Each decision
-    depends only on the interval's own endpoints, so every segment's grid
-    does not depend on the order of the splits.  Raises once more than
-    `budget` points would be added.
+    least _PHASE_CAP (or one of them is zero) and it is wider than
+    _MIN_WIDTH, so no junction, where t falls from 1 to 0, is split.  Each
+    decision depends only on the interval's own endpoints, so every
+    segment's grid does not depend on the order of the splits.  Raises once
+    more than `budget` points would be added.  Also returns the indices of
+    the intervals left turning by at least _PHASE_CAP.
     """
     v = f(seg_index, t)
     added = 0
@@ -222,9 +224,10 @@ def _refine(f, seg_index: np.ndarray, t: np.ndarray, budget: int):
         nonzero = (v0 != 0) & (v1 != 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             dphi = np.where(nonzero, np.abs(np.angle(v1 / v0)), math.pi)
-        idx = np.flatnonzero((dphi >= _PHASE_CAP) & (np.diff(t) > 1e-12))
+        turning = dphi >= _PHASE_CAP
+        idx = np.flatnonzero(turning & (np.diff(t) > _MIN_WIDTH))
         if idx.size == 0:
-            return seg_index, t, v
+            return seg_index, t, v, np.flatnonzero(turning)
         added += idx.size
         if added > budget:
             raise ResolutionError(
@@ -256,8 +259,8 @@ def _assemble(boundary, unit, n_base: int) -> SymbolLoop:
         )
     f = functools.partial(_loop_values, boundary, unit)
     seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)), counts)
-    t = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts])
-    seg_index, t, values = _refine(f, seg_index, t, _MAX_POINTS - base)
+    t = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts[:2]] * 3)
+    seg_index, t, values, unresolved = _refine(f, seg_index, t, _MAX_POINTS - base)
 
     # each segment's last point against the next one's first, G2M closing on G1
     last = np.append(np.flatnonzero(np.diff(seg_index)), -1)
@@ -267,12 +270,13 @@ def _assemble(boundary, unit, n_base: int) -> SymbolLoop:
             f"junction gaps {junction_gaps} exceed {_JUNCTION_TOL}"
         )
     return SymbolLoop(seg_index, t, values, junction_gaps[-1], junction_gaps,
-                      _polished_min_modulus(f, seg_index, t, values))
+                      _polished_min_modulus(f, seg_index, t, values), unresolved)
 
 
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
     """Assemble and refine the generalized-symbol loop for one parameter set."""
-    return _assemble(*_symbol(sp), n_base)
+    sym = sp.loop_symbol
+    return _assemble(sym.boundary, sym.unit, n_base)
 
 
 def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
@@ -319,9 +323,11 @@ def _polished_min_modulus(f, seg_index, t, values) -> float:
     lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
     hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
     a, b = float(t[lo]), float(t[hi])
+    seg = np.full(_POLISH_POINTS, k)
     while b - a >= 1e-14:
-        x = np.linspace(a, b, _POLISH_POINTS)
-        mods = np.abs(f(np.full(x.shape, k), x))
+        x = _RAMP * ((b - a) / (_POLISH_POINTS - 1)) + a
+        x[-1] = b
+        mods = np.abs(f(seg, x))
         j = int(np.argmin(mods))
         best = min(best, float(mods[j]))
         a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, _POLISH_POINTS - 1)])
@@ -332,13 +338,22 @@ def winding_number(loop: SymbolLoop) -> int:
     """Winding of the loop about the origin from unwrapped phase increments.
 
     Requires the loop to stay away from the origin (min modulus above
-    FREDHOLM_TOL); the accumulated phase must land on an integer
-    multiple of 2 pi to within 1 percent.  Reads the minimum modulus kept
-    on the loop.
+    FREDHOLM_TOL) and every interval of it to turn the phase by less than
+    pi/2 (none left unresolved by the refinement); the accumulated phase
+    must land on an integer multiple of 2 pi to within 1 percent.  Reads
+    the minimum modulus kept on the loop.
     """
     if loop.min_modulus <= FREDHOLM_TOL:
         raise NotFredholmError(
             f"loop minimum modulus is below {FREDHOLM_TOL}; winding undefined"
+        )
+    if loop.unresolved:
+        seg_index, t, _ = loop.arrays()
+        i = loop.unresolved[0]
+        raise ResolutionError(
+            f"{len(loop.unresolved)} loop interval(s) still turn the phase by pi/2 or "
+            f"more at width {_MIN_WIDTH:g}, the first on "
+            f"{SEGMENT_ORDER[seg_index[i]].value} from t = {float(t[i]):.17g}"
         )
     vals = loop.values()
     closed = np.append(vals, vals[0])
@@ -359,10 +374,11 @@ def export_loop(loop: SymbolLoop, fmt: str = "csv") -> bytes:
     if fmt == "csv":
         buf = io.StringIO()
         buf.write("segment,t,re,im\n")
-        for pt in loop.points:
-            buf.write(
-                f"{pt.segment.value},{pt.t:.17g},{pt.value.real:.17g},{pt.value.imag:.17g}\n"
-            )
+        seg_index, t, values = loop.arrays()
+        names = [seg.value for seg in SEGMENT_ORDER]
+        for k, tk, re, im in zip(seg_index.tolist(), t.tolist(), values.real.tolist(),
+                                 values.imag.tolist()):
+            buf.write(f"{names[k]},{tk:.17g},{re:.17g},{im:.17g}\n")
         return buf.getvalue().encode("utf-8")
     if fmt == "svg":
         vals = list(loop.values())

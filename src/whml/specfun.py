@@ -2,12 +2,16 @@
 
 Everything here follows one branch convention: arguments of complex numbers
 live in (-pi, pi], with the cut along the negative real axis.  All fractional
-powers of complex bases must go through :func:`principal_power` so that the
-convention holds globally.
+powers of complex bases must go through :func:`principal_power` (or its
+unmasked form :func:`nonzero_power`, for bases that never vanish) so that
+the convention holds globally.
 
 Beta is assembled in log space from scipy.special.loggamma (principal
 branch) to dodge overflow; it raises :class:`PoleError` within 1e-13 of a
 non-positive integer and ``AccuracyOverflow`` on a non-finite result.
+:class:`PartialBeta` is the same formula for one fixed real b > 0 and a
+first argument in the right half-plane, with loggamma(b) computed once and
+no pole scan.
 Principal powers, beta and the real modified Bessel function K_nu take
 scalars or arrays and return the same shape; a scalar call is a view of the
 array code.  K_nu and the confluent hypergeometric U are delegated to
@@ -25,7 +29,9 @@ from .errors import DomainError, GammaOverflowError, PoleError
 
 __all__ = [
     "principal_power",
+    "nonzero_power",
     "complex_beta",
+    "PartialBeta",
     "bessel_k",
     "kummer_u",
 ]
@@ -65,9 +71,18 @@ def principal_power(z, gamma: float):
     zero = za == 0
     if gamma <= 0 and zero.any():
         raise DomainError("0 cannot be raised to a non-positive power")
-    logz = np.log(np.where(zero, 1.0, np.abs(za))) + 1j * _arg_principal(za)
-    out = np.where(zero, 0j, np.exp(gamma * logz))
-    return scalar_or_array(_check_finite(out, "principal_power"))
+    out = np.where(zero, 0j, nonzero_power(np.where(zero, 1.0, za), gamma))
+    return scalar_or_array(out)
+
+
+def nonzero_power(z, gamma: float):
+    """principal_power for bases that never vanish, such as xi +- i and
+    1 + xi^2 at real xi: the same exp(g*(log|z| + i*arg z)) with no zero
+    mask, so it equals principal_power there bit for bit.  Returns an array
+    (a numpy scalar for a scalar z) and raises on a non-finite value."""
+    za = np.asarray(z, dtype=complex)
+    out = np.exp(gamma * (np.log(np.abs(za)) + 1j * _arg_principal(za)))
+    return _check_finite(out, "principal_power")
 
 
 def _near_pole(*zs) -> bool:
@@ -79,6 +94,13 @@ def _near_pole(*zs) -> bool:
     return bool(((dist < _POLE_TOL) & (re < 0.5)).any())
 
 
+def _log_space_beta(a, log_gamma_b, a_plus_b):
+    """B(a, b) = exp(loggamma(a) + loggamma(b) - loggamma(a + b)), given
+    loggamma(b) and a + b."""
+    log_beta = _sp.loggamma(a) + log_gamma_b - _sp.loggamma(a_plus_b)
+    return np.exp(_check_finite(log_beta, "complex_beta"))
+
+
 def complex_beta(a, b):
     """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), via log-gamma."""
     aa = np.asarray(a, dtype=complex)
@@ -86,9 +108,23 @@ def complex_beta(a, b):
     ab = aa + bb
     if _near_pole(aa, bb, ab):
         raise PoleError("beta pole: argument or argument sum at a non-positive integer")
-    log_beta = _sp.loggamma(aa) + _sp.loggamma(bb) - _sp.loggamma(ab)
-    out = np.exp(_check_finite(log_beta, "complex_beta"))
-    return scalar_or_array(out)
+    return scalar_or_array(_log_space_beta(aa, _sp.loggamma(bb), ab))
+
+
+class PartialBeta:
+    """a -> B(a, b) for one real b > 0, on complex arrays a with Re a > 0:
+    complex_beta's log-space formula with loggamma(b) computed once.  No
+    gamma factor has a pole there, so there is no pole scan; the caller
+    guarantees Re a > 0.  Equal to complex_beta(a, b) bit for bit."""
+
+    def __init__(self, b: float):
+        if not b > 0.0:
+            raise DomainError("PartialBeta requires b > 0")
+        self._b = np.asarray(b, dtype=complex)
+        self._log_gamma_b = _sp.loggamma(self._b)
+
+    def __call__(self, a):
+        return _log_space_beta(a, self._log_gamma_b, a + self._b)
 
 
 def bessel_k(nu: float, x):

@@ -8,24 +8,34 @@ two one-sided limits of c1/c2 by circular-arc interpolants whose closed
 form is a ratio of sines (c1p_inf, c2p_inf); those are computed in a
 cosh-free rearrangement that stays finite for arbitrarily large
 frequencies.
+
+The loop reads the symbol through one LoopSymbol per triple
+(SpectralParams.loop_symbol): the boundary value and the unit factor as
+array functions of xi, with every xi-free constant computed once, equal bit
+for bit to the composition of the public factors above, which stay as its
+oracles.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature as q
-from .errors import DomainError
-from .specfun import complex_beta, principal_power, scalar_or_array
+from .errors import DomainError, PoleError
+from .specfun import (PartialBeta, complex_beta, nonzero_power, principal_power,
+                      scalar_or_array)
 
 __all__ = [
     "Regime",
     "SpectralParams",
+    "LoopSymbol",
+    "XI_SATURATION",
     "wh_c1",
     "wh_c2",
     "c1p_inf",
@@ -35,6 +45,10 @@ __all__ = [
     "beta_term",
     "mellin_symbol_residual",
 ]
+
+
+# beyond this |xi| the loop takes the symbol's one-sided limits at infinity
+XI_SATURATION = 1e8
 
 
 class Regime(enum.Enum):
@@ -103,6 +117,11 @@ class SpectralParams:
         """First beta argument at xi = 0: s - 2*alpha + 1/p'."""
         return self.s - 2.0 * self.alpha + 1.0 - 1.0 / self.p
 
+    @functools.cached_property
+    def loop_symbol(self) -> "LoopSymbol":
+        """The symbol's loop evaluator, with its constants computed once."""
+        return LoopSymbol(self)
+
 
 def _wh_factor(xi, sp: SpectralParams, lead, at_plus_inf: complex, at_minus_inf: complex):
     """lead(xi) (xi-i)^(s-2a-m) (xi+i)^(m-s), with the given limits at +inf
@@ -114,10 +133,11 @@ def _wh_factor(xi, sp: SpectralParams, lead, at_plus_inf: complex, at_minus_inf:
         raise DomainError("Wiener-Hopf factor needs xi that is not nan")
     finite = np.isfinite(x)
     xf = np.where(finite, x, 0.0)
+    # xi -+ i never vanishes at real xi
     val = (
         lead(xf)
-        * principal_power(xf - 1j, s - 2.0 * a - m)
-        * principal_power(xf + 1j, m - s)
+        * nonzero_power(xf - 1j, s - 2.0 * a - m)
+        * nonzero_power(xf + 1j, m - s)
     )
     out = np.where(finite, val, np.where(x > 0.0, at_plus_inf, at_minus_inf))
     return scalar_or_array(out.reshape(np.shape(xi)))
@@ -130,7 +150,7 @@ def wh_c1(xi, sp: SpectralParams):
     Limits: 1 at +inf, e^(2 pi nu i) at -inf, e^(pi nu i) from both sides
     of 0 (the single discontinuity sits at infinity).  Accepts arrays.
     """
-    return _wh_factor(xi, sp, lambda x: principal_power(1.0 + x * x, sp.alpha),
+    return _wh_factor(xi, sp, lambda x: nonzero_power(1.0 + x * x, sp.alpha),
                       1.0 + 0j, cmath.exp(2j * math.pi * sp.nu))
 
 
@@ -147,6 +167,13 @@ def wh_c2(xi, sp: SpectralParams):
                       cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a)))
 
 
+def _sine_terms(a):
+    """sin(pi a) and i cos(pi a), the xi-free parts of sine_ratio's
+    numerator (or denominator) sin(pi a) - i cos(pi a) tanh(pi xi)."""
+    a = np.asarray(a)
+    return np.sin(math.pi * a), 1j * np.cos(math.pi * a)
+
+
 def sine_ratio(a, b, xi):
     """sin(pi(a - i xi)) / sin(pi(b - i xi)) via the tanh rearrangement;
     arrays broadcast.
@@ -157,11 +184,9 @@ def sine_ratio(a, b, xi):
     (sin pi b = 0 at xi = 0) gives a non-finite entry, not an exception.
     """
     t = np.tanh(math.pi * np.asarray(xi, dtype=float))
-    a = np.asarray(a)
-    b = np.asarray(b)
-    num = np.sin(math.pi * a) - 1j * np.cos(math.pi * a) * t
-    den = np.sin(math.pi * b) - 1j * np.cos(math.pi * b) * t
-    return num / den
+    sin_a, icos_a = _sine_terms(a)
+    sin_b, icos_b = _sine_terms(b)
+    return (sin_a - icos_a * t) / (sin_b - icos_b * t)
 
 
 def beta_term(alpha, sigma, xi):
@@ -196,6 +221,65 @@ def gamma1_mellin_term(xi, sp: SpectralParams):
     Kummer-profile origin value out of the contour code entirely.
     """
     return scalar_or_array(-beta_term(sp.alpha, sp.beta_sigma, xi))
+
+
+class LoopSymbol:
+    """The generalized symbol of one triple as the loop reads it, as two
+    array functions of real xi: `boundary` on the boundary segment and
+    `unit`, the unit-modulus factor wh_c1, on the five others.
+
+    `boundary` is c1p_inf + gamma1_mellin_term * c2p_inf for |xi| <=
+    XI_SATURATION and the one-sided limit of wh_c1 beyond (e^(2 pi i nu)
+    for xi > 0, 1 for xi < 0).  Everything free of xi is computed once
+    here: the sine terms of 1/p, 1/p + nu and 1/p + nu', the phases
+    e^(i pi nu) and e^(i pi (nu' - a)), loggamma(2a), sin(pi a)/pi and
+    sigma.  A call takes one tanh, one denominator shared by the two sine
+    ratios, two loggamma calls and one exp, in the same floating-point
+    operations and order as the composition, so it equals it bit for bit.
+    The beta pole scan of complex_beta becomes one check: the first
+    argument sigma + i xi has sigma = beta_sigma > 0 and the second is 2a
+    in (0, 2).
+    """
+
+    def __init__(self, sp: SpectralParams):
+        if not sp.beta_sigma > 0.0:
+            raise PoleError(f"beta argument sigma = {sp.beta_sigma!r} is not positive")
+        inv_p, nu, nu_p, a = 1.0 / sp.p, sp.nu, sp.nu_prime, sp.alpha
+        self._sp = sp
+        self._den = _sine_terms(inv_p)
+        self._c1_num = _sine_terms(inv_p + nu)
+        self._c2_num = _sine_terms(inv_p + nu_p)
+        self._c1_phase = cmath.exp(1j * math.pi * nu)
+        self._c2_phase = cmath.exp(1j * math.pi * (nu_p - a))
+        self._sigma = np.asarray(sp.beta_sigma, dtype=float)
+        self._beta = PartialBeta(2.0 * np.asarray(a))
+        self._beta_scale = np.sin(math.pi * np.asarray(a)) / math.pi
+        self._c1_at_minus_inf = cmath.exp(2j * math.pi * nu)
+
+    def boundary(self, xi: np.ndarray) -> np.ndarray:
+        """The symbol on the boundary segment at a float array of xi."""
+        inner = np.abs(xi) <= XI_SATURATION
+        if inner.all():
+            return self._boundary_inner(xi)
+        out = np.empty(xi.shape, dtype=complex)
+        out[inner] = self._boundary_inner(xi[inner])
+        out[~inner] = np.where(xi[~inner] > 0.0, self._c1_at_minus_inf, 1.0 + 0j)
+        return out
+
+    def _boundary_inner(self, xi):
+        t = np.tanh(math.pi * xi)
+        sin_b, icos_b = self._den
+        den = sin_b - icos_b * t
+        sin_1, icos_1 = self._c1_num
+        sin_2, icos_2 = self._c2_num
+        c1p = self._c1_phase * ((sin_1 - icos_1 * t) / den)
+        c2p = self._c2_phase * ((sin_2 - icos_2 * t) / den)
+        gamma1 = -(self._beta_scale * self._beta(self._sigma + 1j * xi))
+        return c1p + gamma1 * c2p
+
+    def unit(self, xi: np.ndarray) -> np.ndarray:
+        """The unit-modulus factor wh_c1 at a float array of xi."""
+        return wh_c1(xi, self._sp)
 
 
 def mellin_symbol_residual(gamma: float, rho: float, y: float, p: float) -> float:

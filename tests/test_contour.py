@@ -21,8 +21,8 @@ from whml.contour import (
     min_modulus,
     winding_number,
 )
-from whml.errors import DomainError, NotFredholmError
-from whml.symbols import SpectralParams, wh_c1
+from whml.errors import DomainError, NotFredholmError, ResolutionError
+from whml.symbols import SpectralParams, c1p_inf, c2p_inf, gamma1_mellin_term, wh_c1
 
 SP_MODEL = SpectralParams(0.4, 2.0, 1.4)
 SP_LOW = SpectralParams(0.3, 2.0, 1.2)
@@ -504,3 +504,76 @@ class TestArrayAssembly:
             ref = min(float(abs(values[i])), _sequential_golden_min(
                 lambda x: eval_segment(seg, x, sp), t[i - 1], t[i + 1]))
             assert min_modulus(loop) == pytest.approx(ref, rel=1e-13, abs=1e-16)
+
+
+def _composed_symbol(sp):
+    """The (boundary, unit) pair composed of the public factors, the
+    reference of the loop's evaluator: c1p_inf + gamma1_mellin_term *
+    c2p_inf within |xi| <= 1e8, wh_c1's one-sided limits beyond, and wh_c1
+    on the five other segments."""
+    def boundary(xi):
+        inner = np.abs(xi) <= 1e8
+        x = xi[inner]
+        out = np.empty(xi.shape, dtype=complex)
+        out[inner] = c1p_inf(x, sp) + gamma1_mellin_term(x, sp) * c2p_inf(x, sp)
+        if not inner.all():
+            out[~inner] = wh_c1(np.where(xi[~inner] > 0.0, -np.inf, np.inf), sp)
+        return out
+
+    return boundary, lambda xi: wh_c1(xi, sp)
+
+
+def _gate_triples():
+    """The golden files' 40 seeded triples and README triples, HIGH triples
+    1e-5 and 1e-9 either side of the critical smoothness, and LOW triples
+    1e-5 above s = 1/p."""
+    from golden.make_golden import seeded_triples
+    from whml.transcend import alpha_c
+    out = list(seeded_triples()) + list(README_TRIPLES)
+    for a in (0.2, 0.5, 0.9):
+        s_c = 1.5 + alpha_c(a)
+        out += [(a, 2.0, s_c + d) for d in (-1e-5, 1e-5, -1e-9, 1e-9)]
+    out += [(a, p, 1.0 / p + 1e-5) for a, p in ((0.2, 2.0), (0.45, 1.3), (0.05, 7.0))]
+    return out
+
+
+class TestLoopEvaluator:
+    def test_loop_equals_the_composed_factors_bit_for_bit(self):
+        # the loop's evaluator against the composition of the public
+        # factors: the same samples, bytes included, and the same polished
+        # minimum; no loop leaves an interval unresolved
+        for triple in _gate_triples():
+            sp = SpectralParams(*triple)
+            loop = build_loop(sp)
+            ref = contour_mod._assemble(*_composed_symbol(sp), 256)
+            for mine, theirs in zip(loop.arrays(), ref.arrays()):
+                assert np.array_equal(mine, theirs), triple
+                assert mine.tobytes() == theirs.tobytes(), triple
+            assert loop.min_modulus == ref.min_modulus, triple
+            assert loop.unresolved == ref.unresolved == (), triple
+
+    def test_polish_grid_is_linspace(self):
+        rng = np.random.default_rng(24)
+        lo = rng.uniform(0.0, 1.0, 4000)
+        width = 10.0 ** rng.uniform(-14.0, 0.0, 4000)
+        for a, b in zip(lo.tolist(), (lo + width).tolist()):
+            x = contour_mod._RAMP * ((b - a) / (contour_mod._POLISH_POINTS - 1)) + a
+            x[-1] = b
+            assert np.array_equal(x, np.linspace(a, b, contour_mod._POLISH_POINTS)), (a, b)
+
+    def test_unresolved_phase_jump_is_refused(self):
+        # a symbol of modulus 1 that jumps by pi at xi = 0.3 and back at
+        # 0.7: the refinement stops at width 1e-12 on both jumps, whose
+        # phase steps pi and -pi would sum to a winding of 0
+        def boundary(xi):
+            return np.where(np.abs(xi - 0.5) < 0.2, -1.0 + 0j, 1.0 + 0j)
+
+        loop = contour_mod._assemble(boundary, lambda xi: np.ones(xi.shape, dtype=complex), 64)
+        seg_index, t, values = loop.arrays()
+        assert len(loop.unresolved) == 2 and loop.min_modulus == 1.0
+        for i in loop.unresolved:
+            assert seg_index[i] == seg_index[i + 1] == 0
+            assert 0.0 < t[i + 1] - t[i] <= 1e-12
+            assert values[i] == -values[i + 1]
+        with pytest.raises(ResolutionError, match="turn the phase by pi/2 or more"):
+            winding_number(loop)

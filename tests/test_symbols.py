@@ -1,8 +1,11 @@
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whml.errors import DomainError
 from whml.specfun import principal_power
@@ -11,6 +14,7 @@ from whml.symbols import (
     SpectralParams,
     c1p_inf,
     c2p_inf,
+    gamma1_mellin_term,
     mellin_symbol_residual,
     sine_ratio,
     wh_c1,
@@ -285,3 +289,74 @@ class TestArrayViews:
                            np.full((2, 2), nan)):
                     with pytest.raises(DomainError, match="nan"):
                         fn(xi, sp)
+
+
+EDGE = 1e-12
+ABOVE_SATURATION = float(np.nextafter(1e8, np.inf))
+# zero, the smallest subnormal, 1, the saturation threshold and the float above it
+XI_PROBES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e8, -1e8,
+                      ABOVE_SATURATION, -ABOVE_SATURATION])
+
+
+def _within(lo: float, hi: float):
+    """Floats in [lo, hi], the two ends drawn often."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi]))
+
+
+@st.composite
+def _admissible(draw):
+    """(alpha, p, s) anywhere in either window, as close as EDGE to each of
+    its edges, with p up to 1e300."""
+    p = draw(_within(1.0 + EDGE, 1e300))
+    low = draw(st.booleans())
+    alpha = draw(_within(EDGE, (0.5 if low else 1.0) - EDGE))
+    s = 1.0 / p + (0.0 if low else 1.0) + draw(_within(EDGE, 1.0 - EDGE))
+    return SpectralParams(alpha, p, s)
+
+
+class TestLoopSymbol:
+    @settings(max_examples=300, deadline=None)
+    @given(_admissible())
+    def test_equals_the_composed_factors_bit_for_bit(self, sp):
+        # the loop's evaluator against the composition of the public
+        # factors, limits beyond |xi| = 1e8 included, bytes and all
+        sym = sp.loop_symbol
+        inner = np.abs(XI_PROBES) <= 1e8
+        x = XI_PROBES[inner]
+        composed = np.empty(XI_PROBES.shape, dtype=complex)
+        composed[inner] = c1p_inf(x, sp) + gamma1_mellin_term(x, sp) * c2p_inf(x, sp)
+        composed[~inner] = wh_c1(np.where(XI_PROBES[~inner] > 0.0, -np.inf, np.inf), sp)
+        boundary = sym.boundary(XI_PROBES)
+        assert boundary.tobytes() == composed.tobytes()
+        assert np.isfinite(boundary).all()
+        # the unit factor without zero masks against the masked powers
+        xs = np.append(XI_PROBES, [np.inf, -np.inf])
+        unit = sym.unit(xs)
+        finite = np.isfinite(xs)
+        xf = xs[finite]
+        a, s, m = sp.alpha, sp.s, sp.m
+        masked = (principal_power(1.0 + xf * xf, a) * principal_power(xf - 1j, s - 2.0 * a - m)
+                  * principal_power(xf + 1j, m - s))
+        assert unit[finite].tobytes() == masked.tobytes()
+        assert unit[-2] == 1.0 and unit[-1] == cmath.exp(2j * math.pi * sp.nu)
+
+    def test_no_pole_scan_at_tiny_alpha(self):
+        # 2a = 2e-14 lies within complex_beta's 1e-13 pole band, but the
+        # beta factor has no pole for a > 0: the loop gets its values
+        from whml.contour import build_loop, winding_number
+        from whml.errors import PoleError
+        sp = SpectralParams(1e-14, 2.0, 0.9)
+        with pytest.raises(PoleError):
+            gamma1_mellin_term(0.0, sp)
+        assert np.isfinite(sp.loop_symbol.boundary(XI_PROBES)).all()
+        assert winding_number(build_loop(sp, 64)) == 0
+
+    def test_constants_are_computed_once_per_triple(self):
+        sp = SpectralParams(0.3, 2.0, 1.2)
+        assert sp.loop_symbol is sp.loop_symbol
+        assert SpectralParams(0.3, 2.0, 1.2).loop_symbol is not sp.loop_symbol
+        # the evaluator kept on the triple does not stop it from pickling
+        again = pickle.loads(pickle.dumps(sp))
+        assert again == sp
+        assert again.loop_symbol.boundary(XI_PROBES).tobytes() == \
+            sp.loop_symbol.boundary(XI_PROBES).tobytes()
