@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 I/O failure, 4 numerical failure (a quadrature, a panel rule's error
 estimate or a loop refinement missed its tolerance, or a loop passed too
 close to the origin for a winding number); codes 2 to 4 print a one-line message to stderr.
+A stdout closed by its reader (``whml verify | head -1``) is an I/O failure.
 
 `alphac` bisects the critical root to float resolution; it takes no
 tolerance option, and an alpha whose root float spacing cannot resolve is a
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -176,7 +178,9 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -185,6 +189,14 @@ def cli_main(argv=None) -> int:
         return EXIT_NUMERIC
     except _IoFailure as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone; what is still buffered goes to
+        # os.devnull, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"i/o error: stdout closed: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -9,9 +9,9 @@ the convention holds globally.
 Beta is assembled in log space from scipy.special.loggamma (principal
 branch) to dodge overflow; it raises :class:`PoleError` within 1e-13 of a
 non-positive integer and ``AccuracyOverflow`` on a non-finite result.
-:class:`PartialBeta` is the same formula for one fixed real b > 0 and a
-first argument in the right half-plane, with loggamma(b) computed once and
-no pole scan.
+:class:`PartialBeta` is the same formula for a fixed real b > 0 (or an
+array of them) and a first argument in the right half-plane, with
+loggamma(b) computed once and no pole scan.
 Principal powers, beta and the real modified Bessel function K_nu take
 scalars or arrays and return the same shape; a scalar call is a view of the
 array code.  K_nu and the confluent hypergeometric U are delegated to
@@ -112,13 +112,14 @@ def complex_beta(a, b):
 
 
 class PartialBeta:
-    """a -> B(a, b) for one real b > 0, on complex arrays a with Re a > 0:
-    complex_beta's log-space formula with loggamma(b) computed once.  No
-    gamma factor has a pole there, so there is no pole scan; the caller
-    guarantees Re a > 0.  Equal to complex_beta(a, b) bit for bit."""
+    """a -> B(a, b) for a real b > 0, or an array of them, on complex arrays
+    a with Re a > 0 that broadcast against b: complex_beta's log-space
+    formula with loggamma(b) computed once.  No gamma factor has a pole
+    there, so there is no pole scan; the caller guarantees Re a > 0.  Equal
+    to complex_beta(a, b) bit for bit."""
 
-    def __init__(self, b: float):
-        if not b > 0.0:
+    def __init__(self, b):
+        if not np.all(np.asarray(b) > 0.0):
             raise DomainError("PartialBeta requires b > 0")
         self._b = np.asarray(b, dtype=complex)
         self._log_gamma_b = _sp.loggamma(self._b)

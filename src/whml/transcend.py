@@ -22,10 +22,11 @@ import numpy as np
 from .errors import DomainError, PoleError, is_integer
 from .kernel import _power_constant
 from .reports import VerificationReport
+from .specfun import PartialBeta
 # complex_beta is no longer called here; it stays importable from this
 # module, where perfbench's tracer looks it up
 from .specfun import complex_beta  # noqa: F401
-from .symbols import beta_term, sine_ratio
+from .symbols import sine_ratio
 
 __all__ = [
     "te_residual_zero",
@@ -42,10 +43,17 @@ def _ts_array(alpha, tau, xi):
     return sine_ratio(1.0 + alpha - tau, 1.0 + 2.0 * alpha - tau, xi)
 
 
+def _sigma(alpha, tau):
+    """Real part tau + 1 - 2a of the beta side's first argument."""
+    return np.asarray(tau, dtype=float) + 1.0 - 2.0 * np.asarray(alpha, dtype=float)
+
+
 def _tb_array(alpha, tau, xi):
-    """Beta side (sin pi a / pi) * B(tau + 1 - 2a + i xi, 2a)."""
-    sigma = np.asarray(tau, dtype=float) + 1.0 - 2.0 * np.asarray(alpha, dtype=float)
-    return beta_term(alpha, sigma, xi)
+    """Beta side (sin pi a / pi) * B(tau + 1 - 2a + i xi, 2a), for
+    tau + 1 - 2a > 0: symbols.beta_term bit for bit, without its pole scan."""
+    a = np.asarray(alpha, dtype=float)
+    z = _sigma(a, tau) + 1j * np.asarray(xi, dtype=float)
+    return np.sin(math.pi * a) / math.pi * PartialBeta(2.0 * a)(z)
 
 
 def te_residual_zero(tau: float, alpha: float) -> float:
@@ -76,29 +84,42 @@ def alpha_c(alpha: float) -> float:
     (2a, 1 + a) for a >= 1/2, on which the residual changes sign exactly
     once.  Bisection evaluates only interior points, so the gamma pole at
     the end 2a is never touched.  It runs to float resolution: the root is
-    accurate to the float spacing near tau, 2.2e-16 to 4.4e-16.  Where that spacing
-    cannot resolve the root inside the interval, which happens only for some
-    alpha within about 3e-8 of 0 or 1, DomainError is raised instead, also
-    when a midpoint lands within the 1e-12 pole guard of the gamma factor.
+    accurate to the float spacing near tau, 2.2e-16 to 4.4e-16 absolute in
+    tau.  That is absolute, not relative: as alpha -> 0 the relative error
+    grows, to 1.7e-9 at alpha = 1e-4 and 0.11 at 1e-8 (4.44e-16 for
+    4.00e-16).  Where the spacing cannot resolve the root inside the
+    interval, which happens only for some alpha within about 3e-8 of 0 or
+    1, DomainError is raised instead, also when a midpoint lands within the
+    1e-12 pole guard of the gamma factor.
+
+    Each step compares the residual's constant on x^tau with its constant
+    on x^0, computed once, rather than calling te_residual_zero: for finite
+    floats x - y > 0 exactly when x > y, so every midpoint and the root are
+    those of bisecting te_residual_zero.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha_c requires 0 < alpha < 1")
     lo = 1.0 if alpha < 0.5 else 2.0 * alpha
     hi = 1.0 + alpha
+    mid = 0.5 * (lo + hi)
+    # the constant on x^0 overflows only for alphas so small that the window
+    # holds no float between its ends, and no step is taken
+    at_zero = _power_constant(0.0, alpha) if lo < mid < hi else None
+    gamma, sin, pi, two_a = math.gamma, math.sin, math.pi, 2.0 * alpha  # bound once for ~50 steps
     # near alpha -> 1 the root hugs a gamma pole where the residual slope is
     # steep, and any coarser stop would leave a visible residual
-    try:
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if te_residual_zero(mid, alpha) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-    except PoleError:
-        raise _unresolvable(alpha) from None
-    root = 0.5 * (lo + hi) - 1.0
+    while lo < mid < hi:
+        # te_residual_zero's pole guard on 2a - tau, which is negative on
+        # the whole interval; its guard on 1 + tau cannot fire, as tau > 1
+        x = two_a - mid
+        if abs(x - round(x)) < 1e-12:
+            raise _unresolvable(alpha)
+        if gamma(x) * gamma(1.0 + mid) * sin(pi * (alpha - mid)) > at_zero:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    root = mid - 1.0
     if not (0.0 < root < alpha):
         raise _unresolvable(alpha)
     return root
@@ -137,8 +158,12 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 
 def _slab_min(margin, alphas, taus, xis):
     """Each alpha's smallest margin over its own (tau, xi) grid, with a row
-    of ``taus`` per alpha, in one array call: rows (margin, tau, xi)."""
+    of ``taus`` per alpha, in one array call: rows (margin, tau, xi).  Every
+    registered region keeps the beta side off its poles, tau + 1 - 2a > 0;
+    that is checked once per (alpha, tau), not per cell."""
     a, t = alphas[:, None, None], taus[:, :, None]
+    if not np.all(_sigma(a, t) > 0.0):
+        raise PoleError("scan grid reaches the beta pole: tau + 1 - 2 alpha <= 0")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a per-thread state
         m = margin(a, _ts_array(a, t, xis), _tb_array(a, t, xis), xis).reshape(len(alphas), -1)
     rows, i = np.arange(len(alphas)), np.argmin(m, axis=1)

@@ -252,6 +252,25 @@ class TestCli:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert cli_main(["alphac", "--grid", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_is_an_io_failure(self, unbuffered):
+        # the read end closes before the child has imported anything, so its
+        # first write (unbuffered) or the flush after the command (buffered)
+        # meets a broken pipe; the exit flush then finds nothing to report
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "whml.cli", "alphac", "--alpha", "0.5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_IO
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("i/o error: stdout closed: ")
+
     def test_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal takes about 0.4 s to import, which every command would
         # pay; scipy.integrate and scipy.interpolate load at the first quad

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from whml.errors import DomainError, PoleError
-from whml.specfun import AccuracyOverflow, bessel_k, complex_beta, kummer_u, principal_power
+from whml.specfun import (AccuracyOverflow, PartialBeta, bessel_k, complex_beta, kummer_u,
+                          principal_power)
 
 
 class TestPrincipalPower:
@@ -194,3 +195,26 @@ class TestBetaAgainstMpmath:
                 scalar_val = complex_beta(complex(a[k]), float(b[k]))
                 assert scalar_val == array_vals[k]
                 assert abs(scalar_val - ref) <= 5e-13 * abs(ref)
+
+
+class TestPartialBeta:
+    def test_array_b_equals_complex_beta_bit_for_bit(self):
+        # b per row, broadcast along the first argument's columns, as the
+        # inequality scans call it
+        rng = np.random.default_rng(25)
+        b = rng.uniform(1e-9, 2.0, (30, 1))
+        a = rng.uniform(1e-6, 3.0, (30, 40)) + 1j * rng.uniform(0.0, 10.0, (30, 40))
+        got = PartialBeta(b)(a)
+        want = complex_beta(a, b)
+        assert got.shape == want.shape == (30, 40)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_b_equals_complex_beta_bit_for_bit(self):
+        a = np.array([0.5 + 0j, 1.25 + 3.0j, 2.0 - 7.5j])
+        assert PartialBeta(0.6)(a).tobytes() == complex_beta(a, 0.6).tobytes()
+
+    @pytest.mark.parametrize("b", [0.0, -0.5, math.nan, [0.4, 0.0], [[0.4], [-1.0]],
+                                   np.array([0.3, math.nan])])
+    def test_refuses_b_not_positive_in_any_entry(self, b):
+        with pytest.raises(DomainError, match="b > 0"):
+            PartialBeta(b)

@@ -197,6 +197,55 @@ class TestCriticalRoot:
         assert 0.0 < value < a
 
 
+def _bisect_residual(alpha):
+    """The reference bisection for alpha_c: every midpoint decided by the
+    sign of the guarded residual te_residual_zero."""
+    if not (0.0 < alpha < 1.0):
+        raise DomainError("alpha_c requires 0 < alpha < 1")
+    lo = 1.0 if alpha < 0.5 else 2.0 * alpha
+    hi = 1.0 + alpha
+    try:
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if te_residual_zero(mid, alpha) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    except PoleError:
+        raise transcend._unresolvable(alpha) from None
+    root = 0.5 * (lo + hi) - 1.0
+    if not (0.0 < root < alpha):
+        raise transcend._unresolvable(alpha)
+    return root
+
+
+def _outcome(f, alpha):
+    """The float's bits, or the exception's type and message."""
+    try:
+        return f(alpha).hex()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestRootBitForBit:
+    # 5e-324 overflows Gamma(2a) in the constant on x^0, which a window
+    # with no float inside never needs; 5e-13 and 0.9999999999997773 are
+    # refused by the pole guard of Gamma(2a - tau), near -1 and near 0, and
+    # without it would return 2^-51 and a float below alpha
+    @pytest.mark.parametrize("a", [5e-324, 5e-13, 1e-12, 1e-9, 1e-8, 0.5,
+                                   math.nextafter(0.5, 0.0), 1.0 - 1e-7, 1.0 - 1e-8,
+                                   0.9999999999997773, math.nextafter(1.0, 0.0)])
+    def test_edge_alphas(self, a):
+        assert _outcome(alpha_c, a) == _outcome(_bisect_residual, a)
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=500, deadline=None)
+    def test_property(self, a):
+        assert _outcome(alpha_c, a) == _outcome(_bisect_residual, a)
+
+
 class TestArgBetaSeries:
     def test_series_sign(self):
         # the summed series is negative for 0 < gamma < 1
@@ -331,6 +380,56 @@ def _serial_scan(region, density):
         if m[i] < worst:
             worst, arg = float(m[i]), (float(a), float(taus[i[0]]), float(xis[i[1]]))
     return worst, arg
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _beta_grids(density):
+    """(alphas, taus, xis) of every region and both certificates, shaped as
+    the scans broadcast them, with edge alphas inside each alpha range."""
+    edges = (1e-9, 1e-8, 0.4999999, 0.5, 1.0 - 1e-7, 1.0 - 1e-8)
+    regions = dict(transcend.SCAN_REGIONS, LOW=transcend._LOW)
+    for name, region in regions.items():
+        lo, hi = region.alphas
+        alphas = np.concatenate([transcend._midgrid(lo, hi, density),
+                                 [a for a in edges if lo < a < hi]])
+        taus = np.array([np.concatenate([transcend._midgrid(t0, t1, density)
+                                         for t0, t1 in region.tau_windows(a)]) for a in alphas])
+        yield name, alphas, taus, transcend._midgrid(*region.xis, density)
+    alphas = np.array([0.3, 0.5, 0.75, 1e-9, 1.0 - 1e-8])
+    yield ("HIGH", alphas, np.tile(transcend._midgrid(1.0, 2.0, density), (len(alphas), 1)),
+           np.linspace(0.0, transcend._XI_FAR, density))
+
+
+class TestScanBetaSide:
+    @pytest.mark.parametrize("name, alphas, taus, xis", list(_beta_grids(40)),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_equals_beta_term_bit_for_bit(self, name, alphas, taus, xis):
+        a, t = alphas[:, None, None], taus[:, :, None]
+        got = transcend._tb_array(a, t, xis)
+        assert got.shape == (len(alphas), taus.shape[1], len(xis))
+        assert _same_bits(got, beta_term(a, t + 1.0 - 2.0 * a, xis))
+
+    def test_grid_reaching_the_beta_pole_is_refused(self):
+        # tau + 1 - 2a runs from -1/2 to 1/2 across the tau window
+        te2 = transcend.SCAN_REGIONS["TE2"]
+        region = transcend._Region(te2.alphas, lambda a: [(2.0 * a - 1.5, 2.0 * a - 0.5)],
+                                   te2.xis, te2.margin, te2.grid)
+        with pytest.raises(PoleError, match="beta pole"):
+            transcend._scan(region, 20)
+        with pytest.raises(PoleError, match="beta pole"):
+            transcend._scan(region, 40)
+
+    def test_the_check_is_on_rows_before_any_cell(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("evaluated a cell")
+        monkeypatch.setattr(transcend, "_tb_array", no_cells)
+        with pytest.raises(PoleError, match="beta pole"):
+            transcend._slab_min(transcend._gap, np.array([0.75]), np.array([[0.5, 0.25]]),
+                                np.array([0.0, 1.0]))
 
 
 class TestSlabs:
