@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 
-from .contour import (FREDHOLM_TOL, Segment, build_loop, eval_segment, min_modulus,
-                      winding_number)
+import numpy as np
+
+from .contour import FREDHOLM_TOL, build_loop, min_modulus, winding_number
 from .errors import DomainError
 from .reports import ClassificationReport
 from .symbols import Regime, SpectralParams
@@ -84,9 +85,9 @@ def classify(alpha: float, p: float, s: float, mode: str = "theorem") -> Classif
             )
 
     def theorem_verdict():
-        # t = 0.5 on the boundary segment is xi = 0, where the symbol
-        # touches zero at s = 1/p in LOW and at the critical smoothness in HIGH
-        touch = abs(eval_segment(Segment.G1, 0.5, sp))
+        # the boundary value at xi = 0, where the symbol touches zero at
+        # s = 1/p in LOW and at the critical smoothness in HIGH
+        touch = abs(sp.loop_symbol.boundary(np.zeros(1))[0])
         if touch <= FREDHOLM_TOL:
             edge = "s = 1/p" if crit is None else f"critical smoothness {crit:.12g}"
             notes.append(

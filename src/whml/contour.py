@@ -9,10 +9,16 @@ honest endpoint limits.  The loop is one array of (segment index, t) pairs
 with one evaluator: each segment maps t to xi, and a symbol is the pair of
 its boundary value and its unit-modulus factor at xi, for a triple the
 methods of its symbols.LoopSymbol, whose constants are computed once per
-triple.  One refinement pass per level bisects every interval of the loop
+triple.  The base grid does not depend on the triple: it is built once per
+n_base, in a small read-only cache, with the parts of the symbol that
+depend on xi alone (symbols.boundary_tables on G1, symbols.unit_tables on
+the others), so a triple's base values are its two kernels on those
+tables.  One refinement pass per level bisects every interval of the loop
 whose phase increment is not branch-safe; an interval still turning by
 pi/2 or more at width 1e-12 is recorded on the loop, and the winding
-refuses it.  The minimum modulus is polished once, at assembly.
+refuses it.  The minimum modulus is polished once, at assembly, by a zoom
+whose passes on G1 call the boundary kernel straight from t and reuse the
+moduli at their two ends.
 """
 
 from __future__ import annotations
@@ -22,12 +28,13 @@ import functools
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NotFredholmError, ResolutionError, is_integer
 from .specfun import scalar_or_array
-from .symbols import XI_SATURATION, SpectralParams
+from .symbols import XI_SATURATION, SpectralParams, boundary_tables, unit_tables
 # the loop reads the symbol through SpectralParams.loop_symbol; these names
 # stay importable from this module, where perfbench's tracer looks them up
 from .symbols import c1p_inf, c2p_inf, gamma1_mellin_term, wh_c1  # noqa: F401
@@ -167,16 +174,10 @@ _SEGMENT_XI = {
 }
 
 
-def _loop_values(boundary, unit, seg_index, t):
-    """Symbol values at the (segment index, t) pairs: one boundary(xi) call
-    for the G1 points and one unit(xi) call for the others.  seg_index is
-    nondecreasing, as along the loop, so each segment present is one run
-    of pairs, mapped to xi as a slice; pairs on one segment, as in every
-    polish pass and most refinement passes, take one map and one call."""
-    k = seg_index[0]
-    if k == seg_index[-1]:
-        xi = _SEGMENT_XI[SEGMENT_ORDER[k]](t)
-        return boundary(xi) if k == 0 else unit(xi)
+def _segment_xi(seg_index, t):
+    """xi at the (segment index, t) pairs, and the number of G1 pairs,
+    which lead.  seg_index is nondecreasing, as along the loop, so each
+    segment present is one run of pairs, mapped to xi as a slice."""
     ends = np.searchsorted(seg_index, np.arange(1, len(SEGMENT_ORDER) + 1)).tolist()
     xi = np.empty(t.shape)
     start = 0
@@ -184,12 +185,65 @@ def _loop_values(boundary, unit, seg_index, t):
         if end > start:
             xi[start:end] = _SEGMENT_XI[seg](t[start:end])
         start = end
+    return xi, ends[0]
+
+
+def _loop_values(boundary, unit, seg_index, t):
+    """Symbol values at the (segment index, t) pairs: one boundary(xi) call
+    for the G1 points and one unit(xi) call for the others.  Pairs on one
+    segment, as in most refinement passes, take one map and one call."""
+    k = seg_index[0]
+    if k == seg_index[-1]:
+        xi = _SEGMENT_XI[SEGMENT_ORDER[k]](t)
+        return boundary(xi) if k == 0 else unit(xi)
+    xi, g1 = _segment_xi(seg_index, t)
     out = np.empty(t.shape, dtype=complex)
-    g1 = ends[0]
     if g1 > 0:
         out[:g1] = boundary(xi[:g1])
     out[g1:] = unit(xi[g1:])
     return out
+
+
+class _BaseGrid(NamedTuple):
+    """The loop's base grid at one n_base, and the parts of the symbol on
+    it that depend on xi alone; every array is read-only."""
+
+    seg_index: np.ndarray
+    t: np.ndarray
+    last: np.ndarray  # each segment's last index; -1 closes G2M on G1
+    wide: np.ndarray  # diff(t) > _MIN_WIDTH: the intervals refinement may split
+    g1: int           # the number of G1 points, which lead
+    boundary: tuple   # symbols.boundary_tables of the G1 points
+    unit: tuple       # symbols.unit_tables of the other points
+
+
+def _base_grid(n_base) -> _BaseGrid:
+    """The base grid of n_base points on each curved segment, built once
+    per n_base."""
+    _check_count("build_loop's n_base", n_base, 64)
+    return _tabled_grid(int(n_base))
+
+
+@functools.lru_cache(maxsize=4)
+def _tabled_grid(n_base: int) -> _BaseGrid:
+    # n_base points on each curved segment (G1, G3P, G3M), and fewer on the
+    # constant segments between them in traversal order
+    counts = [n_base, max(2, n_base // 8)] * 3
+    base = sum(counts)
+    if base > _MAX_POINTS:
+        raise DomainError(
+            f"n_base = {n_base} needs {base} loop points before refinement; "
+            f"the cap is {_MAX_POINTS}"
+        )
+    seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)), counts)
+    t = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts[:2]] * 3)
+    xi, g1 = _segment_xi(seg_index, t)
+    last = np.append(np.flatnonzero(np.diff(seg_index)), -1)
+    grid = _BaseGrid(seg_index, t, last, np.diff(t) > _MIN_WIDTH, g1,
+                     boundary_tables(xi[:g1]), unit_tables(xi[g1:]))
+    for a in (seg_index, t, last, grid.wide, *grid.boundary, *grid.unit):
+        a.flags.writeable = False
+    return grid
 
 
 def eval_segment(seg: Segment, t, sp: SpectralParams):
@@ -205,19 +259,21 @@ def eval_segment(seg: Segment, t, sp: SpectralParams):
     return scalar_or_array(out.reshape(np.shape(t)))
 
 
-def _refine(f, seg_index: np.ndarray, t: np.ndarray, budget: int):
+def _refine(f, seg_index: np.ndarray, t: np.ndarray, v: np.ndarray, wide: np.ndarray,
+            budget: int):
     """Bisect every interval of the loop whose phase increment is not
     branch-safe, in one batched pass per level, until none is left.
 
-    An interval is split when its endpoint values differ in phase by at
-    least _PHASE_CAP (or one of them is zero) and it is wider than
-    _MIN_WIDTH, so no junction, where t falls from 1 to 0, is split.  Each
-    decision depends only on the interval's own endpoints, so every
-    segment's grid does not depend on the order of the splits.  Raises once
-    more than `budget` points would be added.  Also returns the indices of
-    the intervals left turning by at least _PHASE_CAP.
+    v holds the values at the (seg_index, t) pairs and wide is
+    diff(t) > _MIN_WIDTH; f evaluates the pairs added.  An interval is
+    split when its endpoint values differ in phase by at least _PHASE_CAP
+    (or one of them is zero) and it is wider than _MIN_WIDTH, so no
+    junction, where t falls from 1 to 0, is split.  Each decision depends
+    only on the interval's own endpoints, so every segment's grid does not
+    depend on the order of the splits.  Raises once more than `budget`
+    points would be added.  Also returns the indices of the intervals left
+    turning by at least _PHASE_CAP.
     """
-    v = f(seg_index, t)
     added = 0
     while True:
         v0, v1 = v[:-1], v[1:]
@@ -225,7 +281,7 @@ def _refine(f, seg_index: np.ndarray, t: np.ndarray, budget: int):
         with np.errstate(divide="ignore", invalid="ignore"):
             dphi = np.where(nonzero, np.abs(np.angle(v1 / v0)), math.pi)
         turning = dphi >= _PHASE_CAP
-        idx = np.flatnonzero(turning & (np.diff(t) > _MIN_WIDTH))
+        idx = np.flatnonzero(turning & wide)
         if idx.size == 0:
             return seg_index, t, v, np.flatnonzero(turning)
         added += idx.size
@@ -238,6 +294,7 @@ def _refine(f, seg_index: np.ndarray, t: np.ndarray, budget: int):
         seg_index = np.insert(seg_index, idx + 1, k)
         t = np.insert(t, idx + 1, tm)
         v = np.insert(v, idx + 1, f(k, tm))
+        wide = np.diff(t) > _MIN_WIDTH
 
 
 def _check_count(what: str, value, least: int) -> None:
@@ -245,38 +302,54 @@ def _check_count(what: str, value, least: int) -> None:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _assemble(boundary, unit, n_base: int) -> SymbolLoop:
-    """Refined loop of the symbol given by its (boundary, unit) pair."""
-    _check_count("build_loop's n_base", n_base, 64)
-    # n_base points on each curved segment (G1, G3P, G3M), and fewer on the
-    # constant segments between them in traversal order
-    counts = [n_base, max(2, n_base // 8)] * 3
-    base = sum(counts)
-    if base > _MAX_POINTS:
-        raise DomainError(
-            f"n_base = {n_base} needs {base} loop points before refinement; "
-            f"the cap is {_MAX_POINTS}"
-        )
-    f = functools.partial(_loop_values, boundary, unit)
-    seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)), counts)
-    t = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts[:2]] * 3)
-    seg_index, t, values, unresolved = _refine(f, seg_index, t, _MAX_POINTS - base)
-
+def _loop(grid: _BaseGrid, f, values: np.ndarray, polish) -> SymbolLoop:
+    """The refined loop from the values at the base grid's points: f
+    evaluates the (segment index, t) pairs the refinement adds, and
+    polish(k, t) the points of the minimum's zoom on segment k."""
+    seg_index, t, values, unresolved = _refine(f, grid.seg_index, grid.t, values, grid.wide,
+                                               _MAX_POINTS - grid.t.size)
     # each segment's last point against the next one's first, G2M closing on G1
-    last = np.append(np.flatnonzero(np.diff(seg_index)), -1)
+    last = grid.last if t is grid.t else np.append(np.flatnonzero(np.diff(seg_index)), -1)
     junction_gaps = np.abs(values[last] - values[last + 1]).tolist()
     if any(g > _JUNCTION_TOL for g in junction_gaps):
         raise ResolutionError(
             f"junction gaps {junction_gaps} exceed {_JUNCTION_TOL}"
         )
     return SymbolLoop(seg_index, t, values, junction_gaps[-1], junction_gaps,
-                      _polished_min_modulus(f, seg_index, t, values), unresolved)
+                      _polished_min_modulus(polish, seg_index, t, values), unresolved)
+
+
+def _assemble(boundary, unit, n_base: int) -> SymbolLoop:
+    """Refined loop of the symbol given by its (boundary, unit) pair."""
+    grid = _base_grid(n_base)
+    f = functools.partial(_loop_values, boundary, unit)
+    return _loop(grid, f, f(grid.seg_index, grid.t), lambda k, x: f(np.full(x.shape, k), x))
 
 
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
-    """Assemble and refine the generalized-symbol loop for one parameter set."""
+    """Assemble and refine the generalized-symbol loop for one parameter set.
+
+    The base grid's values come from the triple's kernels on the grid's
+    xi-only tables; each polish pass on G1 maps t to xi with one tan and,
+    when every xi is within the saturation, calls the boundary kernel
+    directly.  Both equal _assemble over sym.boundary and sym.unit bit for
+    bit."""
+    grid = _base_grid(n_base)
     sym = sp.loop_symbol
-    return _assemble(sym.boundary, sym.unit, n_base)
+    f = functools.partial(_loop_values, sym.boundary, sym.unit)
+    values = np.empty(grid.t.shape, dtype=complex)
+    values[:grid.g1] = sym.boundary_values(*grid.boundary)
+    values[grid.g1:] = sym.unit_values(*grid.unit)
+
+    def polish(k, x):
+        if k == 0:
+            # _xi_line without its endpoint case: t = 0 or 1 gives |xi| > 1e16
+            xi = np.tan(np.pi * (x - 0.5))
+            if (np.abs(xi) <= XI_SATURATION).all():
+                return sym.boundary_kernel(np.tanh(math.pi * xi), 1j * xi)
+        return f(np.full(x.shape, k), x)
+
+    return _loop(grid, f, values, polish)
 
 
 def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
@@ -309,28 +382,34 @@ def min_modulus(loop: SymbolLoop) -> float:
     return loop.min_modulus
 
 
-def _polished_min_modulus(f, seg_index, t, values) -> float:
+def _polished_min_modulus(polish, seg_index, t, values) -> float:
     """Minimum |value| over the refined loop, polished by a zoom search on
     [a, b], the discrete argmin's two parameter intervals on its own
-    segment: each pass evaluates _POLISH_POINTS equally spaced points in one
-    call and keeps the two cells around their argmin (at least 32-fold
-    narrower), until b - a < 1e-14."""
+    segment k: each pass takes _POLISH_POINTS equally spaced points and
+    keeps the two cells around their argmin (at least 32-fold narrower),
+    until b - a < 1e-14.  The pass's ends a and b are points already
+    evaluated, so it evaluates only the inner points, in one polish(k, t)
+    call, and reuses the moduli at its ends."""
     mods = np.abs(values)
     i = int(np.argmin(mods))
     best = float(mods[i])
 
-    k = seg_index[i]
+    k = int(seg_index[i])
     lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
     hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
     a, b = float(t[lo]), float(t[hi])
-    seg = np.full(_POLISH_POINTS, k)
+    ends = mods[lo], mods[hi]
     while b - a >= 1e-14:
         x = _RAMP * ((b - a) / (_POLISH_POINTS - 1)) + a
         x[-1] = b
-        mods = np.abs(f(seg, x))
+        mods = np.empty(_POLISH_POINTS)
+        mods[0], mods[-1] = ends
+        mods[1:-1] = np.abs(polish(k, x[1:-1]))
         j = int(np.argmin(mods))
         best = min(best, float(mods[j]))
-        a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, _POLISH_POINTS - 1)])
+        lo, hi = max(j - 1, 0), min(j + 1, _POLISH_POINTS - 1)
+        a, b = float(x[lo]), float(x[hi])
+        ends = mods[lo], mods[hi]
     return best
 
 

@@ -4,14 +4,16 @@ Everything here follows one branch convention: arguments of complex numbers
 live in (-pi, pi], with the cut along the negative real axis.  All fractional
 powers of complex bases must go through :func:`principal_power` (or its
 unmasked form :func:`nonzero_power`, for bases that never vanish) so that
-the convention holds globally.
+the convention holds globally; :func:`principal_log` is their log-space
+base, log|z| + i*arg z.
 
 Beta is assembled in log space from scipy.special.loggamma (principal
 branch) to dodge overflow; it raises :class:`PoleError` within 1e-13 of a
 non-positive integer and ``AccuracyOverflow`` on a non-finite result.
 :class:`PartialBeta` is the same formula for a fixed real b > 0 (or an
 array of them) and a first argument in the right half-plane, with
-loggamma(b) computed once and no pole scan.
+loggamma(b) computed once and no pole scan; its ``log`` method is log B
+itself, unchecked.
 Principal powers, beta and the real modified Bessel function K_nu take
 scalars or arrays and return the same shape; a scalar call is a view of the
 array code.  K_nu and the confluent hypergeometric U are delegated to
@@ -30,6 +32,7 @@ from .errors import DomainError, GammaOverflowError, PoleError
 __all__ = [
     "principal_power",
     "nonzero_power",
+    "principal_log",
     "complex_beta",
     "PartialBeta",
     "bessel_k",
@@ -75,14 +78,19 @@ def principal_power(z, gamma: float):
     return scalar_or_array(out)
 
 
+def principal_log(z):
+    """log|z| + i*arg z with arg z in (-pi, pi], as an array: the log-space
+    base of every principal power, z^g = exp(g * principal_log(z))."""
+    za = np.asarray(z, dtype=complex)
+    return np.log(np.abs(za)) + 1j * _arg_principal(za)
+
+
 def nonzero_power(z, gamma: float):
     """principal_power for bases that never vanish, such as xi +- i and
     1 + xi^2 at real xi: the same exp(g*(log|z| + i*arg z)) with no zero
     mask, so it equals principal_power there bit for bit.  Returns an array
     (a numpy scalar for a scalar z) and raises on a non-finite value."""
-    za = np.asarray(z, dtype=complex)
-    out = np.exp(gamma * (np.log(np.abs(za)) + 1j * _arg_principal(za)))
-    return _check_finite(out, "principal_power")
+    return _check_finite(np.exp(gamma * principal_log(z)), "principal_power")
 
 
 def _near_pole(*zs) -> bool:
@@ -94,11 +102,15 @@ def _near_pole(*zs) -> bool:
     return bool(((dist < _POLE_TOL) & (re < 0.5)).any())
 
 
+def _log_beta(a, log_gamma_b, a_plus_b):
+    """log B(a, b) = loggamma(a) + loggamma(b) - loggamma(a + b), given
+    loggamma(b) and a + b; not checked for finiteness."""
+    return _sp.loggamma(a) + log_gamma_b - _sp.loggamma(a_plus_b)
+
+
 def _log_space_beta(a, log_gamma_b, a_plus_b):
-    """B(a, b) = exp(loggamma(a) + loggamma(b) - loggamma(a + b)), given
-    loggamma(b) and a + b."""
-    log_beta = _sp.loggamma(a) + log_gamma_b - _sp.loggamma(a_plus_b)
-    return np.exp(_check_finite(log_beta, "complex_beta"))
+    """B(a, b) = exp(log B(a, b)), refused where log B is not finite."""
+    return np.exp(_check_finite(_log_beta(a, log_gamma_b, a_plus_b), "complex_beta"))
 
 
 def complex_beta(a, b):
@@ -116,7 +128,8 @@ class PartialBeta:
     a with Re a > 0 that broadcast against b: complex_beta's log-space
     formula with loggamma(b) computed once.  No gamma factor has a pole
     there, so there is no pole scan; the caller guarantees Re a > 0.  Equal
-    to complex_beta(a, b) bit for bit."""
+    to complex_beta(a, b) bit for bit.  `log` is log B(a, b) itself, with
+    no finiteness check, for callers whose arguments keep it finite."""
 
     def __init__(self, b):
         if not np.all(np.asarray(b) > 0.0):
@@ -126,6 +139,9 @@ class PartialBeta:
 
     def __call__(self, a):
         return _log_space_beta(a, self._log_gamma_b, a + self._b)
+
+    def log(self, a):
+        return _log_beta(a, self._log_gamma_b, a + self._b)
 
 
 def bessel_k(nu: float, x):

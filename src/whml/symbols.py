@@ -13,7 +13,11 @@ The loop reads the symbol through one LoopSymbol per triple
 (SpectralParams.loop_symbol): the boundary value and the unit factor as
 array functions of xi, with every xi-free constant computed once, equal bit
 for bit to the composition of the public factors above, which stay as its
-oracles.
+oracles.  Each of the two has one kernel, whose inputs are the parts that
+depend on xi alone (boundary_tables: tanh(pi xi) and i xi; unit_tables:
+the log-space bases of 1 + xi^2 and xi -+ i), so a caller that evaluates
+many triples on one set of xi, as the loop's base grid does, computes
+those once.
 """
 
 from __future__ import annotations
@@ -28,13 +32,15 @@ import numpy as np
 
 from . import quadrature as q
 from .errors import DomainError, PoleError
-from .specfun import (PartialBeta, complex_beta, nonzero_power, principal_power,
-                      scalar_or_array)
+from .specfun import (PartialBeta, _check_finite, complex_beta, nonzero_power,
+                      principal_log, principal_power, scalar_or_array)
 
 __all__ = [
     "Regime",
     "SpectralParams",
     "LoopSymbol",
+    "boundary_tables",
+    "unit_tables",
     "XI_SATURATION",
     "wh_c1",
     "wh_c2",
@@ -223,6 +229,26 @@ def gamma1_mellin_term(xi, sp: SpectralParams):
     return scalar_or_array(-beta_term(sp.alpha, sp.beta_sigma, xi))
 
 
+def boundary_tables(xi: np.ndarray) -> tuple:
+    """The parts of LoopSymbol.boundary at a float array of xi that depend
+    on xi alone: the masks |xi| <= XI_SATURATION and xi > 0, and
+    tanh(pi xi) and i xi on the points within the saturation."""
+    inner = np.abs(xi) <= XI_SATURATION
+    x = xi if inner.all() else xi[inner]
+    return inner, xi > 0.0, np.tanh(math.pi * x), 1j * x
+
+
+def unit_tables(xi: np.ndarray) -> tuple:
+    """The parts of LoopSymbol.unit at a float array of xi that depend on
+    xi alone: the masks of finite xi and of xi > 0, and the log-space bases
+    principal_log of 1 + xi^2, xi - i and xi + i, with 0 in place of each
+    non-finite xi."""
+    finite = np.isfinite(xi)
+    xf = np.where(finite, xi, 0.0)
+    return (finite, xi > 0.0, principal_log(1.0 + xf * xf), principal_log(xf - 1j),
+            principal_log(xf + 1j))
+
+
 class LoopSymbol:
     """The generalized symbol of one triple as the loop reads it, as two
     array functions of real xi: `boundary` on the boundary segment and
@@ -232,20 +258,28 @@ class LoopSymbol:
     XI_SATURATION and the one-sided limit of wh_c1 beyond (e^(2 pi i nu)
     for xi > 0, 1 for xi < 0).  Everything free of xi is computed once
     here: the sine terms of 1/p, 1/p + nu and 1/p + nu', the phases
-    e^(i pi nu) and e^(i pi (nu' - a)), loggamma(2a), sin(pi a)/pi and
-    sigma.  A call takes one tanh, one denominator shared by the two sine
-    ratios, two loggamma calls and one exp, in the same floating-point
-    operations and order as the composition, so it equals it bit for bit.
+    e^(i pi nu) and e^(i pi (nu' - a)), loggamma(2a), sin(pi a)/pi, sigma
+    and the exponents of wh_c1.  Each factor has one kernel, which takes
+    the xi-only arrays (boundary_tables, unit_tables) as inputs, so a
+    caller that keeps those arrays for a fixed set of xi, as the loop's
+    base grid does, pays only the triple's own work: one denominator
+    shared by the two sine ratios, two loggamma calls and one exp per
+    boundary point, three complex exps per unit point.  The kernels use the
+    same floating-point operations in the same order as the composition of
+    the public factors, so they equal it bit for bit.
+
     The beta pole scan of complex_beta becomes one check: the first
     argument sigma + i xi has sigma = beta_sigma > 0 and the second is 2a
-    in (0, 2).
+    in (0, 2).  The kernels make no finiteness check: with
+    Re(sigma + i xi) > 0 and |xi| <= XI_SATURATION every loggamma, power
+    and sine ratio here is finite.  `unit` checks its result, since its xi
+    may lie beyond the saturation.
     """
 
     def __init__(self, sp: SpectralParams):
         if not sp.beta_sigma > 0.0:
             raise PoleError(f"beta argument sigma = {sp.beta_sigma!r} is not positive")
-        inv_p, nu, nu_p, a = 1.0 / sp.p, sp.nu, sp.nu_prime, sp.alpha
-        self._sp = sp
+        inv_p, nu, nu_p, a, s, m = 1.0 / sp.p, sp.nu, sp.nu_prime, sp.alpha, sp.s, sp.m
         self._den = _sine_terms(inv_p)
         self._c1_num = _sine_terms(inv_p + nu)
         self._c2_num = _sine_terms(inv_p + nu_p)
@@ -254,32 +288,47 @@ class LoopSymbol:
         self._sigma = np.asarray(sp.beta_sigma, dtype=float)
         self._beta = PartialBeta(2.0 * np.asarray(a))
         self._beta_scale = np.sin(math.pi * np.asarray(a)) / math.pi
+        self._powers = (a, s - 2.0 * a - m, m - s)
         self._c1_at_minus_inf = cmath.exp(2j * math.pi * nu)
 
     def boundary(self, xi: np.ndarray) -> np.ndarray:
         """The symbol on the boundary segment at a float array of xi."""
-        inner = np.abs(xi) <= XI_SATURATION
+        return self.boundary_values(*boundary_tables(xi))
+
+    def boundary_values(self, inner, positive, tanh_pi_xi, i_xi) -> np.ndarray:
+        """`boundary` from the arrays of boundary_tables."""
         if inner.all():
-            return self._boundary_inner(xi)
-        out = np.empty(xi.shape, dtype=complex)
-        out[inner] = self._boundary_inner(xi[inner])
-        out[~inner] = np.where(xi[~inner] > 0.0, self._c1_at_minus_inf, 1.0 + 0j)
+            return self.boundary_kernel(tanh_pi_xi, i_xi)
+        out = np.where(positive, self._c1_at_minus_inf, 1.0 + 0j)
+        out[inner] = self.boundary_kernel(tanh_pi_xi, i_xi)
         return out
 
-    def _boundary_inner(self, xi):
-        t = np.tanh(math.pi * xi)
+    def boundary_kernel(self, tanh_pi_xi, i_xi) -> np.ndarray:
+        """The boundary value at |xi| <= XI_SATURATION from tanh(pi xi)
+        and i xi."""
+        t = tanh_pi_xi
         sin_b, icos_b = self._den
         den = sin_b - icos_b * t
         sin_1, icos_1 = self._c1_num
         sin_2, icos_2 = self._c2_num
         c1p = self._c1_phase * ((sin_1 - icos_1 * t) / den)
         c2p = self._c2_phase * ((sin_2 - icos_2 * t) / den)
-        gamma1 = -(self._beta_scale * self._beta(self._sigma + 1j * xi))
+        gamma1 = -(self._beta_scale * np.exp(self._beta.log(self._sigma + i_xi)))
         return c1p + gamma1 * c2p
 
     def unit(self, xi: np.ndarray) -> np.ndarray:
         """The unit-modulus factor wh_c1 at a float array of xi."""
-        return wh_c1(xi, self._sp)
+        if np.isnan(xi).any():
+            raise DomainError("Wiener-Hopf factor needs xi that is not nan")
+        # finite on the loop, where |xi| <= XI_SATURATION; refused, as
+        # wh_c1 refuses it, once 1 + xi^2 overflows
+        return _check_finite(self.unit_values(*unit_tables(xi)), "principal_power")
+
+    def unit_values(self, finite, positive, log_sq, log_minus, log_plus) -> np.ndarray:
+        """`unit` from the arrays of unit_tables: its kernel."""
+        a, e_minus, e_plus = self._powers
+        val = np.exp(a * log_sq) * np.exp(e_minus * log_minus) * np.exp(e_plus * log_plus)
+        return np.where(finite, val, np.where(positive, 1.0 + 0j, self._c1_at_minus_inf))
 
 
 def mellin_symbol_residual(gamma: float, rho: float, y: float, p: float) -> float:

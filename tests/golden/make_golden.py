@@ -88,7 +88,10 @@ def commands() -> dict:
         "alphac_grid50.txt": [["alphac", "--grid", "50"]],
         "index.txt": [["index", *_triple_args(*t)] for t in README_TRIPLES],
         "contour_sha256.txt": [["contour", *_triple_args(*t), "--format", fmt]
-                               for t in README_TRIPLES for fmt in ("csv", "svg")],
+                               for t in README_TRIPLES for fmt in ("csv", "svg")]
+                              + [["contour", *_triple_args(*t), "--points", str(n),
+                                  "--format", "csv"]
+                                 for n in (64, 1024) for t in README_TRIPLES],
     }
 
 

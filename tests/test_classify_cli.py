@@ -216,11 +216,14 @@ class TestCli:
 
     def test_index_points_over_the_cap_is_usage_error(self, capsys, monkeypatch):
         import whml.contour as contour_mod
+        from whml.symbols import LoopSymbol
 
         def no_evaluation(*args):
             raise AssertionError("loop evaluated before the point cap check")
 
         monkeypatch.setattr(contour_mod, "_loop_values", no_evaluation)
+        for kernel in ("boundary_kernel", "unit_values"):
+            monkeypatch.setattr(LoopSymbol, kernel, no_evaluation)
         assert cli_main(["index", "--alpha", "0.75", "--p", "2", "--s", "2.3",
                          "--points", "340000"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -301,21 +304,24 @@ class TestCli:
         assert err.strip().splitlines() == [f"numerical failure: {exc}"]
 
     def test_index_polishes_once(self, capsys, monkeypatch):
-        import whml.contour as contour_mod
         from whml.contour import build_loop, min_modulus, winding_number
-        from whml.symbols import SpectralParams
+        from whml.symbols import LoopSymbol, SpectralParams
         calls = []
-        original = contour_mod._loop_values
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(kernel):
+            def counted(self, *args):
+                calls.append(kernel.__name__)
+                return kernel(self, *args)
+            return counted
 
-        # one assembly, its polish included; reading the minimum and the
-        # winding evaluate nothing more
-        monkeypatch.setattr(contour_mod, "_loop_values", counting)
+        # the loop's kernels evaluate the base grid, the refinement and the
+        # polish: one assembly makes some calls, and reading the minimum and
+        # the winding make none
+        for kernel in (LoopSymbol.boundary_kernel, LoopSymbol.unit_values):
+            monkeypatch.setattr(LoopSymbol, kernel.__name__, counting(kernel))
         loop = build_loop(SpectralParams(0.75, 2.0, 2.2), 256)
         one_build = len(calls)
+        assert one_build > 0
         min_modulus(loop)
         winding_number(loop)
         assert len(calls) == one_build

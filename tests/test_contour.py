@@ -1,5 +1,6 @@
 import cmath
 import csv
+import functools
 import io
 import math
 import xml.etree.ElementTree as ET
@@ -22,7 +23,8 @@ from whml.contour import (
     winding_number,
 )
 from whml.errors import DomainError, NotFredholmError, ResolutionError
-from whml.symbols import SpectralParams, c1p_inf, c2p_inf, gamma1_mellin_term, wh_c1
+from whml.symbols import (LoopSymbol, SpectralParams, c1p_inf, c2p_inf, gamma1_mellin_term,
+                          wh_c1)
 
 SP_MODEL = SpectralParams(0.4, 2.0, 1.4)
 SP_LOW = SpectralParams(0.3, 2.0, 1.2)
@@ -115,6 +117,8 @@ class TestBuildLoop:
             raise AssertionError("loop evaluated before the point cap check")
 
         monkeypatch.setattr(contour_mod, "_loop_values", no_evaluation)
+        for kernel in ("boundary_kernel", "unit_values"):
+            monkeypatch.setattr(LoopSymbol, kernel, no_evaluation)
         with pytest.raises(DomainError):
             build_loop(SpectralParams(0.75, 2.0, 2.3), 340000)
 
@@ -372,23 +376,38 @@ def _sequential_refine(f, n):
 
 
 def _recording(monkeypatch) -> list:
-    """The (segment index, t) arrays of each later call of the loop's
-    evaluator, in call order."""
+    """The (segment index, t) arrays of each later evaluation of a loop, in
+    order: its base grid, each refinement pass and each polish pass, as
+    the refinement and the polish receive them."""
     calls = []
-    original = contour_mod._loop_values
+    refine, polished = contour_mod._refine, contour_mod._polished_min_modulus
 
-    def recording(boundary, unit, seg_index, t):
+    def recording_refine(f, seg_index, t, v, wide, budget):
         calls.append((seg_index.copy(), t.copy()))
-        return original(boundary, unit, seg_index, t)
 
-    monkeypatch.setattr(contour_mod, "_loop_values", recording)
+        def recording_f(k, tm):
+            calls.append((k.copy(), tm.copy()))
+            return f(k, tm)
+
+        return refine(recording_f, seg_index, t, v, wide, budget)
+
+    def recording_polished(polish, seg_index, t, values):
+        def recording_polish(k, x):
+            calls.append((np.full(x.shape, k), x.copy()))
+            return polish(k, x)
+
+        return polished(recording_polish, seg_index, t, values)
+
+    monkeypatch.setattr(contour_mod, "_refine", recording_refine)
+    monkeypatch.setattr(contour_mod, "_polished_min_modulus", recording_polished)
     return calls
 
 
 def _split_calls(calls, loop):
-    """The evaluator calls of one assembly, split into the refinement
-    passes, which evaluate every loop point exactly once, and the polish
-    passes, each a grid on the minimum's own segment."""
+    """The evaluations of one assembly, split into the base grid and the
+    refinement passes, which evaluate every loop point exactly once, and
+    the polish passes, each the inner points of a grid on the minimum's own
+    segment."""
     seg_index, t, _ = loop.arrays()
     done = 0
     for j, (_, tc) in enumerate(calls):
@@ -404,7 +423,7 @@ def _split_calls(calls, loop):
     assert np.array_equal(seg_all[order], seg_index) and np.array_equal(t_all[order], t)
     k = seg_index[int(np.argmin(np.abs(loop.values())))]
     for sc, tc in polish:
-        assert tc.size == contour_mod._POLISH_POINTS and np.all(sc == k)
+        assert tc.size == contour_mod._POLISH_POINTS - 2 and np.all(sc == k)
     return refine, polish
 
 
@@ -537,6 +556,72 @@ def _gate_triples():
     return out
 
 
+def _reference_assemble(boundary, unit, n_base):
+    """The loop of a (boundary, unit) pair assembled with no tables: a
+    fresh base grid evaluated through _loop_values, every refinement pass
+    testing the widths anew, and every polish pass evaluating all
+    _POLISH_POINTS points of its linspace."""
+    f = functools.partial(contour_mod._loop_values, boundary, unit)
+    counts = [n_base, max(2, n_base // 8)] * 3
+    seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)), counts)
+    t = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts[:2]] * 3)
+    v = f(seg_index, t)
+    while True:
+        v0, v1 = v[:-1], v[1:]
+        nonzero = (v0 != 0) & (v1 != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dphi = np.where(nonzero, np.abs(np.angle(v1 / v0)), math.pi)
+        turning = dphi >= math.pi / 2.0
+        idx = np.flatnonzero(turning & (np.diff(t) > 1e-12))
+        if idx.size == 0:
+            break
+        k, tm = seg_index[idx], 0.5 * (t[idx] + t[idx + 1])
+        seg_index, t = np.insert(seg_index, idx + 1, k), np.insert(t, idx + 1, tm)
+        v = np.insert(v, idx + 1, f(k, tm))
+    last = np.append(np.flatnonzero(np.diff(seg_index)), -1)
+    gaps = np.abs(v[last] - v[last + 1]).tolist()
+
+    mods = np.abs(v)
+    i = int(np.argmin(mods))
+    best = float(mods[i])
+    k = seg_index[i]
+    lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
+    hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
+    a, b = float(t[lo]), float(t[hi])
+    n = contour_mod._POLISH_POINTS
+    while b - a >= 1e-14:
+        x = np.linspace(a, b, n)
+        mods = np.abs(f(np.full(n, k), x))
+        j = int(np.argmin(mods))
+        best = min(best, float(mods[j]))
+        a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, n - 1)])
+    return SymbolLoop(seg_index, t, v, gaps[-1], gaps, best, np.flatnonzero(turning))
+
+
+def _assert_same_loop(loop, ref, what):
+    for mine, theirs in zip(loop.arrays(), ref.arrays()):
+        assert np.array_equal(mine, theirs), what
+        assert mine.tobytes() == theirs.tobytes(), what
+    assert loop.min_modulus == ref.min_modulus, what
+    assert loop.junction_gaps == ref.junction_gaps, what
+    assert loop.closure_gap == ref.closure_gap, what
+    assert loop.unresolved == ref.unresolved, what
+
+
+def _validation_unit(n):
+    """The unit factor of build_validation_loop(n), in its operations."""
+    def unit(xi):
+        finite = np.isfinite(xi)
+        xf = np.where(finite, xi, 0.0)
+        return np.where(finite, ((xf + 1j) / (xf - 1j)) ** n, 1.0 + 0j)
+
+    return unit
+
+
+def _ones(xi):
+    return np.ones(xi.shape, dtype=complex)
+
+
 class TestLoopEvaluator:
     def test_loop_equals_the_composed_factors_bit_for_bit(self):
         # the loop's evaluator against the composition of the public
@@ -551,6 +636,66 @@ class TestLoopEvaluator:
                 assert mine.tobytes() == theirs.tobytes(), triple
             assert loop.min_modulus == ref.min_modulus, triple
             assert loop.unresolved == ref.unresolved == (), triple
+
+    @pytest.mark.parametrize("n_base", [64, 128, 1024])
+    def test_tabled_loop_equals_the_reference_assembly(self, n_base):
+        # the base grid's tables, the kernels and the polish that reuses
+        # its ends, against _assemble and against the assembly with no
+        # tables, both over the composed public factors
+        for triple in _gate_triples():
+            sp = SpectralParams(*triple)
+            loop = build_loop(sp, n_base)
+            boundary, unit = _composed_symbol(sp)
+            _assert_same_loop(loop, contour_mod._assemble(boundary, unit, n_base), triple)
+            _assert_same_loop(loop, _reference_assemble(boundary, unit, n_base), triple)
+            assert loop.unresolved == (), triple
+
+    @pytest.mark.parametrize("n_base", [64, 128, 256, 1024])
+    def test_validation_loop_equals_the_reference_assembly(self, n_base):
+        for n in (1, 2, 3, 4, n_base):
+            loop = build_validation_loop(n, n_base)
+            _assert_same_loop(loop, _reference_assemble(_ones, _validation_unit(n), n_base),
+                              (n, n_base))
+
+    def test_polish_past_the_saturation_takes_the_limits(self, monkeypatch):
+        # a boundary value falling from 1 at xi = 0 to 0.1 at |xi| = 1e8,
+        # beyond which the loop takes the limits 1 (nu = 0): the polish
+        # zooms on the saturation edge with points on both sides of it
+        def falling(self, tanh_pi_xi, i_xi):
+            return (1.0 - 0.9 * (i_xi.imag / 1e8) ** 2) + 0j
+
+        monkeypatch.setattr(LoopSymbol, "boundary_kernel", falling)
+        sp = SpectralParams(0.25, 2.0, 2.25)
+        assert sp.nu == 0.0
+        loop = build_loop(sp)
+        sym = sp.loop_symbol
+        _assert_same_loop(loop, _reference_assemble(sym.boundary, sym.unit, 256), sp)
+        assert loop.min_modulus == pytest.approx(0.1, abs=1e-6)
+
+    def test_base_tables_are_built_once_per_n_base_and_read_only(self, monkeypatch):
+        grids = []
+        original = contour_mod._base_grid
+
+        def recording(n_base):
+            grids.append(original(n_base))
+            return grids[-1]
+
+        monkeypatch.setattr(contour_mod, "_base_grid", recording)
+        sp = SpectralParams(0.75, 2.0, 2.3)
+        for n_base in (256, 256, np.int64(256), 64):
+            build_loop(sp, n_base)
+        assert grids[0] is grids[1] is grids[2] and grids[3] is not grids[0]
+        tables = []
+        for grid in (grids[0], grids[3]):
+            arrays = [grid.seg_index, grid.t, grid.last, grid.wide, *grid.boundary, *grid.unit]
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+            tables.append(arrays)
+        for mine, theirs in zip(*tables):
+            assert not np.shares_memory(mine, theirs)
+        assert grids[0].t.size == 256 * 3 + 32 * 3 and grids[3].t.size == 64 * 3 + 8 * 3
 
     def test_polish_grid_is_linspace(self):
         rng = np.random.default_rng(24)

@@ -212,6 +212,7 @@ class TestPartialBeta:
     def test_scalar_b_equals_complex_beta_bit_for_bit(self):
         a = np.array([0.5 + 0j, 1.25 + 3.0j, 2.0 - 7.5j])
         assert PartialBeta(0.6)(a).tobytes() == complex_beta(a, 0.6).tobytes()
+        assert np.exp(PartialBeta(0.6).log(a)).tobytes() == complex_beta(a, 0.6).tobytes()
 
     @pytest.mark.parametrize("b", [0.0, -0.5, math.nan, [0.4, 0.0], [[0.4], [-1.0]],
                                    np.array([0.3, math.nan])])

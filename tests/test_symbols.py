@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whml.errors import DomainError
-from whml.specfun import principal_power
+from whml.specfun import AccuracyOverflow, principal_power
 from whml.symbols import (
     Regime,
     SpectralParams,
@@ -338,7 +338,17 @@ class TestLoopSymbol:
         masked = (principal_power(1.0 + xf * xf, a) * principal_power(xf - 1j, s - 2.0 * a - m)
                   * principal_power(xf + 1j, m - s))
         assert unit[finite].tobytes() == masked.tobytes()
+        assert np.isfinite(unit).all()
         assert unit[-2] == 1.0 and unit[-1] == cmath.exp(2j * math.pi * sp.nu)
+
+    def test_unit_refuses_a_non_finite_value_as_wh_c1_does(self):
+        sp = SpectralParams(0.75, 2.0, 2.3)
+        xi = np.array([1e200])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AccuracyOverflow):
+                wh_c1(xi, sp)
+            with pytest.raises(AccuracyOverflow):
+                sp.loop_symbol.unit(xi)
 
     def test_no_pole_scan_at_tiny_alpha(self):
         # 2a = 2e-14 lies within complex_beta's 1e-13 pole band, but the
