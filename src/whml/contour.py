@@ -9,16 +9,17 @@ honest endpoint limits.  The loop is one array of (segment index, t) pairs
 with one evaluator: each segment maps t to xi, and a symbol is the pair of
 its boundary value and its unit-modulus factor at xi, for a triple the
 methods of its symbols.LoopSymbol, whose constants are computed once per
-triple.  The base grid does not depend on the triple: it is built once per
-n_base, in a small read-only cache, with the parts of the symbol that
-depend on xi alone (symbols.boundary_tables on G1, symbols.unit_tables on
-the others), so a triple's base values are its two kernels on those
-tables.  One refinement pass per level bisects every interval of the loop
-whose phase increment is not branch-safe; an interval still turning by
-pi/2 or more at width 1e-12 is recorded on the loop, and the winding
-refuses it.  The minimum modulus is polished once, at assembly, by a zoom
-whose passes on G1 call the boundary kernel straight from t and reuse the
-moduli at their two ends.
+triple.  The base grid does not depend on the triple: it is built with
+the parts of the symbol that depend on xi alone (symbols.boundary_tables
+on G1, symbols.unit_tables on the others), so a triple's base values are
+its two kernels on those tables.  The grid built last is kept, read-only:
+every caller that repeats builds uses one n_base, and a grid near the
+point cap holds tens of MB.  One refinement pass per level bisects every
+interval of the loop whose phase increment is not branch-safe; an
+interval still turning by pi/2 or more at width 1e-12 is recorded on the
+loop, and the winding refuses it.  The minimum modulus is polished once,
+at assembly, by a zoom whose passes on G1 call the boundary kernel
+straight from t and reuse the moduli at their two ends.
 """
 
 from __future__ import annotations
@@ -218,13 +219,13 @@ class _BaseGrid(NamedTuple):
 
 
 def _base_grid(n_base) -> _BaseGrid:
-    """The base grid of n_base points on each curved segment, built once
-    per n_base."""
+    """The base grid of n_base points on each curved segment; the grid of
+    the last n_base is kept."""
     _check_count("build_loop's n_base", n_base, 64)
     return _tabled_grid(int(n_base))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _tabled_grid(n_base: int) -> _BaseGrid:
     # n_base points on each curved segment (G1, G3P, G3M), and fewer on the
     # constant segments between them in traversal order

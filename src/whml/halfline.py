@@ -251,8 +251,6 @@ def apply_singular(u: GridFunction, x: float, k: KernelParams) -> float:
     """
     if not (0.0 < x < u.length / 2.0):
         raise DomainError("apply_singular requires 0 < x < L/2")
-    if not u.is_real:
-        raise DomainError("apply_singular expects a real grid function")
     length = u.length
     ux, u2, jump, delta, g = _second_difference(u, x)
     edges, shared, tail = _shared_panels(k, length)
@@ -304,8 +302,6 @@ def apply_fourier(u: GridFunction, k: KernelParams) -> GridFunction:
     reads the potential at h/2 (the true potential diverges there; the
     sample is only meaningful when u(0) = 0).
     """
-    if not u.is_real:
-        raise DomainError("apply_fourier expects a real grid function")
     tail = np.max(np.abs(u.samples[int(0.875 * u.n):]))
     scale = np.max(np.abs(u.samples))
     if scale > 0 and tail > _VANISH_TOL * scale:
@@ -328,7 +324,7 @@ def apply_fourier(u: GridFunction, k: KernelParams) -> GridFunction:
 
 
 def _profile_table(u: GridFunction):
-    """(l2, G) of a real grid function: l2 the trapezoid norm squared, and
+    """(l2, G) of a grid function: l2 the trapezoid norm squared, and
     G[r, j] the coefficients of the profile on panel j,
     P(j h + s) = sum_r G[r, j] s^r for 0 <= s < h, r = 0..6.
 
@@ -366,16 +362,8 @@ def _profile_table(u: GridFunction):
 
 
 def _profile(u: GridFunction):
-    """(l2, G) of _profile_table, cached on the grid function; a complex one
-    adds the tables of its real and imaginary parts (the spline is linear in
-    its samples, so the form splits the same way)."""
-    def build():
-        if u.is_real:
-            return _profile_table(u)
-        parts = [_profile_table(GridFunction(p, u.h)) for p in (u.samples.real, u.samples.imag)]
-        return parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]
-
-    return u.table("profile", build)
+    """(l2, G) of _profile_table, cached on the grid function."""
+    return u.table("profile", lambda: _profile_table(u))
 
 
 @lru_cache(maxsize=32)
@@ -437,8 +425,7 @@ def quadratic_form(u: GridFunction, k: KernelParams) -> float:
     (_profile, cached on the grid function) against the kernel table's
     moments and tail (_moment_tables): no adaptive quadrature and no spline
     evaluation.  The coefficients against the table's error estimate give
-    AccuracyError when over max(1e-10, 1e-8 |Q|).  A complex u gives
-    Q(Re u) + Q(Im u).
+    AccuracyError when over max(1e-10, 1e-8 |Q|).
 
     The zero extension of u must not jump at L: DomainError when
     |u(L)| > 1e-8 max |u|, the scale apply_fourier holds the tail to.
@@ -497,12 +484,10 @@ def _node_weights(gamma: float, n: int) -> np.ndarray:
     return _read_only(_rl_weights(np.arange(1.0, n), gamma))[0]
 
 
-def _rl_check(u: GridFunction, gamma: float, caller: str = "rl_integral") -> None:
-    """Refuse an order or a grid function the RL and Caputo routes do not support."""
+def _rl_check(gamma: float, caller: str = "rl_integral") -> None:
+    """Refuse an order the RL and Caputo routes do not support."""
     if not (0.0 < gamma < 2.0):
         raise DomainError(f"{caller} supports 0 < gamma < 2")
-    if not u.is_real:
-        raise DomainError(f"{caller} expects a real grid function")
 
 
 def _rl_node_table(u: GridFunction, gamma: float) -> np.ndarray:
@@ -544,7 +529,7 @@ def rl_integral(u: GridFunction, x: float, gamma: float) -> float:
     """
     if not (0.0 < x < u.length):
         raise DomainError("rl_integral requires 0 < x < L")
-    _rl_check(u, gamma)
+    _rl_check(gamma)
     t = x / u.h
     m = min(int(t), u.n - 2)
     theta = t - m
@@ -565,7 +550,7 @@ def rl_integral_grid(u: GridFunction, gamma: float) -> GridFunction:
     integral at x = L), as a grid function on the same grid: the cached
     node table of rl_integral, every node within a few ulp of its own
     per-node sum."""
-    _rl_check(u, gamma)
+    _rl_check(gamma)
     return GridFunction(_rl_node_table(u, gamma), u.h)
 
 
@@ -601,7 +586,7 @@ def caputo_derivative(u: GridFunction, x: float, gamma: float) -> float:
     """
     if not (0.0 < x < u.length):
         raise DomainError("caputo_derivative requires 0 < x < L")
-    _rl_check(u, gamma, "caputo_derivative")
+    _rl_check(gamma, "caputo_derivative")
     if gamma == 1.0:
         du = u.derivative(1)
         return du(x) - du(0.0)
@@ -641,8 +626,6 @@ def mellin_difference_residual(u: GridFunction, x: float, k: KernelParams) -> fl
     """
     if not (0.0 < x < u.length / 2.0):
         raise DomainError("mellin_difference_residual requires 0 < x < L/2")
-    if not u.is_real:
-        raise DomainError("mellin_difference_residual expects a real grid function")
     a = k.alpha
     if a >= 0.5:
         du = u.derivative(1)

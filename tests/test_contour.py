@@ -697,6 +697,14 @@ class TestLoopEvaluator:
             assert not np.shares_memory(mine, theirs)
         assert grids[0].t.size == 256 * 3 + 32 * 3 and grids[3].t.size == 64 * 3 + 8 * 3
 
+    def test_only_the_last_base_grid_stays_resident(self):
+        # a grid near the point cap holds tens of MB: a sweep over n_base
+        # must not keep the earlier ones alive
+        sp = SpectralParams(0.75, 2.0, 2.3)
+        build_loop(sp, 256)
+        build_loop(sp, 64)
+        assert contour_mod._tabled_grid.cache_info().currsize == 1
+
     def test_polish_grid_is_linspace(self):
         rng = np.random.default_rng(24)
         lo = rng.uniform(0.0, 1.0, 4000)

@@ -27,6 +27,20 @@ def test_refuses_a_non_finite_spacing_or_length(h):
         GridFunction(np.ones(16), h)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GridFunction(np.zeros(20, dtype=complex), 0.1),
+    lambda: GridFunction(np.full(20, 1.0 + 2.0j), 0.1),
+    lambda: GridFunction(["a"] * 20, 0.1),
+    lambda: GridFunction([None] * 20, 0.1),
+    lambda: GridFunction(np.ones(20, dtype=object), 0.1),
+    lambda: GridFunction(np.ones(20), "0.1"),
+    lambda: GridFunction.from_function(lambda x: (1.0 + 1.0j) * x, 1.0, 20),
+], ids=["complex-zero-imaginary", "complex", "str", "None", "object", "str-h", "from_function"])
+def test_refuses_what_is_not_real_numbers(make):
+    with pytest.raises(DomainError, match="must be real"):
+        make()
+
+
 def test_geometry():
     u = GridFunction(np.zeros(65), 0.25)
     assert u.n == 65
@@ -45,42 +59,6 @@ def test_samples_immutable():
     u = GridFunction(np.zeros(32), 0.1)
     with pytest.raises(ValueError):
         u.samples[0] = 1.0
-
-
-def test_text_round_trip_real(tmp_path):
-    u = GridFunction.from_function(lambda x: x * math.exp(-x), 5.0, 64)
-    path = tmp_path / "u.txt"
-    u.save_text(path)
-    v = GridFunction.load_text(path)
-    assert v.h == pytest.approx(u.h, rel=1e-15)
-    np.testing.assert_allclose(v.samples, u.samples, rtol=0, atol=0)
-
-
-def test_text_round_trip_complex(tmp_path):
-    vals = np.exp(1j * np.linspace(0, 3, 40)) * np.linspace(1, 2, 40)
-    u = GridFunction(vals, 0.05)
-    path = tmp_path / "u.txt"
-    u.save_text(path)
-    v = GridFunction.load_text(path)
-    np.testing.assert_allclose(v.samples, u.samples, rtol=0, atol=0)
-
-
-def test_header_lines_ignored(tmp_path):
-    path = tmp_path / "u.txt"
-    lines = ["# a header", "# another"]
-    lines += [f"{0.1 * j:.17g} {float(j):.17g}" for j in range(20)]
-    path.write_text("\n".join(lines) + "\n")
-    v = GridFunction.load_text(path)
-    assert v.n == 20
-    assert v(0.5) == pytest.approx(5.0, abs=1e-12)
-
-
-def test_load_text_refuses_a_grid_not_starting_at_zero(tmp_path):
-    # the samples at x = 5.0, 5.1, ... would load as a grid on [0, 1.9]
-    path = tmp_path / "u.txt"
-    path.write_text("".join(f"{5.0 + 0.1 * j:.17g} {float(j):.17g}\n" for j in range(20)))
-    with pytest.raises(DomainError, match="starts at x = 5, not at x = 0"):
-        GridFunction.load_text(path)
 
 
 def test_compared_and_hashed_by_identity():
@@ -109,29 +87,6 @@ def test_from_function_refuses_a_non_integer_count_before_sampling(n):
 def test_from_function_takes_a_numpy_integer_count():
     u = GridFunction.from_function(math.sin, 1.0, np.int64(17))
     assert u.n == 17 and u.h == 1.0 / 16
-
-
-def test_load_text_names_the_malformed_line(tmp_path):
-    path = tmp_path / "u.txt"
-    lines = ["# header"] + [f"{0.1 * j:.17g} {float(j):.17g}" for j in range(20)]
-    lines[5] += " 7.0"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DomainError, match="line 6"):
-        GridFunction.load_text(path)
-    lines[5] = "0.4"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DomainError, match="line 6"):
-        GridFunction.load_text(path)
-
-
-@pytest.mark.parametrize("row", ["0.1 abc", "foo 1"])
-def test_load_text_names_the_unparsable_line(tmp_path, row):
-    path = tmp_path / "u.txt"
-    lines = ["# header"] + [f"{0.1 * j:.17g} {float(j):.17g}" for j in range(20)]
-    lines[5] = row
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DomainError, match="line 6"):
-        GridFunction.load_text(path)
 
 
 def _bits(values):
@@ -176,26 +131,6 @@ def test_real_scalar_call_skips_ppoly(monkeypatch):
         u(x), du(x), d2u(x)
     with pytest.raises(AssertionError, match="PPoly"):
         u(np.array([0.5, 1.0]))
-
-
-def test_complex_samples_keep_the_ppoly_route(monkeypatch):
-    from scipy.interpolate import PPoly
-
-    vals = np.exp(1j * np.linspace(0.0, 3.0, 64)) * np.linspace(1.0, 2.0, 64)
-    u = GridFunction(vals, 0.05)
-    L = u.length
-    xs = [0.0, 0.123, 1.5, L, L + 0.1, -0.2, math.nan]
-    expect = u(np.array(xs))
-    for x, want in zip(xs, expect):
-        got = u(x)
-        assert type(got) is complex
-        assert got == want
-    assert u.derivative(1)(0.7) == u.derivative(1)(np.array([0.7]))[0]
-    calls = []
-    real_call = PPoly.__call__
-    monkeypatch.setattr(PPoly, "__call__", lambda *a, **kw: calls.append(1) or real_call(*a, **kw))
-    u(0.5)
-    assert calls == [1]
 
 
 def test_derivative_and_nodes_are_built_once():
@@ -248,12 +183,15 @@ def test_coefficients_reproduce_the_spline_at_the_nodes():
 
 def test_only_gridfn_reads_the_spline_internals():
     # the spline's storage and the grid function's cache belong to gridfn,
-    # and kernel_m is the kernel's one array-first implementation
+    # so does the decision that samples are real (no other module guards
+    # on it), and kernel_m is the kernel's one array-first implementation
     offenders = []
     for path in sorted(Path(whml.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name != "gridfn.py":
-            offenders += [(path.name, name) for name in ("._cache", "._cubic(", "._piecewise(")
+            offenders += [(path.name, name)
+                          for name in ("._cache", "._cubic(", "._piecewise(", ".is_real",
+                                       "real grid function")
                           if name in text]
         if "_m_array" in text:
             offenders.append((path.name, "_m_array"))

@@ -156,11 +156,6 @@ class TestPanelRule:
         monkeypatch.setattr(quadrature, "quad", refuse)
         assert math.isfinite(apply_singular(u_smooth, 5.3, k))
 
-    def test_complex_input_rejected(self):
-        z = GridFunction(np.zeros(256, dtype=complex) + 1j, 0.05)
-        with pytest.raises(DomainError):
-            apply_singular(z, 1.0, KernelParams(0.4))
-
 
 _PANEL_L = 16.0
 
@@ -248,18 +243,12 @@ class TestApplyFourier:
         au = apply_fourier(u, k)
         assert abs(apply_singular(u, 1.0, k) - au(1.0)) < 1e-4
 
-    def test_complex_input_rejected(self):
-        z = GridFunction(np.zeros(256, dtype=complex) + 1j, 0.05)
-        with pytest.raises(DomainError):
-            apply_fourier(z, KernelParams(0.4))
-
 
 class TestQuadraticForm:
     def test_zero(self):
         for a in (0.05, 0.4, 0.95):
-            for dtype in (float, complex):
-                z = GridFunction(np.zeros(256, dtype=dtype), 0.05)
-                assert quadratic_form(z, KernelParams(a)) == 0.0
+            z = GridFunction(np.zeros(256), 0.05)
+            assert quadratic_form(z, KernelParams(a)) == 0.0
 
     def test_dominates_l2(self):
         u = GridFunction.from_function(
@@ -362,14 +351,6 @@ class TestFormPanelSum:
             w = (j + s) * h
             direct = float(np.trapezoid((u(u.xs + w) - u.samples) ** 2, dx=h))
             assert g[:, j] @ (s * h) ** np.arange(7.0) == pytest.approx(direct, rel=1e-6)
-
-    def test_complex_is_real_plus_imaginary(self):
-        re = GridFunction.from_function(lambda x: x * x * math.exp(-x), 32.0, 2048)
-        im = GridFunction.from_function(lambda x: math.sin(x) * x * math.exp(-x), 32.0, 2048)
-        z = GridFunction(re.samples + 1j * im.samples, re.h)
-        k = KernelParams(0.4)
-        assert quadratic_form(z, k) == pytest.approx(
-            quadratic_form(re, k) + quadratic_form(im, k), rel=1e-14)
 
     def test_refuses_a_jump_at_L(self):
         # x^2 e^-x is 2.1e-2 at L = 8: the zero extension jumps there
@@ -552,12 +533,7 @@ class TestExactRiemannLiouville:
             rl_integral(u_short, float(x), 0.3)
         rl_integral_grid(u_short, 0.3)
 
-    def test_rejects_complex_and_bad_orders(self, u_short):
-        z = GridFunction(np.zeros(64, dtype=complex) + 1j, 0.1)
-        with pytest.raises(DomainError):
-            rl_integral(z, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            rl_integral_grid(z, 0.5)
+    def test_rejects_bad_orders(self, u_short):
         for gamma in (0.0, 2.0):
             with pytest.raises(DomainError):
                 rl_integral_grid(u_short, gamma)
@@ -622,9 +598,6 @@ class TestRiemannLiouvilleNodeTable:
         for bad_x in (0.0, g.length, -1.0):
             with pytest.raises(DomainError, match="0 < x < L"):
                 rl_integral(g, bad_x, 0.6)
-        z = GridFunction((1 + 1j) * g.samples, g.h)
-        with pytest.raises(DomainError, match="real grid function"):
-            rl_integral(z, x, 0.6)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.8, 1.5])
     def test_nodes_match_closed_form(self, gamma):
@@ -652,10 +625,6 @@ def _caputo_reference(u, x, gamma):
     pow_b1 = t_left ** (beta + 1.0) - t_right ** (beta + 1.0)
     total = float(np.sum((c0 + c1 * t_left) * pow_b / beta - c1 * pow_b1 / (beta + 1.0)))
     return total / math.gamma(beta)
-
-
-def _complex_u():
-    return GridFunction.from_function(lambda x: (1 + 1j) * x * x * math.exp(-x), 8.0, 256)
 
 
 class TestCaputoNodeTable:
@@ -696,16 +665,6 @@ class TestCaputoNodeTable:
         lhs = x ** (-gamma) * (u_short(x) - u_short(0.0))
         rhs = x ** (-gamma) * _rl_of_callable(h, x, gamma)
         assert mellin_difference_residual(u_short, x, KernelParams(a)) == abs(lhs - rhs)
-
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
-    def test_complex_input_rejected(self, gamma):
-        with pytest.raises(DomainError, match="real grid function"):
-            caputo_derivative(_complex_u(), 1.0, gamma)
-
-    @pytest.mark.parametrize("a", [0.2, 0.7])
-    def test_mellin_complex_input_rejected(self, a):
-        with pytest.raises(DomainError, match="real grid function"):
-            mellin_difference_residual(_complex_u(), 0.7, KernelParams(a))
 
 
 class TestFractionalCalculus:
