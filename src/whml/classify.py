@@ -48,7 +48,7 @@ def _inadmissible(alpha: float, p: float, s: float, reason: str) -> Classificati
 
 def classify(alpha: float, p: float, s: float, mode: str = "theorem") -> ClassificationReport:
     """Classify one parameter triple; mode is theorem, numeric or both."""
-    mode = mode.lower()
+    mode = mode.lower() if isinstance(mode, str) else mode
     if mode not in ("theorem", "numeric", "both"):
         raise DomainError(f"unknown classification mode {mode!r}")
     if not (0.0 < alpha < 1.0):

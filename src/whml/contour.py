@@ -4,22 +4,21 @@ winding number that carries the Fredholm index.
 The loop lives on a six-segment closed contour.  Four segments are exact
 (constants or the unit-modulus factor alone); the boundary segment mixes the
 loop-function interpolants with the Mellin factor.  Each curved segment is
-compactified through xi = tan(pi (t - 1/2)) so the infinite junctions are
-honest endpoint limits.  The loop is one array of (segment index, t) pairs
-with one evaluator: each segment maps t to xi, and a symbol is the pair of
-its boundary value and its unit-modulus factor at xi, for a triple the
-methods of its symbols.LoopSymbol, whose constants are computed once per
-triple.  The base grid does not depend on the triple: it is built with
-the parts of the symbol that depend on xi alone (symbols.boundary_tables
-on G1, symbols.unit_tables on the others), so a triple's base values are
-its two kernels on those tables.  The grid built last is kept, read-only:
-every caller that repeats builds uses one n_base, and a grid near the
-point cap holds tens of MB.  One refinement pass per level bisects every
-interval of the loop whose phase increment is not branch-safe; an
-interval still turning by pi/2 or more at width 1e-12 is recorded on the
-loop, and the winding refuses it.  The minimum modulus is polished once,
-at assembly, by a zoom whose passes on G1 call the boundary kernel
-straight from t and reuse the moduli at their two ends.
+compactified through a tan of t, which exceeds the saturation at the ends,
+so the infinite junctions are the symbol's one-sided limits.  The loop is
+one array of (segment index, t) pairs: each segment maps t to xi, and a
+symbol is the pair of its boundary value and its unit-modulus factor at
+xi, for a triple the methods of its symbols.LoopSymbol.  One function
+evaluates points on one segment, for a refinement pass, a polish pass or
+eval_segment.  The base grid does not depend on the triple: it keeps the
+G1 xi and symbols.unit_tables of the other points, so a triple's base
+values are its boundary value and its unit kernel on those.  The grid
+built last is kept, read-only: a grid near the point cap holds tens of
+MB.  One refinement pass per level bisects every interval of the loop
+whose phase increment is not branch-safe; an interval still turning by
+pi/2 or more at width 1e-12 is recorded on the loop, and the winding
+refuses it.  The minimum modulus is polished once, at assembly, by a zoom
+whose passes reuse the moduli at their two ends.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NotFredholmError, ResolutionError, is_integer
 from .specfun import scalar_or_array
-from .symbols import XI_SATURATION, SpectralParams, boundary_tables, unit_tables
+from .symbols import XI_SATURATION, SpectralParams, unit_tables
 # the loop reads the symbol through SpectralParams.loop_symbol; these names
 # stay importable from this module, where perfbench's tracer looks them up
 from .symbols import c1p_inf, c2p_inf, gamma1_mellin_term, wh_c1  # noqa: F401
@@ -102,7 +101,8 @@ class SymbolLoop:
     smallest sample's otherwise.  `unresolved` holds the indices i whose
     interval from sample i to i + 1 the refinement left still turning the
     phase by pi/2 or more, at width 1e-12 or less.  An empty loop is
-    refused.
+    refused, and so are arrays that are not 1-D, differ in length or hold
+    a segment index outside SEGMENT_ORDER.
     """
 
     def __init__(self, segment_index, t, values, closure_gap, junction_gaps,
@@ -111,6 +111,12 @@ class SymbolLoop:
                   np.asarray(values, dtype=complex))
         if arrays[2].size == 0:
             raise DomainError("a symbol loop needs at least one point")
+        if any(a.shape != arrays[2].shape or a.ndim != 1 for a in arrays):
+            raise DomainError("a symbol loop needs 1-D segment index, t and value arrays "
+                              f"of one length, got shapes {[a.shape for a in arrays]}")
+        if not 0 <= arrays[0].min() <= arrays[0].max() < len(SEGMENT_ORDER):
+            raise DomainError(f"a symbol loop's segment indices must lie in "
+                              f"0..{len(SEGMENT_ORDER) - 1}")
         for a in arrays:
             a.flags.writeable = False
         self._arrays = arrays
@@ -140,22 +146,14 @@ class SymbolLoop:
 
 
 def _xi_line(t):
-    """Compactified coordinate for a full line, t in [0, 1] -> xi."""
-    xi = np.tan(np.pi * (t - 0.5))
-    if t.min() > 0.0 and t.max() < 1.0:
-        return xi
-    return np.where(t <= 0.0, -np.inf, np.where(t >= 1.0, np.inf, xi))
+    """Compactified coordinate for a full line, t in [0, 1] -> xi; |xi| is
+    about 1.6e16, beyond the saturation, at t = 0 and 1."""
+    return np.tan(np.pi * (t - 0.5))
 
 
 def _lambda_down(t):
-    """Half-line coordinate running from +inf (t=0) to 0 (t=1)."""
-    return np.where(t <= 0.0, np.inf,
-                    np.where(t >= 1.0, 0.0, np.tan(np.pi * (1.0 - t) / 2.0)))
-
-
-def _lambda_up(t):
-    """Half-line coordinate running from 0 (t=0) to +inf (t=1)."""
-    return _lambda_down(1.0 - t)
+    """Half-line coordinate running from about 1.6e16 (t=0) to 0 (t=1)."""
+    return np.tan(np.pi * (1.0 - t) / 2.0)
 
 
 def _saturated(xi):
@@ -163,16 +161,16 @@ def _saturated(xi):
     return np.where(np.abs(xi) < XI_SATURATION, xi, np.copysign(np.inf, xi))
 
 
-# xi(t) of each segment; the symbol is its boundary value at xi on G1 and
-# its unit-modulus factor at xi on the five others
-_SEGMENT_XI = {
-    Segment.G1: _xi_line,
-    Segment.G2P: lambda t: np.full(t.shape, -np.inf),
-    Segment.G3P: lambda t: _saturated(-_lambda_down(t)),
-    Segment.G4: lambda t: np.zeros(t.shape),
-    Segment.G3M: lambda t: _saturated(_lambda_up(t)),
-    Segment.G2M: lambda t: np.full(t.shape, np.inf),
-}
+# xi(t) of each segment in SEGMENT_ORDER; the symbol is its boundary value
+# at xi on G1 and its unit-modulus factor at xi on the five others
+_SEGMENT_XI = (
+    _xi_line,                                  # G1
+    lambda t: np.full(t.shape, -np.inf),       # G2P
+    lambda t: _saturated(-_lambda_down(t)),    # G3P
+    lambda t: np.zeros(t.shape),               # G4
+    lambda t: _saturated(_lambda_down(1.0 - t)),  # G3M
+    lambda t: np.full(t.shape, np.inf),        # G2M
+)
 
 
 def _segment_xi(seg_index, t):
@@ -182,21 +180,27 @@ def _segment_xi(seg_index, t):
     ends = np.searchsorted(seg_index, np.arange(1, len(SEGMENT_ORDER) + 1)).tolist()
     xi = np.empty(t.shape)
     start = 0
-    for seg, end in zip(SEGMENT_ORDER, ends):
+    for xi_of, end in zip(_SEGMENT_XI, ends):
         if end > start:
-            xi[start:end] = _SEGMENT_XI[seg](t[start:end])
+            xi[start:end] = xi_of(t[start:end])
         start = end
     return xi, ends[0]
+
+
+def _segment_values(boundary, unit, k, t):
+    """Symbol values at the parameters t of segment k: one map to xi and
+    one boundary(xi) call on G1 or unit(xi) call on the others."""
+    xi = _SEGMENT_XI[k](t)
+    return boundary(xi) if k == 0 else unit(xi)
 
 
 def _loop_values(boundary, unit, seg_index, t):
     """Symbol values at the (segment index, t) pairs: one boundary(xi) call
     for the G1 points and one unit(xi) call for the others.  Pairs on one
-    segment, as in most refinement passes, take one map and one call."""
+    segment, as in most refinement passes, go to _segment_values."""
     k = seg_index[0]
     if k == seg_index[-1]:
-        xi = _SEGMENT_XI[SEGMENT_ORDER[k]](t)
-        return boundary(xi) if k == 0 else unit(xi)
+        return _segment_values(boundary, unit, k, t)
     xi, g1 = _segment_xi(seg_index, t)
     out = np.empty(t.shape, dtype=complex)
     if g1 > 0:
@@ -213,8 +217,7 @@ class _BaseGrid(NamedTuple):
     t: np.ndarray
     last: np.ndarray  # each segment's last index; -1 closes G2M on G1
     wide: np.ndarray  # diff(t) > _MIN_WIDTH: the intervals refinement may split
-    g1: int           # the number of G1 points, which lead
-    boundary: tuple   # symbols.boundary_tables of the G1 points
+    xi: np.ndarray    # xi at the G1 points, which lead
     unit: tuple       # symbols.unit_tables of the other points
 
 
@@ -240,9 +243,9 @@ def _tabled_grid(n_base: int) -> _BaseGrid:
     t = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts[:2]] * 3)
     xi, g1 = _segment_xi(seg_index, t)
     last = np.append(np.flatnonzero(np.diff(seg_index)), -1)
-    grid = _BaseGrid(seg_index, t, last, np.diff(t) > _MIN_WIDTH, g1,
-                     boundary_tables(xi[:g1]), unit_tables(xi[g1:]))
-    for a in (seg_index, t, last, grid.wide, *grid.boundary, *grid.unit):
+    grid = _BaseGrid(seg_index, t, last, np.diff(t) > _MIN_WIDTH, xi[:g1],
+                     unit_tables(xi[g1:]))
+    for a in (seg_index, t, last, grid.wide, grid.xi, *grid.unit):
         a.flags.writeable = False
     return grid
 
@@ -256,7 +259,7 @@ def eval_segment(seg: Segment, t, sp: SpectralParams):
     if seg not in SEGMENT_ORDER:
         raise DomainError(f"unknown segment {seg!r}")
     sym = sp.loop_symbol
-    out = _loop_values(sym.boundary, sym.unit, np.full(ta.shape, SEGMENT_ORDER.index(seg)), ta)
+    out = _segment_values(sym.boundary, sym.unit, SEGMENT_ORDER.index(seg), ta)
     return scalar_or_array(out.reshape(np.shape(t)))
 
 
@@ -303,10 +306,10 @@ def _check_count(what: str, value, least: int) -> None:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _loop(grid: _BaseGrid, f, values: np.ndarray, polish) -> SymbolLoop:
-    """The refined loop from the values at the base grid's points: f
-    evaluates the (segment index, t) pairs the refinement adds, and
-    polish(k, t) the points of the minimum's zoom on segment k."""
+def _loop(grid: _BaseGrid, boundary, unit, values: np.ndarray) -> SymbolLoop:
+    """The refined loop of the symbol given by its (boundary, unit) pair,
+    from its values at the base grid's points."""
+    f = functools.partial(_loop_values, boundary, unit)
     seg_index, t, values, unresolved = _refine(f, grid.seg_index, grid.t, values, grid.wide,
                                                _MAX_POINTS - grid.t.size)
     # each segment's last point against the next one's first, G2M closing on G1
@@ -316,6 +319,7 @@ def _loop(grid: _BaseGrid, f, values: np.ndarray, polish) -> SymbolLoop:
         raise ResolutionError(
             f"junction gaps {junction_gaps} exceed {_JUNCTION_TOL}"
         )
+    polish = functools.partial(_segment_values, boundary, unit)
     return SymbolLoop(seg_index, t, values, junction_gaps[-1], junction_gaps,
                       _polished_min_modulus(polish, seg_index, t, values), unresolved)
 
@@ -323,34 +327,22 @@ def _loop(grid: _BaseGrid, f, values: np.ndarray, polish) -> SymbolLoop:
 def _assemble(boundary, unit, n_base: int) -> SymbolLoop:
     """Refined loop of the symbol given by its (boundary, unit) pair."""
     grid = _base_grid(n_base)
-    f = functools.partial(_loop_values, boundary, unit)
-    return _loop(grid, f, f(grid.seg_index, grid.t), lambda k, x: f(np.full(x.shape, k), x))
+    return _loop(grid, boundary, unit, _loop_values(boundary, unit, grid.seg_index, grid.t))
 
 
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
     """Assemble and refine the generalized-symbol loop for one parameter set.
 
-    The base grid's values come from the triple's kernels on the grid's
-    xi-only tables; each polish pass on G1 maps t to xi with one tan and,
-    when every xi is within the saturation, calls the boundary kernel
-    directly.  Both equal _assemble over sym.boundary and sym.unit bit for
-    bit."""
+    The base grid's unit values come from the triple's unit kernel on the
+    grid's xi-only tables; this equals _assemble over sym.boundary and
+    sym.unit bit for bit."""
     grid = _base_grid(n_base)
     sym = sp.loop_symbol
-    f = functools.partial(_loop_values, sym.boundary, sym.unit)
+    g1 = grid.xi.size
     values = np.empty(grid.t.shape, dtype=complex)
-    values[:grid.g1] = sym.boundary_values(*grid.boundary)
-    values[grid.g1:] = sym.unit_values(*grid.unit)
-
-    def polish(k, x):
-        if k == 0:
-            # _xi_line without its endpoint case: t = 0 or 1 gives |xi| > 1e16
-            xi = np.tan(np.pi * (x - 0.5))
-            if (np.abs(xi) <= XI_SATURATION).all():
-                return sym.boundary_kernel(np.tanh(math.pi * xi), 1j * xi)
-        return f(np.full(x.shape, k), x)
-
-    return _loop(grid, f, values, polish)
+    values[:g1] = sym.boundary(grid.xi)
+    values[g1:] = sym.unit_values(*grid.unit)
+    return _loop(grid, sym.boundary, sym.unit, values)
 
 
 def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
@@ -450,7 +442,7 @@ def winding_number(loop: SymbolLoop) -> int:
 def export_loop(loop: SymbolLoop, fmt: str = "csv") -> bytes:
     """Serialize the loop: CSV columns segment,t,re,im or an SVG polyline
     with a dashed unit-circle reference ring."""
-    fmt = fmt.lower()
+    fmt = fmt.lower() if isinstance(fmt, str) else fmt
     if fmt == "csv":
         buf = io.StringIO()
         buf.write("segment,t,re,im\n")

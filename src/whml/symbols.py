@@ -13,11 +13,10 @@ The loop reads the symbol through one LoopSymbol per triple
 (SpectralParams.loop_symbol): the boundary value and the unit factor as
 array functions of xi, with every xi-free constant computed once, equal bit
 for bit to the composition of the public factors above, which stay as its
-oracles.  Each of the two has one kernel, whose inputs are the parts that
-depend on xi alone (boundary_tables: tanh(pi xi) and i xi; unit_tables:
-the log-space bases of 1 + xi^2 and xi -+ i), so a caller that evaluates
-many triples on one set of xi, as the loop's base grid does, computes
-those once.
+oracles; the boundary value takes the one-sided limits beyond
+XI_SATURATION itself.  The unit factor's kernel takes its xi-only parts
+(unit_tables), so a caller that evaluates many triples on one set of xi,
+as the loop's base grid does, computes those once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "Regime",
     "SpectralParams",
     "LoopSymbol",
-    "boundary_tables",
     "unit_tables",
     "XI_SATURATION",
     "wh_c1",
@@ -129,14 +127,19 @@ class SpectralParams:
         return LoopSymbol(self)
 
 
+def _refuse_nan(xi, what: str) -> None:
+    """nan has no limit at infinity, and no branch may take it for one."""
+    if np.isnan(xi).any():
+        raise DomainError(f"{what} needs xi that is not nan")
+
+
 def _wh_factor(xi, sp: SpectralParams, lead, at_plus_inf: complex, at_minus_inf: complex):
     """lead(xi) (xi-i)^(s-2a-m) (xi+i)^(m-s), with the given limits at +inf
     and -inf.  A scalar is evaluated as a one-element array, so it equals
     the array call bit for bit.  A nan xi has no limit and is refused."""
     a, s, m = sp.alpha, sp.s, sp.m
     x = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.isnan(x).any():
-        raise DomainError("Wiener-Hopf factor needs xi that is not nan")
+    _refuse_nan(x, "Wiener-Hopf factor")
     finite = np.isfinite(x)
     xf = np.where(finite, x, 0.0)
     # xi -+ i never vanishes at real xi
@@ -207,6 +210,7 @@ def c1p_inf(xi, sp: SpectralParams):
     approaches c1(-inf) as xi -> +inf and c1(+inf) as xi -> -inf.
     The denominator never vanishes, since sin(pi/p) > 0.  Accepts arrays.
     """
+    _refuse_nan(xi, "c1p_inf")
     nu = sp.nu
     return scalar_or_array(cmath.exp(1j * math.pi * nu) * sine_ratio(1.0 / sp.p + nu, 1.0 / sp.p, xi))
 
@@ -214,6 +218,7 @@ def c1p_inf(xi, sp: SpectralParams):
 def c2p_inf(xi, sp: SpectralParams):
     """Boundary-segment value of the c2 factor, with the extra e^(-i pi a)
     phase carried by its one-sided limits.  Accepts arrays."""
+    _refuse_nan(xi, "c2p_inf")
     nu_p = sp.nu_prime
     return scalar_or_array(cmath.exp(1j * math.pi * (nu_p - sp.alpha))
                  * sine_ratio(1.0 / sp.p + nu_p, 1.0 / sp.p, xi))
@@ -226,16 +231,8 @@ def gamma1_mellin_term(xi, sp: SpectralParams):
     Exposing the product (rather than its two factors) keeps the
     Kummer-profile origin value out of the contour code entirely.
     """
+    _refuse_nan(xi, "gamma1_mellin_term")
     return scalar_or_array(-beta_term(sp.alpha, sp.beta_sigma, xi))
-
-
-def boundary_tables(xi: np.ndarray) -> tuple:
-    """The parts of LoopSymbol.boundary at a float array of xi that depend
-    on xi alone: the masks |xi| <= XI_SATURATION and xi > 0, and
-    tanh(pi xi) and i xi on the points within the saturation."""
-    inner = np.abs(xi) <= XI_SATURATION
-    x = xi if inner.all() else xi[inner]
-    return inner, xi > 0.0, np.tanh(math.pi * x), 1j * x
 
 
 def unit_tables(xi: np.ndarray) -> tuple:
@@ -259,14 +256,12 @@ class LoopSymbol:
     for xi > 0, 1 for xi < 0).  Everything free of xi is computed once
     here: the sine terms of 1/p, 1/p + nu and 1/p + nu', the phases
     e^(i pi nu) and e^(i pi (nu' - a)), loggamma(2a), sin(pi a)/pi, sigma
-    and the exponents of wh_c1.  Each factor has one kernel, which takes
-    the xi-only arrays (boundary_tables, unit_tables) as inputs, so a
-    caller that keeps those arrays for a fixed set of xi, as the loop's
-    base grid does, pays only the triple's own work: one denominator
-    shared by the two sine ratios, two loggamma calls and one exp per
-    boundary point, three complex exps per unit point.  The kernels use the
-    same floating-point operations in the same order as the composition of
-    the public factors, so they equal it bit for bit.
+    and the exponents of wh_c1.  A boundary point costs one denominator
+    shared by the two sine ratios, two loggamma calls and one exp; a unit
+    point three complex exps, on the xi-only arrays of unit_tables, which
+    a caller may keep for a fixed set of xi, as the loop's base grid does.
+    The kernels use the same floating-point operations in the same order
+    as the composition of the public factors, so they equal it bit for bit.
 
     The beta pole scan of complex_beta becomes one check: the first
     argument sigma + i xi has sigma = beta_sigma > 0 and the second is 2a
@@ -293,14 +288,14 @@ class LoopSymbol:
 
     def boundary(self, xi: np.ndarray) -> np.ndarray:
         """The symbol on the boundary segment at a float array of xi."""
-        return self.boundary_values(*boundary_tables(xi))
-
-    def boundary_values(self, inner, positive, tanh_pi_xi, i_xi) -> np.ndarray:
-        """`boundary` from the arrays of boundary_tables."""
+        inner = np.abs(xi) <= XI_SATURATION
         if inner.all():
-            return self.boundary_kernel(tanh_pi_xi, i_xi)
-        out = np.where(positive, self._c1_at_minus_inf, 1.0 + 0j)
-        out[inner] = self.boundary_kernel(tanh_pi_xi, i_xi)
+            return self.boundary_kernel(np.tanh(math.pi * xi), 1j * xi)
+        # nan fails the test above, so only this branch meets it
+        _refuse_nan(xi, "the boundary value")
+        out = np.where(xi > 0.0, self._c1_at_minus_inf, 1.0 + 0j)
+        x = xi[inner]
+        out[inner] = self.boundary_kernel(np.tanh(math.pi * x), 1j * x)
         return out
 
     def boundary_kernel(self, tanh_pi_xi, i_xi) -> np.ndarray:
@@ -318,8 +313,7 @@ class LoopSymbol:
 
     def unit(self, xi: np.ndarray) -> np.ndarray:
         """The unit-modulus factor wh_c1 at a float array of xi."""
-        if np.isnan(xi).any():
-            raise DomainError("Wiener-Hopf factor needs xi that is not nan")
+        _refuse_nan(xi, "Wiener-Hopf factor")
         # finite on the loop, where |xi| <= XI_SATURATION; refused, as
         # wh_c1 refuses it, once 1 + xi^2 overflows
         return _check_finite(self.unit_values(*unit_tables(xi)), "principal_power")

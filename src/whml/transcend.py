@@ -261,10 +261,9 @@ def inequality_scan(region: str, grid_density: int = 40) -> VerificationReport:
     region; reports the minimum margin and where it occurred (violations are
     content, not errors)."""
     _check_density("inequality_scan", grid_density)
-    try:
-        spec = SCAN_REGIONS[region.upper()]
-    except KeyError as exc:
-        raise DomainError(f"unknown scan region {region!r}") from exc
+    spec = SCAN_REGIONS.get(region.upper()) if isinstance(region, str) else None
+    if spec is None:
+        raise DomainError(f"unknown scan region {region!r}")
     margin, argmin = _scan(spec, grid_density)
     return VerificationReport.from_margin(
         region.upper(), f"{spec.grid}, {grid_density} cells per axis (midpoints)",
@@ -281,7 +280,7 @@ def no_solution_certificate(regime: str, grid_density: int = 30,
     it refuses an empty set of alphas and any alpha outside (0, 1).
     """
     _check_density("no_solution_certificate", grid_density)
-    regime = regime.upper()
+    regime = regime.upper() if isinstance(regime, str) else regime
     if regime == "LOW":
         worst, arg = _scan(_LOW, grid_density)
         return VerificationReport.from_margin(

@@ -10,10 +10,10 @@ import pytest
 
 from whml.classify import classify
 from whml.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, cli_main
-from whml.contour import FREDHOLM_TOL, Segment, build_loop, eval_segment, min_modulus
+from whml.contour import FREDHOLM_TOL, Segment, build_loop, eval_segment, export_loop, min_modulus
 from whml.errors import DomainError, NotFredholmError, ResolutionError
 from whml.symbols import SpectralParams
-from whml.transcend import alpha_c, critical_s
+from whml.transcend import alpha_c, critical_s, inequality_scan, no_solution_certificate
 
 
 class TestClassifyTheorem:
@@ -153,6 +153,22 @@ class TestClassifyNumeric:
             sp = SpectralParams(a, p, critical_s(a, p) + gap)
             touch = abs(eval_segment(Segment.G1, 0.5, sp))
             assert min_modulus(build_loop(sp)) == pytest.approx(touch, rel=1e-9)
+
+
+_NAMED = {
+    "inequality_scan": inequality_scan,
+    "no_solution_certificate": no_solution_certificate,
+    "classify": lambda name: classify(0.3, 2.0, 1.2, mode=name),
+    "export_loop": lambda name: export_loop(build_loop(SpectralParams(0.3, 2.0, 1.2), 64), name),
+}
+
+
+@pytest.mark.parametrize("call, name", [(call, name) for call in _NAMED for name in (None, 3)]
+                         + [("classify", "bogus")])
+def test_a_name_that_is_not_known_is_refused(call, name):
+    # a name that is not a string is unknown, as an unknown string is
+    with pytest.raises(DomainError, match=f"unknown .*{name!r}"):
+        _NAMED[call](name)
 
 
 class TestCli:

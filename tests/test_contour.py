@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ class TestEvalSegment:
     def test_parameter_range(self):
         with pytest.raises(DomainError):
             eval_segment(Segment.G1, 1.5, SP_LOW)
+
+    def test_curved_segment_ends_are_the_one_sided_limits(self):
+        # G1 runs from xi = -inf to +inf, where the boundary value takes
+        # c1's limits at +inf and -inf; G3P from -inf to 0 and G3M from 0
+        # to +inf
+        ends = ((Segment.G1, math.inf, -math.inf), (Segment.G3P, -math.inf, 0.0),
+                (Segment.G3M, 0.0, math.inf))
+        for sp in (SP_LOW, SP_MODEL, SpectralParams(0.75, 2.0, 2.3)):
+            for seg, at_0, at_1 in ends:
+                for t, xi in ((0.0, at_0), (1.0, at_1)):
+                    mine, limit = eval_segment(seg, t, sp), wh_c1(xi, sp)
+                    assert np.complex128(mine).tobytes() == np.complex128(limit).tobytes(), (
+                        sp, seg, t)
 
 
 class TestBuildLoop:
@@ -274,6 +288,20 @@ class TestExport:
         loop = build_loop(SP_LOW, 64)
         with pytest.raises(DomainError):
             export_loop(loop, "png")
+
+    @pytest.mark.parametrize("seg_index, t, values", [
+        ([0, 0, 0], [0.0, 0.5], [1, 1j, -1, -1j]),
+        ([0, 0], [0.0, 0.5, 1.0], [1, 1j]),
+        ([[0, 0]], [[0.0, 0.5]], [[1, 1j]]),
+        (0, 0.0, 1.0),
+        ([0, 6], [0.0, 0.5], [1, 1j]),
+        ([-1, 0], [0.0, 0.5], [1, 1j]),
+    ], ids=["short t", "short values", "2-D", "0-D", "index 6", "index -1"])
+    def test_arrays_that_do_not_line_up_rejected(self, seg_index, t, values):
+        # export_loop and points would drop or misname samples that
+        # winding_number counts
+        with pytest.raises(DomainError, match="a symbol loop"):
+            SymbolLoop(seg_index, t, values, 0.0, (0.0,) * 6)
 
 
 README_TRIPLES = ((0.75, 2.0, 2.3), (0.4, 2.0, 1.4), (0.75, 2.0, 2.2), (0.25, 4.0, 0.7))
@@ -622,6 +650,13 @@ def _ones(xi):
     return np.ones(xi.shape, dtype=complex)
 
 
+def test_only_symbols_computes_the_boundary_value():
+    # LoopSymbol.boundary does the boundary value's xi-only work and its
+    # saturation; contour maps t to xi and calls it
+    text = Path(contour_mod.__file__).read_text(encoding="utf-8")
+    assert [name for name in ("tanh", "boundary_kernel") if name in text] == []
+
+
 class TestLoopEvaluator:
     def test_loop_equals_the_composed_factors_bit_for_bit(self):
         # the loop's evaluator against the composition of the public
@@ -687,7 +722,7 @@ class TestLoopEvaluator:
         assert grids[0] is grids[1] is grids[2] and grids[3] is not grids[0]
         tables = []
         for grid in (grids[0], grids[3]):
-            arrays = [grid.seg_index, grid.t, grid.last, grid.wide, *grid.boundary, *grid.unit]
+            arrays = [grid.seg_index, grid.t, grid.last, grid.wide, grid.xi, *grid.unit]
             for a in arrays:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):

@@ -283,12 +283,15 @@ class TestArrayViews:
     def test_nan_xi_is_refused(self):
         # nan has no limit: it must not fall into the -inf branch
         nan = float("nan")
-        for fn in (wh_c1, wh_c2):
-            for sp in (SP_LOW, SP_HIGH):
-                for xi in (nan, np.float64(nan), np.array([0.5, nan, -np.inf]),
-                           np.full((2, 2), nan)):
+        arrays = (np.array([nan]), np.array([0.5, nan, -np.inf]), np.full((2, 2), nan))
+        for sp in (SP_LOW, SP_HIGH):
+            for fn in (wh_c1, wh_c2, c1p_inf, c2p_inf, gamma1_mellin_term):
+                for xi in (nan, np.float64(nan), *arrays):
                     with pytest.raises(DomainError, match="nan"):
                         fn(xi, sp)
+            for xi in arrays:
+                with pytest.raises(DomainError, match="nan"):
+                    sp.loop_symbol.boundary(xi)
 
 
 EDGE = 1e-12
