@@ -4,21 +4,21 @@ winding number that carries the Fredholm index.
 The loop lives on a six-segment closed contour.  Four segments are exact
 (constants or the unit-modulus factor alone); the boundary segment mixes the
 loop-function interpolants with the Mellin factor.  Each curved segment is
-compactified through a tan of t, which exceeds the saturation at the ends,
-so the infinite junctions are the symbol's one-sided limits.  The loop is
-one array of (segment index, t) pairs: each segment maps t to xi, and a
-symbol is the pair of its boundary value and its unit-modulus factor at
-xi, for a triple the methods of its symbols.LoopSymbol.  One function
-evaluates points on one segment, for a refinement pass, a polish pass or
-eval_segment.  The base grid does not depend on the triple: it keeps the
-G1 xi and symbols.unit_tables of the other points, so a triple's base
-values are its boundary value and its unit kernel on those.  The grid
-built last is kept, read-only: a grid near the point cap holds tens of
-MB.  One refinement pass per level bisects every interval of the loop
-whose phase increment is not branch-safe; an interval still turning by
-pi/2 or more at width 1e-12 is recorded on the loop, and the winding
-refuses it.  The minimum modulus is polished once, at assembly, by a zoom
-whose passes reuse the moduli at their two ends.
+compactified through a tan of t past the symbol's saturation, beyond which
+the symbol itself takes its one-sided limits, so these are the infinite
+junctions.  The loop is one array of (segment index, t) pairs: each segment
+only maps t to xi, and a symbol is the pair of its boundary value and its
+unit-modulus factor at xi, for a triple the methods of its LoopSymbol.  One
+function evaluates points on one segment, for a refinement pass, a polish
+pass or eval_segment.  The base grid does not depend on the triple: it
+keeps the G1 xi and symbols.unit_tables of the other points, so a triple's
+base values are its boundary value and its unit kernel on those.  The grid
+built last is kept, read-only: a grid near the point cap holds tens of MB.
+One refinement pass per level bisects every interval of the loop whose
+phase increment is not branch-safe; an interval still turning by pi/2 or
+more at width 1e-12 is recorded on the loop, and the winding refuses it.
+The minimum modulus is polished once, at assembly, by a zoom whose passes
+reuse the moduli at their two ends.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NotFredholmError, ResolutionError, is_integer
 from .specfun import scalar_or_array
-from .symbols import XI_SATURATION, SpectralParams, unit_tables
+from .symbols import SpectralParams, unit_tables
 # the loop reads the symbol through SpectralParams.loop_symbol; these names
 # stay importable from this module, where perfbench's tracer looks them up
 from .symbols import c1p_inf, c2p_inf, gamma1_mellin_term, wh_c1  # noqa: F401
@@ -101,30 +101,35 @@ class SymbolLoop:
     smallest sample's otherwise.  `unresolved` holds the indices i whose
     interval from sample i to i + 1 the refinement left still turning the
     phase by pi/2 or more, at width 1e-12 or less.  An empty loop is
-    refused, and so are arrays that are not 1-D, differ in length or hold
-    a segment index outside SEGMENT_ORDER.
+    refused, and so are arrays that are not 1-D or differ in length,
+    segment indices that are not integers or lie outside SEGMENT_ORDER,
+    and t that is nan or outside [0, 1].
     """
 
     def __init__(self, segment_index, t, values, closure_gap, junction_gaps,
                  min_modulus=None, unresolved=()):
-        arrays = (np.asarray(segment_index, dtype=np.intp), np.asarray(t, dtype=float),
+        arrays = (np.asarray(segment_index), np.asarray(t, dtype=float),
                   np.asarray(values, dtype=complex))
-        if arrays[2].size == 0:
+        seg_index, t, values = arrays
+        if values.size == 0:
             raise DomainError("a symbol loop needs at least one point")
-        if any(a.shape != arrays[2].shape or a.ndim != 1 for a in arrays):
+        if any(a.shape != values.shape or a.ndim != 1 for a in arrays):
             raise DomainError("a symbol loop needs 1-D segment index, t and value arrays "
                               f"of one length, got shapes {[a.shape for a in arrays]}")
-        if not 0 <= arrays[0].min() <= arrays[0].max() < len(SEGMENT_ORDER):
-            raise DomainError(f"a symbol loop's segment indices must lie in "
+        if seg_index.dtype.kind not in "iu" or not (
+                0 <= seg_index.min() <= seg_index.max() < len(SEGMENT_ORDER)):
+            raise DomainError(f"a symbol loop's segment indices must be integers in "
                               f"0..{len(SEGMENT_ORDER) - 1}")
-        for a in arrays:
+        if not ((t >= 0.0) & (t <= 1.0)).all():  # nan fails both
+            raise DomainError("a symbol loop's t must lie in [0, 1]")
+        self._arrays = (seg_index.astype(np.intp, copy=False), t, values)
+        for a in self._arrays:
             a.flags.writeable = False
-        self._arrays = arrays
         self._points = None
         self.closure_gap = closure_gap
         self.junction_gaps = tuple(junction_gaps)
         if min_modulus is None:
-            min_modulus = float(np.min(np.abs(arrays[2])))
+            min_modulus = float(np.min(np.abs(values)))
         self.min_modulus = min_modulus
         self.unresolved = tuple(int(i) for i in unresolved)
 
@@ -156,19 +161,14 @@ def _lambda_down(t):
     return np.tan(np.pi * (1.0 - t) / 2.0)
 
 
-def _saturated(xi):
-    """xi, with the one-sided limit +-inf beyond |xi| = XI_SATURATION."""
-    return np.where(np.abs(xi) < XI_SATURATION, xi, np.copysign(np.inf, xi))
-
-
 # xi(t) of each segment in SEGMENT_ORDER; the symbol is its boundary value
 # at xi on G1 and its unit-modulus factor at xi on the five others
 _SEGMENT_XI = (
     _xi_line,                                  # G1
     lambda t: np.full(t.shape, -np.inf),       # G2P
-    lambda t: _saturated(-_lambda_down(t)),    # G3P
+    lambda t: -_lambda_down(t),                # G3P
     lambda t: np.zeros(t.shape),               # G4
-    lambda t: _saturated(_lambda_down(1.0 - t)),  # G3M
+    lambda t: _lambda_down(1.0 - t),           # G3M
     lambda t: np.full(t.shape, np.inf),        # G2M
 )
 

@@ -301,6 +301,12 @@ def apply_fourier(u: GridFunction, k: KernelParams) -> GridFunction:
     of m from x_i to L and integral_L^inf m.  The boundary sample x = 0
     reads the potential at h/2 (the true potential diverges there; the
     sample is only meaningful when u(0) = 0).
+
+    Near x = 0 on a coarse grid this route is no oracle for apply_singular:
+    for x^2 e^-x on [0, 32] at alpha 0.25 / 0.75 / 0.99 they differ by
+    7.7e-5 / 9.2e-3 / 5.3e-2 at x = 0.1 and 3.2e-7 / 3.8e-5 / 3.9e-4 at x = 1
+    on 512 points, 7.8e-9 / 5.2e-6 / 1.2e-4 and 2.6e-10 / 2.4e-7 / 6.6e-6 on
+    4096; so verify's operator_dual_route probes x >= 1.
     """
     tail = np.max(np.abs(u.samples[int(0.875 * u.n):]))
     scale = np.max(np.abs(u.samples))

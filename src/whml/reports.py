@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 __all__ = ["VerificationReport", "ClassificationReport"]
@@ -62,24 +62,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-_CLASSIFICATION_FIELDS = (
-    "regime",
-    "bounded",
-    "fredholm",
-    "winding",
-    "index",
-    "kernel_trivial",
-    "invertible",
-    "alpha_c",
-    "critical_s",
-    "notes",
-)
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Verdict record for one parameter triple; field order is frozen for
-    downstream parsing."""
+    """Verdict record for one parameter triple; to_json and to_text give
+    the fields in their declared order, which is frozen for downstream
+    parsing."""
 
     regime: str
     bounded: bool
@@ -102,14 +89,14 @@ class ClassificationReport:
             raise ValueError("non-Fredholm verdicts carry no winding or index")
 
     def to_json(self) -> str:
-        payload = {name: getattr(self, name) for name in _CLASSIFICATION_FIELDS}
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, ensure_ascii=False, separators=(", ", ": "))
 
     def to_text(self) -> str:
         lines = []
-        for name in _CLASSIFICATION_FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is None:
                 value = "-"
-            lines.append(f"{name}: {value}")
+            lines.append(f"{f.name}: {value}")
         return "\n".join(lines)

@@ -24,8 +24,8 @@ from whml.contour import (
     winding_number,
 )
 from whml.errors import DomainError, NotFredholmError, ResolutionError
-from whml.symbols import (LoopSymbol, SpectralParams, c1p_inf, c2p_inf, gamma1_mellin_term,
-                          wh_c1)
+from whml.symbols import (XI_SATURATION, LoopSymbol, SpectralParams, c1p_inf, c2p_inf,
+                          gamma1_mellin_term, wh_c1)
 
 SP_MODEL = SpectralParams(0.4, 2.0, 1.4)
 SP_LOW = SpectralParams(0.3, 2.0, 1.2)
@@ -177,8 +177,9 @@ class TestWinding:
             assert winding_number(loop) == -n
 
     def test_every_order_up_to_n_base(self):
-        for n in range(1, 65):
-            assert winding_number(build_validation_loop(n, 64)) == -n, n
+        for n_base in (64, 256):
+            for n in range(1, n_base + 1):
+                assert winding_number(build_validation_loop(n, n_base)) == -n, (n, n_base)
 
     def test_order_over_n_base_refused(self):
         # unrefused, order 100 at n_base 64 winds 26 times
@@ -296,7 +297,12 @@ class TestExport:
         (0, 0.0, 1.0),
         ([0, 6], [0.0, 0.5], [1, 1j]),
         ([-1, 0], [0.0, 0.5], [1, 1j]),
-    ], ids=["short t", "short values", "2-D", "0-D", "index 6", "index -1"])
+        ([0.7, 1.9], [0.0, 0.5], [1, 1j]),
+        ([0, 0], [0.0, math.nan], [1, 1j]),
+        ([0, 0], [0.0, 1.5], [1, 1j]),
+        ([0, 0], [-0.5, 0.5], [1, 1j]),
+    ], ids=["short t", "short values", "2-D", "0-D", "index 6", "index -1", "index 0.7",
+            "t nan", "t 1.5", "t -0.5"])
     def test_arrays_that_do_not_line_up_rejected(self, seg_index, t, values):
         # export_loop and points would drop or misname samples that
         # winding_number counts
@@ -556,10 +562,10 @@ class TestArrayAssembly:
 def _composed_symbol(sp):
     """The (boundary, unit) pair composed of the public factors, the
     reference of the loop's evaluator: c1p_inf + gamma1_mellin_term *
-    c2p_inf within |xi| <= 1e8, wh_c1's one-sided limits beyond, and wh_c1
-    on the five other segments."""
+    c2p_inf on the boundary segment and wh_c1 on the five others, within
+    |xi| <= XI_SATURATION, and wh_c1's one-sided limits beyond."""
     def boundary(xi):
-        inner = np.abs(xi) <= 1e8
+        inner = np.abs(xi) <= XI_SATURATION
         x = xi[inner]
         out = np.empty(xi.shape, dtype=complex)
         out[inner] = c1p_inf(x, sp) + gamma1_mellin_term(x, sp) * c2p_inf(x, sp)
@@ -567,7 +573,11 @@ def _composed_symbol(sp):
             out[~inner] = wh_c1(np.where(xi[~inner] > 0.0, -np.inf, np.inf), sp)
         return out
 
-    return boundary, lambda xi: wh_c1(xi, sp)
+    def unit(xi):
+        inner = np.abs(xi) <= XI_SATURATION
+        return wh_c1(np.where(inner, xi, np.copysign(np.inf, xi)), sp)
+
+    return boundary, unit
 
 
 def _gate_triples():
@@ -651,10 +661,12 @@ def _ones(xi):
 
 
 def test_only_symbols_computes_the_boundary_value():
-    # LoopSymbol.boundary does the boundary value's xi-only work and its
-    # saturation; contour maps t to xi and calls it
+    # LoopSymbol.boundary does the boundary value's xi-only work, and
+    # symbols owns the saturation of every segment; contour maps t to xi
+    # and calls the symbol
     text = Path(contour_mod.__file__).read_text(encoding="utf-8")
-    assert [name for name in ("tanh", "boundary_kernel") if name in text] == []
+    names = ("tanh", "boundary_kernel", "XI_SATURATION", "copysign")
+    assert [name for name in names if name in text] == []
 
 
 class TestLoopEvaluator:
@@ -693,11 +705,11 @@ class TestLoopEvaluator:
                               (n, n_base))
 
     def test_polish_past_the_saturation_takes_the_limits(self, monkeypatch):
-        # a boundary value falling from 1 at xi = 0 to 0.1 at |xi| = 1e8,
-        # beyond which the loop takes the limits 1 (nu = 0): the polish
-        # zooms on the saturation edge with points on both sides of it
+        # a boundary value falling from 1 at xi = 0 to 0.1 at |xi| =
+        # XI_SATURATION, beyond which the loop takes the limits 1 (nu = 0):
+        # the polish zooms on the saturation edge with points on both sides
         def falling(self, tanh_pi_xi, i_xi):
-            return (1.0 - 0.9 * (i_xi.imag / 1e8) ** 2) + 0j
+            return (1.0 - 0.9 * (i_xi.imag / XI_SATURATION) ** 2) + 0j
 
         monkeypatch.setattr(LoopSymbol, "boundary_kernel", falling)
         sp = SpectralParams(0.25, 2.0, 2.25)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from whml.errors import DomainError
 from whml.specfun import AccuracyOverflow, principal_power
 from whml.symbols import (
+    XI_SATURATION,
     Regime,
     SpectralParams,
     c1p_inf,
@@ -295,9 +296,9 @@ class TestArrayViews:
 
 
 EDGE = 1e-12
-ABOVE_SATURATION = float(np.nextafter(1e8, np.inf))
+ABOVE_SATURATION = float(np.nextafter(XI_SATURATION, np.inf))
 # zero, the smallest subnormal, 1, the saturation threshold and the float above it
-XI_PROBES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e8, -1e8,
+XI_PROBES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, XI_SATURATION, -XI_SATURATION,
                       ABOVE_SATURATION, -ABOVE_SATURATION])
 
 
@@ -322,9 +323,9 @@ class TestLoopSymbol:
     @given(_admissible())
     def test_equals_the_composed_factors_bit_for_bit(self, sp):
         # the loop's evaluator against the composition of the public
-        # factors, limits beyond |xi| = 1e8 included, bytes and all
+        # factors, limits beyond |xi| = XI_SATURATION included, bytes and all
         sym = sp.loop_symbol
-        inner = np.abs(XI_PROBES) <= 1e8
+        inner = np.abs(XI_PROBES) <= XI_SATURATION
         x = XI_PROBES[inner]
         composed = np.empty(XI_PROBES.shape, dtype=complex)
         composed[inner] = c1p_inf(x, sp) + gamma1_mellin_term(x, sp) * c2p_inf(x, sp)
@@ -332,26 +333,31 @@ class TestLoopSymbol:
         boundary = sym.boundary(XI_PROBES)
         assert boundary.tobytes() == composed.tobytes()
         assert np.isfinite(boundary).all()
-        # the unit factor without zero masks against the masked powers
+        # the unit factor without zero masks against the masked powers,
+        # and wh_c1's limits beyond the same saturation
         xs = np.append(XI_PROBES, [np.inf, -np.inf])
         unit = sym.unit(xs)
-        finite = np.isfinite(xs)
-        xf = xs[finite]
+        inner = np.abs(xs) <= XI_SATURATION
+        xf = xs[inner]
         a, s, m = sp.alpha, sp.s, sp.m
         masked = (principal_power(1.0 + xf * xf, a) * principal_power(xf - 1j, s - 2.0 * a - m)
                   * principal_power(xf + 1j, m - s))
-        assert unit[finite].tobytes() == masked.tobytes()
+        assert unit[inner].tobytes() == masked.tobytes()
+        assert unit[~inner].tobytes() == wh_c1(np.copysign(np.inf, xs[~inner]), sp).tobytes()
         assert np.isfinite(unit).all()
         assert unit[-2] == 1.0 and unit[-1] == cmath.exp(2j * math.pi * sp.nu)
 
-    def test_unit_refuses_a_non_finite_value_as_wh_c1_does(self):
+    def test_unit_takes_the_limits_where_wh_c1_overflows(self):
+        # beyond XI_SATURATION the unit factor is its one-sided limit, so
+        # 1 + xi^2 cannot overflow; wh_c1, which has no saturation, still
+        # refuses the overflow
         sp = SpectralParams(0.75, 2.0, 2.3)
-        xi = np.array([1e200])
+        unit = sp.loop_symbol.unit(np.array([1e200, -1e200]))
+        assert unit.tobytes() == wh_c1(np.array([np.inf, -np.inf]), sp).tobytes()
+        assert unit[0] == 1.0 and unit[1] == cmath.exp(2j * math.pi * sp.nu)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(AccuracyOverflow):
-                wh_c1(xi, sp)
-            with pytest.raises(AccuracyOverflow):
-                sp.loop_symbol.unit(xi)
+                wh_c1(np.array([1e200]), sp)
 
     def test_no_pole_scan_at_tiny_alpha(self):
         # 2a = 2e-14 lies within complex_beta's 1e-13 pole band, but the
