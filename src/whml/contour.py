@@ -7,13 +7,16 @@ loop-function interpolants with the Mellin factor.  Each curved segment is
 compactified through a tan of t past the symbol's saturation, beyond which
 the symbol itself takes its one-sided limits, so these are the infinite
 junctions.  The loop is one array of (segment index, t) pairs: each segment
-only maps t to xi, and a symbol is the pair of its boundary value and its
-unit-modulus factor at xi, for a triple the methods of its LoopSymbol.  One
-function evaluates points on one segment, for a refinement pass, a polish
-pass or eval_segment.  The base grid does not depend on the triple: it
-keeps the G1 xi and symbols.unit_tables of the other points, so a triple's
-base values are its boundary value and its unit kernel on those.  The grid
-built last is kept, read-only: a grid near the point cap holds tens of MB.
+only maps t to xi.  A loop symbol is any object with boundary(xi), its
+value on the boundary segment, and unit_values(*unit_tables(xi)), its
+unit-modulus factor on the five others from the xi-only tables of
+symbols.unit_tables: a triple's LoopSymbol, or the rational validation
+symbol.  One function, _loop, builds every loop.  The base grid does not
+depend on the symbol: it keeps the G1 xi and the unit tables of the other
+points, so the base values are one boundary and one unit_values call on
+those.  One function evaluates points on one segment, for a refinement
+pass, a polish pass or eval_segment.  The grid built last is kept,
+read-only: a grid near the point cap holds tens of MB.
 One refinement pass per level bisects every interval of the loop whose
 phase increment is not branch-safe; an interval still turning by pi/2 or
 more at width 1e-12 is recorded on the loop, and the winding refuses it.
@@ -103,7 +106,8 @@ class SymbolLoop:
     phase by pi/2 or more, at width 1e-12 or less.  An empty loop is
     refused, and so are arrays that are not 1-D or differ in length,
     segment indices that are not integers or lie outside SEGMENT_ORDER,
-    and t that is nan or outside [0, 1].
+    t that is nan or outside [0, 1], and values whose modulus is nan or
+    infinite.
     """
 
     def __init__(self, segment_index, t, values, closure_gap, junction_gaps,
@@ -122,6 +126,8 @@ class SymbolLoop:
                               f"0..{len(SEGMENT_ORDER) - 1}")
         if not ((t >= 0.0) & (t <= 1.0)).all():  # nan fails both
             raise DomainError("a symbol loop's t must lie in [0, 1]")
+        if not (np.abs(values) < math.inf).all():  # nan fails too
+            raise DomainError("a symbol loop's values must have a finite modulus")
         self._arrays = (seg_index.astype(np.intp, copy=False), t, values)
         for a in self._arrays:
             a.flags.writeable = False
@@ -187,25 +193,25 @@ def _segment_xi(seg_index, t):
     return xi, ends[0]
 
 
-def _segment_values(boundary, unit, k, t):
+def _segment_values(sym, k, t):
     """Symbol values at the parameters t of segment k: one map to xi and
-    one boundary(xi) call on G1 or unit(xi) call on the others."""
+    one sym.boundary(xi) call on G1 or one unit kernel call on the others."""
     xi = _SEGMENT_XI[k](t)
-    return boundary(xi) if k == 0 else unit(xi)
+    return sym.boundary(xi) if k == 0 else sym.unit_values(*unit_tables(xi))
 
 
-def _loop_values(boundary, unit, seg_index, t):
-    """Symbol values at the (segment index, t) pairs: one boundary(xi) call
-    for the G1 points and one unit(xi) call for the others.  Pairs on one
-    segment, as in most refinement passes, go to _segment_values."""
+def _loop_values(sym, seg_index, t):
+    """Symbol values at the (segment index, t) pairs: one sym.boundary(xi)
+    call for the G1 points and one unit kernel call for the others.  Pairs
+    on one segment, as in most refinement passes, go to _segment_values."""
     k = seg_index[0]
     if k == seg_index[-1]:
-        return _segment_values(boundary, unit, k, t)
+        return _segment_values(sym, k, t)
     xi, g1 = _segment_xi(seg_index, t)
     out = np.empty(t.shape, dtype=complex)
     if g1 > 0:
-        out[:g1] = boundary(xi[:g1])
-    out[g1:] = unit(xi[g1:])
+        out[:g1] = sym.boundary(xi[:g1])
+    out[g1:] = sym.unit_values(*unit_tables(xi[g1:]))
     return out
 
 
@@ -258,8 +264,7 @@ def eval_segment(seg: Segment, t, sp: SpectralParams):
         raise DomainError("segment parameter must lie in [0, 1]")
     if seg not in SEGMENT_ORDER:
         raise DomainError(f"unknown segment {seg!r}")
-    sym = sp.loop_symbol
-    out = _segment_values(sym.boundary, sym.unit, SEGMENT_ORDER.index(seg), ta)
+    out = _segment_values(sp.loop_symbol, SEGMENT_ORDER.index(seg), ta)
     return scalar_or_array(out.reshape(np.shape(t)))
 
 
@@ -306,10 +311,16 @@ def _check_count(what: str, value, least: int) -> None:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _loop(grid: _BaseGrid, boundary, unit, values: np.ndarray) -> SymbolLoop:
-    """The refined loop of the symbol given by its (boundary, unit) pair,
-    from its values at the base grid's points."""
-    f = functools.partial(_loop_values, boundary, unit)
+def _loop(sym, n_base) -> SymbolLoop:
+    """The refined loop of a loop symbol: an object with boundary(xi) and
+    unit_values(*unit_tables(xi)), as LoopSymbol has.  Its base values are
+    read from the base grid's xi-only tables."""
+    grid = _base_grid(n_base)
+    g1 = grid.xi.size
+    values = np.empty(grid.t.shape, dtype=complex)
+    values[:g1] = sym.boundary(grid.xi)
+    values[g1:] = sym.unit_values(*grid.unit)
+    f = functools.partial(_loop_values, sym)
     seg_index, t, values, unresolved = _refine(f, grid.seg_index, grid.t, values, grid.wide,
                                                _MAX_POINTS - grid.t.size)
     # each segment's last point against the next one's first, G2M closing on G1
@@ -319,30 +330,29 @@ def _loop(grid: _BaseGrid, boundary, unit, values: np.ndarray) -> SymbolLoop:
         raise ResolutionError(
             f"junction gaps {junction_gaps} exceed {_JUNCTION_TOL}"
         )
-    polish = functools.partial(_segment_values, boundary, unit)
+    polish = functools.partial(_segment_values, sym)
     return SymbolLoop(seg_index, t, values, junction_gaps[-1], junction_gaps,
                       _polished_min_modulus(polish, seg_index, t, values), unresolved)
 
 
-def _assemble(boundary, unit, n_base: int) -> SymbolLoop:
-    """Refined loop of the symbol given by its (boundary, unit) pair."""
-    grid = _base_grid(n_base)
-    return _loop(grid, boundary, unit, _loop_values(boundary, unit, grid.seg_index, grid.t))
-
-
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
-    """Assemble and refine the generalized-symbol loop for one parameter set.
+    """Assemble and refine the generalized-symbol loop for one parameter set."""
+    return _loop(sp.loop_symbol, n_base)
 
-    The base grid's unit values come from the triple's unit kernel on the
-    grid's xi-only tables; this equals _assemble over sym.boundary and
-    sym.unit bit for bit."""
-    grid = _base_grid(n_base)
-    sym = sp.loop_symbol
-    g1 = grid.xi.size
-    values = np.empty(grid.t.shape, dtype=complex)
-    values[:g1] = sym.boundary(grid.xi)
-    values[g1:] = sym.unit_values(*grid.unit)
-    return _loop(grid, sym.boundary, sym.unit, values)
+
+class _RationalSymbol:
+    """The validation symbol (xi+i)^n (xi-i)^(-n) as a loop symbol: 1 on
+    the boundary segment, and on the others exp(n (log(xi+i) - log(xi-i)))
+    within the saturation, where unit_tables gives those logs, else 1."""
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def boundary(self, xi: np.ndarray) -> np.ndarray:
+        return np.ones(xi.shape, dtype=complex)
+
+    def unit_values(self, inner, positive, log_sq, log_minus, log_plus) -> np.ndarray:
+        return np.where(inner, np.exp(self._n * (log_plus - log_minus)), 1.0 + 0j)
 
 
 def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
@@ -360,13 +370,7 @@ def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
     if n > n_base:
         raise DomainError(f"validation symbol order {n} exceeds n_base {n_base}: "
                           "the loop is held to at most one turn per base point")
-
-    def unit(xi):
-        finite = np.isfinite(xi)
-        xf = np.where(finite, xi, 0.0)
-        return np.where(finite, ((xf + 1j) / (xf - 1j)) ** n, 1.0 + 0j)
-
-    return _assemble(lambda xi: np.ones(xi.shape, dtype=complex), unit, n_base)
+    return _loop(_RationalSymbol(n), n_base)
 
 
 def min_modulus(loop: SymbolLoop) -> float:

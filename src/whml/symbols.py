@@ -120,11 +120,6 @@ class SpectralParams:
         return self.m - self.s + 2.0 * self.alpha
 
     @property
-    def p_conj(self) -> float:
-        """Hoelder conjugate, 1/p + 1/p' = 1."""
-        return self.p / (self.p - 1.0)
-
-    @property
     def beta_sigma(self) -> float:
         """First beta argument at xi = 0: s - 2*alpha + 1/p'."""
         return self.s - 2.0 * self.alpha + 1.0 - 1.0 / self.p

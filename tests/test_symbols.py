@@ -37,7 +37,7 @@ class TestSpectralParams:
         assert SP_LOW.nu == pytest.approx(1 - 1.2 + 0.3)
         assert SP_LOW.nu_prime == pytest.approx(1 - 1.2 + 0.6)
         assert SP_HIGH.nu == pytest.approx(2 - 2.2 + 0.75)
-        assert SP_LOW.p_conj == pytest.approx(2.0)
+        assert SP_LOW.beta_sigma == pytest.approx(1.2 - 0.6 + (1 - 1 / 2.0))
 
     def test_boundary_smoothness_rejected(self):
         with pytest.raises(DomainError):
