@@ -8,13 +8,13 @@ compactified through a tan of t past the symbol's saturation, beyond which
 the symbol itself takes its one-sided limits, so these are the infinite
 junctions.  The loop is one array of (segment index, t) pairs: each segment
 only maps t to xi.  A loop symbol is any object with boundary(xi), its
-value on the boundary segment, and unit_values(*unit_tables(xi)), its
-unit-modulus factor on the five others from the xi-only tables of
-symbols.unit_tables: a triple's LoopSymbol, or the rational validation
-symbol.  One function, _loop, builds every loop.  The base grid does not
-depend on the symbol: it keeps the G1 xi and the unit tables of the other
-points, so the base values are one boundary and one unit_values call on
-those.  One function evaluates points on one segment, for a refinement
+value on the boundary segment, and unit_values(unit_tables(xi)), its
+unit-modulus factor on the five others from theta = arctan2(1, xi): a
+triple's LoopSymbol, or the rational validation symbol, both on the kernel
+symbols.unit_phase.  One function, _loop, builds every loop.  The base grid
+does not depend on the symbol: it keeps the G1 xi and the theta of the
+other points, so the base values are one boundary and one unit_values call
+on those.  One function evaluates points on one segment, for a refinement
 pass, a polish pass or eval_segment.  The grid built last is kept,
 read-only: a grid near the point cap holds tens of MB.
 One refinement pass per level bisects every interval of the loop whose
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, NotFredholmError, ResolutionError, is_integer
 from .specfun import scalar_or_array
-from .symbols import SpectralParams, unit_tables
+from .symbols import SpectralParams, unit_phase, unit_tables
 # the loop reads the symbol through SpectralParams.loop_symbol; these names
 # stay importable from this module, where perfbench's tracer looks them up
 from .symbols import c1p_inf, c2p_inf, gamma1_mellin_term, wh_c1  # noqa: F401
@@ -197,7 +197,7 @@ def _segment_values(sym, k, t):
     """Symbol values at the parameters t of segment k: one map to xi and
     one sym.boundary(xi) call on G1 or one unit kernel call on the others."""
     xi = _SEGMENT_XI[k](t)
-    return sym.boundary(xi) if k == 0 else sym.unit_values(*unit_tables(xi))
+    return sym.boundary(xi) if k == 0 else sym.unit_values(unit_tables(xi))
 
 
 def _loop_values(sym, seg_index, t):
@@ -211,7 +211,7 @@ def _loop_values(sym, seg_index, t):
     out = np.empty(t.shape, dtype=complex)
     if g1 > 0:
         out[:g1] = sym.boundary(xi[:g1])
-    out[g1:] = sym.unit_values(*unit_tables(xi[g1:]))
+    out[g1:] = sym.unit_values(unit_tables(xi[g1:]))
     return out
 
 
@@ -224,7 +224,7 @@ class _BaseGrid(NamedTuple):
     last: np.ndarray  # each segment's last index; -1 closes G2M on G1
     wide: np.ndarray  # diff(t) > _MIN_WIDTH: the intervals refinement may split
     xi: np.ndarray    # xi at the G1 points, which lead
-    unit: tuple       # symbols.unit_tables of the other points
+    unit: np.ndarray  # symbols.unit_tables of the other points
 
 
 def _base_grid(n_base) -> _BaseGrid:
@@ -251,7 +251,7 @@ def _tabled_grid(n_base: int) -> _BaseGrid:
     last = np.append(np.flatnonzero(np.diff(seg_index)), -1)
     grid = _BaseGrid(seg_index, t, last, np.diff(t) > _MIN_WIDTH, xi[:g1],
                      unit_tables(xi[g1:]))
-    for a in (seg_index, t, last, grid.wide, grid.xi, *grid.unit):
+    for a in grid:
         a.flags.writeable = False
     return grid
 
@@ -313,13 +313,13 @@ def _check_count(what: str, value, least: int) -> None:
 
 def _loop(sym, n_base) -> SymbolLoop:
     """The refined loop of a loop symbol: an object with boundary(xi) and
-    unit_values(*unit_tables(xi)), as LoopSymbol has.  Its base values are
+    unit_values(unit_tables(xi)), as LoopSymbol has.  Its base values are
     read from the base grid's xi-only tables."""
     grid = _base_grid(n_base)
     g1 = grid.xi.size
     values = np.empty(grid.t.shape, dtype=complex)
     values[:g1] = sym.boundary(grid.xi)
-    values[g1:] = sym.unit_values(*grid.unit)
+    values[g1:] = sym.unit_values(grid.unit)
     f = functools.partial(_loop_values, sym)
     seg_index, t, values, unresolved = _refine(f, grid.seg_index, grid.t, values, grid.wide,
                                                _MAX_POINTS - grid.t.size)
@@ -342,8 +342,7 @@ def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
 
 class _RationalSymbol:
     """The validation symbol (xi+i)^n (xi-i)^(-n) as a loop symbol: 1 on
-    the boundary segment, and on the others exp(n (log(xi+i) - log(xi-i)))
-    within the saturation, where unit_tables gives those logs, else 1."""
+    the boundary segment, and the unit phase kernel at nu = n elsewhere."""
 
     def __init__(self, n: int):
         self._n = n
@@ -351,8 +350,8 @@ class _RationalSymbol:
     def boundary(self, xi: np.ndarray) -> np.ndarray:
         return np.ones(xi.shape, dtype=complex)
 
-    def unit_values(self, inner, positive, log_sq, log_minus, log_plus) -> np.ndarray:
-        return np.where(inner, np.exp(self._n * (log_plus - log_minus)), 1.0 + 0j)
+    def unit_values(self, theta) -> np.ndarray:
+        return unit_phase(self._n, theta)
 
 
 def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:

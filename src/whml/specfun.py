@@ -2,10 +2,9 @@
 
 Everything here follows one branch convention: arguments of complex numbers
 live in (-pi, pi], with the cut along the negative real axis.  All fractional
-powers of complex bases must go through :func:`principal_power` (or its
-unmasked form :func:`nonzero_power`, for bases that never vanish) so that
-the convention holds globally; :func:`principal_log` is their log-space
-base, log|z| + i*arg z.
+powers of complex bases must go through :func:`principal_power` so that the
+convention holds globally.  The Wiener-Hopf factors' closed forms in
+`symbols` need none, and principal_power is their independent oracle.
 
 Beta is assembled in log space from scipy.special.loggamma (principal
 branch) to dodge overflow; it raises :class:`PoleError` within 1e-13 of a
@@ -31,8 +30,6 @@ from .errors import DomainError, GammaOverflowError, PoleError
 
 __all__ = [
     "principal_power",
-    "nonzero_power",
-    "principal_log",
     "complex_beta",
     "PartialBeta",
     "bessel_k",
@@ -58,39 +55,21 @@ def _check_finite(value, what: str):
     return value
 
 
-def _arg_principal(z):
-    """Argument in (-pi, pi]; negative reals map to +pi even with -0.0 parts
-    (adding 0.0 turns an imaginary part of -0.0 into +0.0)."""
-    return np.arctan2(z.imag + 0.0, z.real)
-
-
 def principal_power(z, gamma: float):
     """z**gamma with the principal branch, z^g := exp(g*(log|z| + i*arg z)).
 
-    arg z is taken in (-pi, pi].  z = 0 returns 0 for gamma > 0 and raises
-    for gamma <= 0.  Accepts arrays.
+    arg z is taken in (-pi, pi]; negative reals map to +pi even with -0.0
+    parts (adding 0.0 turns an imaginary part of -0.0 into +0.0).  z = 0
+    returns 0 for gamma > 0 and raises for gamma <= 0.  Accepts arrays.
     """
     za = np.asarray(z, dtype=complex)
     zero = za == 0
     if gamma <= 0 and zero.any():
         raise DomainError("0 cannot be raised to a non-positive power")
-    out = np.where(zero, 0j, nonzero_power(np.where(zero, 1.0, za), gamma))
+    zb = np.where(zero, 1.0, za)
+    log = np.log(np.abs(zb)) + 1j * np.arctan2(zb.imag + 0.0, zb.real)
+    out = np.where(zero, 0j, _check_finite(np.exp(gamma * log), "principal_power"))
     return scalar_or_array(out)
-
-
-def principal_log(z):
-    """log|z| + i*arg z with arg z in (-pi, pi], as an array: the log-space
-    base of every principal power, z^g = exp(g * principal_log(z))."""
-    za = np.asarray(z, dtype=complex)
-    return np.log(np.abs(za)) + 1j * _arg_principal(za)
-
-
-def nonzero_power(z, gamma: float):
-    """principal_power for bases that never vanish, such as xi +- i and
-    1 + xi^2 at real xi: the same exp(g*(log|z| + i*arg z)) with no zero
-    mask, so it equals principal_power there bit for bit.  Returns an array
-    (a numpy scalar for a scalar z) and raises on a non-finite value."""
-    return _check_finite(np.exp(gamma * principal_log(z)), "principal_power")
 
 
 def _near_pole(*zs) -> bool:

@@ -9,14 +9,18 @@ form is a ratio of sines (c1p_inf, c2p_inf); those are computed in a
 cosh-free rearrangement that stays finite for arbitrarily large
 frequencies.
 
+The unit factor c1 = (1+xi^2)^a (xi-i)^(s-2a-m) (xi+i)^(m-s) has real
+exponents that sum to zero, so it is the phase exp(2i nu theta), theta =
+arctan2(1, xi), nu = m - s + a: one kernel, unit_phase, for wh_c1, the loop
+and the validation symbol; the three principal powers are its oracle.
+
 The loop reads the symbol through one LoopSymbol per triple
 (SpectralParams.loop_symbol): the boundary value and the unit factor as
 array functions of xi, with every xi-free constant computed once, equal bit
-for bit to the composition of the public factors above, which stay as its
-oracles; both take the one-sided limits beyond XI_SATURATION, by one
-rule, on every segment of the loop.  The unit factor's kernel takes its
-xi-only parts (unit_tables), so a caller that evaluates many triples on
-one set of xi, as the loop's base grid does, computes those once.
+for bit to the public factors above, which stay as its oracles; both take
+the one-sided limits beyond XI_SATURATION, by one rule.  The unit factor
+reads xi only through theta (unit_tables), which a caller that evaluates
+many triples on one set of xi, as the loop's base grid does, computes once.
 """
 
 from __future__ import annotations
@@ -31,14 +35,14 @@ import numpy as np
 
 from . import quadrature as q
 from .errors import DomainError, PoleError
-from .specfun import (PartialBeta, complex_beta, nonzero_power, principal_log,
-                      principal_power, scalar_or_array)
+from .specfun import PartialBeta, complex_beta, scalar_or_array
 
 __all__ = [
     "Regime",
     "SpectralParams",
     "LoopSymbol",
     "unit_tables",
+    "unit_phase",
     "XI_SATURATION",
     "wh_c1",
     "wh_c2",
@@ -130,53 +134,54 @@ class SpectralParams:
         return LoopSymbol(self)
 
 
-def _refuse_nan(xi, what: str) -> None:
-    """nan has no limit at infinity, and no branch may take it for one."""
+def _refuse_nan(xi, what: str):
+    """xi, refused if it holds nan: nan has no limit for a branch to take."""
     if np.isnan(xi).any():
         raise DomainError(f"{what} needs xi that is not nan")
+    return xi
 
 
-def _wh_factor(xi, sp: SpectralParams, lead, at_plus_inf: complex, at_minus_inf: complex):
-    """lead(xi) (xi-i)^(s-2a-m) (xi+i)^(m-s), with the given limits at +inf
-    and -inf.  A scalar is evaluated as a one-element array, so it equals
-    the array call bit for bit.  A nan xi has no limit and is refused."""
-    a, s, m = sp.alpha, sp.s, sp.m
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
-    _refuse_nan(x, "Wiener-Hopf factor")
-    finite = np.isfinite(x)
-    xf = np.where(finite, x, 0.0)
-    # xi -+ i never vanishes at real xi
-    val = (
-        lead(xf)
-        * nonzero_power(xf - 1j, s - 2.0 * a - m)
-        * nonzero_power(xf + 1j, m - s)
-    )
-    out = np.where(finite, val, np.where(x > 0.0, at_plus_inf, at_minus_inf))
-    return scalar_or_array(out.reshape(np.shape(xi)))
+def _xi_array(xi) -> np.ndarray:
+    """xi as an array of at least one dimension, nan refused: a scalar call
+    is a one-element array call, so the two agree bit for bit."""
+    return _refuse_nan(np.atleast_1d(np.asarray(xi, dtype=float)), "Wiener-Hopf factor")
+
+
+def unit_phase(nu, theta):
+    """exp(2i nu theta), the unit factor at theta = arctan2(1, xi): wh_c1,
+    LoopSymbol.unit_values, and at nu = n (xi+i)^n (xi-i)^(-n)."""
+    return np.exp(2j * nu * theta)
 
 
 def wh_c1(xi, sp: SpectralParams):
     """Unit-modulus Wiener-Hopf factor
-    (1+xi^2)^a (xi-i)^(s-2a-m) (xi+i)^(m-s).
+    (1+xi^2)^a (xi-i)^(s-2a-m) (xi+i)^(m-s) = exp(2i nu arctan2(1, xi)).
 
-    Limits: 1 at +inf, e^(2 pi nu i) at -inf, e^(pi nu i) from both sides
-    of 0 (the single discontinuity sits at infinity).  Accepts arrays.
+    Limits, which arctan2 gives itself: 1 at +inf, e^(2 pi nu i) at -inf,
+    e^(pi nu i) from both sides of 0.  Accepts arrays.
     """
-    return _wh_factor(xi, sp, lambda x: nonzero_power(1.0 + x * x, sp.alpha),
-                      1.0 + 0j, cmath.exp(2j * math.pi * sp.nu))
+    x = _xi_array(xi)
+    return scalar_or_array(unit_phase(sp.nu, np.arctan2(1.0, x)).reshape(np.shape(xi)))
 
 
 def wh_c2(xi, sp: SpectralParams):
     """Vanishing-at-zero Wiener-Hopf factor
-    (-i xi)^(2a) (xi-i)^(s-2a-m) (xi+i)^(m-s).
+    (-i xi)^(2a) (xi-i)^(s-2a-m) (xi+i)^(m-s)
+    = (1 + xi^-2)^(-a) exp(i(2 nu arctan2(1, xi) - pi a sgn xi)).
 
-    Limits: 0 from both sides of 0, e^(-i pi a) at +inf and
-    e^(-i pi a) e^(2 pi i nu') at -inf.  Accepts arrays.
+    The modulus is (|xi| / hypot(1, xi))^(2a), which does not overflow.
+    Limits: 0 at 0, e^(-i pi a) at +inf, e^(-i pi a) e^(2 pi i nu') at
+    -inf.  Accepts arrays.
     """
     a = sp.alpha
-    return _wh_factor(xi, sp, lambda x: principal_power(-1j * x, 2.0 * a),
-                      cmath.exp(-1j * math.pi * a),
-                      cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a)))
+    x = _xi_array(xi)
+    finite = np.isfinite(x)
+    xf = np.where(finite, x, 0.0)
+    val = ((np.abs(xf) / np.hypot(1.0, xf)) ** (2.0 * a)
+           * np.exp(1j * (2.0 * sp.nu * np.arctan2(1.0, xf) - math.pi * a * np.sign(xf))))
+    out = np.where(finite, val, np.where(x > 0.0, cmath.exp(-1j * math.pi * a),
+                                         cmath.exp(1j * math.pi * (2.0 * sp.nu_prime - a))))
+    return scalar_or_array(out.reshape(np.shape(xi)))
 
 
 def _sine_terms(a):
@@ -202,9 +207,15 @@ def sine_ratio(a, b, xi):
 
 
 def beta_term(alpha, sigma, xi):
-    """(sin pi a / pi) * B(sigma + i xi, 2a); arrays broadcast."""
-    z = np.asarray(sigma, dtype=float) + 1j * np.asarray(xi, dtype=float)
-    return np.sin(math.pi * np.asarray(alpha)) / math.pi * complex_beta(z, 2.0 * np.asarray(alpha))
+    """(sin pi a / pi) * B(sigma + i xi, 2a) by specfun.PartialBeta, which
+    needs no pole scan for a > 0 and sigma > 0; sigma <= 0 is refused with
+    PoleError.  Arrays broadcast."""
+    a = np.asarray(alpha, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if not (sigma > 0.0).all():  # nan fails too
+        raise PoleError("beta pole: the first argument's real part must be positive")
+    z = sigma + 1j * np.asarray(xi, dtype=float)
+    return np.sin(math.pi * a) / math.pi * PartialBeta(2.0 * a)(z)
 
 
 def c1p_inf(xi, sp: SpectralParams):
@@ -238,15 +249,12 @@ def gamma1_mellin_term(xi, sp: SpectralParams):
     return scalar_or_array(-beta_term(sp.alpha, sp.beta_sigma, xi))
 
 
-def unit_tables(xi: np.ndarray) -> tuple:
-    """The parts of LoopSymbol.unit at a float array of xi that depend on
-    xi alone: the masks of xi within the saturation and of xi > 0, and the
-    log-space bases principal_log of 1 + xi^2, xi - i and xi + i, with 0 in
-    place of each xi beyond it."""
-    inner = _unsaturated(xi)
-    xf = np.where(inner, xi, 0.0)
-    return (inner, xi > 0.0, principal_log(1.0 + xf * xf), principal_log(xf - 1j),
-            principal_log(xf + 1j))
+def unit_tables(xi: np.ndarray) -> np.ndarray:
+    """theta = arctan2(1, xi), all of LoopSymbol.unit that depends on xi,
+    read-only; beyond XI_SATURATION its limits, 0 (xi > 0) and pi."""
+    theta = np.where(_unsaturated(xi), np.arctan2(1.0, xi), np.where(xi > 0.0, 0.0, math.pi))
+    theta.flags.writeable = False
+    return theta
 
 
 class LoopSymbol:
@@ -259,24 +267,22 @@ class LoopSymbol:
     wh_c1: e^(2 pi i nu) for `boundary` at xi > 0 and `unit` at xi < 0, else
     1.  Everything free of xi is computed once here: the sine terms of 1/p,
     1/p + nu and 1/p + nu', the phases e^(i pi nu) and e^(i pi (nu' - a)),
-    loggamma(2a), sin(pi a)/pi, sigma and the exponents of wh_c1.  A boundary point costs one denominator
-    shared by the two sine ratios, two loggamma calls and one exp; a unit
-    point three complex exps, on the xi-only arrays of unit_tables, which
-    a caller may keep for a fixed set of xi, as the loop's base grid does.
-    The kernels use the same floating-point operations in the same order
-    as the composition of the public factors, so they equal it bit for bit.
+    loggamma(2a), sin(pi a)/pi, sigma and the limits of wh_c1.  A boundary
+    point costs one denominator shared by the two sine ratios, two loggamma
+    calls and one exp; a unit point one complex exp on the theta of
+    unit_tables.  The kernels make the public factors' floating-point
+    operations in the same order, so they equal them bit for bit.
 
-    The beta pole scan of complex_beta becomes one check: the first
-    argument sigma + i xi has sigma = beta_sigma > 0 and the second is 2a
-    in (0, 2).  The kernels make no finiteness check: with
-    Re(sigma + i xi) > 0 and |xi| <= XI_SATURATION every loggamma, power
-    and sine ratio here is finite.
+    As in beta_term, one check, sigma = beta_sigma > 0, stands for a beta
+    pole scan (2a lies in (0, 2)); with it every loggamma, phase and sine
+    ratio of the kernels is finite at |xi| <= XI_SATURATION, so they make
+    no finiteness check.
     """
 
     def __init__(self, sp: SpectralParams):
         if not sp.beta_sigma > 0.0:
             raise PoleError(f"beta argument sigma = {sp.beta_sigma!r} is not positive")
-        inv_p, nu, nu_p, a, s, m = 1.0 / sp.p, sp.nu, sp.nu_prime, sp.alpha, sp.s, sp.m
+        inv_p, nu, nu_p, a = 1.0 / sp.p, sp.nu, sp.nu_prime, sp.alpha
         self._den = _sine_terms(inv_p)
         self._c1_num = _sine_terms(inv_p + nu)
         self._c2_num = _sine_terms(inv_p + nu_p)
@@ -285,8 +291,9 @@ class LoopSymbol:
         self._sigma = np.asarray(sp.beta_sigma, dtype=float)
         self._beta = PartialBeta(2.0 * np.asarray(a))
         self._beta_scale = np.sin(math.pi * np.asarray(a)) / math.pi
-        self._powers = (a, s - 2.0 * a - m, m - s)
-        self._c1_at_minus_inf = cmath.exp(2j * math.pi * nu)
+        self._nu = nu
+        # wh_c1 at -inf and +inf: the boundary value's limits at xi > 0 and xi < 0
+        self._c1_limits = unit_phase(nu, np.array([math.pi, 0.0]))
 
     def boundary(self, xi: np.ndarray) -> np.ndarray:
         """The symbol on the boundary segment at a float array of xi."""
@@ -295,7 +302,7 @@ class LoopSymbol:
             return self.boundary_kernel(np.tanh(math.pi * xi), 1j * xi)
         # nan fails the test above, so only this branch meets it
         _refuse_nan(xi, "the boundary value")
-        out = np.where(xi > 0.0, self._c1_at_minus_inf, 1.0 + 0j)
+        out = np.where(xi > 0.0, *self._c1_limits)
         x = xi[inner]
         out[inner] = self.boundary_kernel(np.tanh(math.pi * x), 1j * x)
         return out
@@ -316,13 +323,11 @@ class LoopSymbol:
     def unit(self, xi: np.ndarray) -> np.ndarray:
         """The unit-modulus factor wh_c1 at a float array of xi."""
         _refuse_nan(xi, "Wiener-Hopf factor")
-        return self.unit_values(*unit_tables(xi))
+        return self.unit_values(unit_tables(xi))
 
-    def unit_values(self, inner, positive, log_sq, log_minus, log_plus) -> np.ndarray:
-        """`unit` from the arrays of unit_tables: its kernel."""
-        a, e_minus, e_plus = self._powers
-        val = np.exp(a * log_sq) * np.exp(e_minus * log_minus) * np.exp(e_plus * log_plus)
-        return np.where(inner, val, np.where(positive, 1.0 + 0j, self._c1_at_minus_inf))
+    def unit_values(self, theta) -> np.ndarray:
+        """`unit` from the theta of unit_tables: its kernel."""
+        return unit_phase(self._nu, theta)
 
 
 def mellin_symbol_residual(gamma: float, rho: float, y: float, p: float) -> float:

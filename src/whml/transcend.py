@@ -22,11 +22,10 @@ import numpy as np
 from .errors import DomainError, PoleError, is_integer
 from .kernel import _power_constant
 from .reports import VerificationReport
-from .specfun import PartialBeta
 # complex_beta is no longer called here; it stays importable from this
 # module, where perfbench's tracer looks it up
 from .specfun import complex_beta  # noqa: F401
-from .symbols import sine_ratio
+from .symbols import beta_term, sine_ratio
 
 __all__ = [
     "te_residual_zero",
@@ -50,10 +49,8 @@ def _sigma(alpha, tau):
 
 def _tb_array(alpha, tau, xi):
     """Beta side (sin pi a / pi) * B(tau + 1 - 2a + i xi, 2a), for
-    tau + 1 - 2a > 0: symbols.beta_term bit for bit, without its pole scan."""
-    a = np.asarray(alpha, dtype=float)
-    z = _sigma(a, tau) + 1j * np.asarray(xi, dtype=float)
-    return np.sin(math.pi * a) / math.pi * PartialBeta(2.0 * a)(z)
+    tau + 1 - 2a > 0: symbols.beta_term."""
+    return beta_term(alpha, _sigma(alpha, tau), xi)
 
 
 def te_residual_zero(tau: float, alpha: float) -> float:

@@ -183,7 +183,8 @@ def _validation_line(n_base: int) -> str:
 def loop_digest() -> str:
     """The text of loops.txt: one line per loop_triples() triple and n_base
     in LOOP_N_BASES, then one validation line per n_base."""
-    return "".join([_triple_line(t, n) for n in LOOP_N_BASES for t in loop_triples()]
+    triples = loop_triples()
+    return "".join([_triple_line(t, n) for n in LOOP_N_BASES for t in triples]
                    + [_validation_line(n) for n in LOOP_N_BASES])
 
 

@@ -25,7 +25,6 @@ from whml.contour import (
     winding_number,
 )
 from whml.errors import DomainError, NotFredholmError, ResolutionError
-from whml.specfun import principal_log
 from whml.symbols import (XI_SATURATION, LoopSymbol, SpectralParams, c1p_inf, c2p_inf,
                           gamma1_mellin_term, wh_c1)
 
@@ -684,13 +683,12 @@ def _assert_same_loop(loop, ref, what):
 
 def _validation_unit(n):
     """The unit factor of build_validation_loop(n), in its operations:
-    exp(n (log(xi + i) - log(xi - i))) within |xi| <= XI_SATURATION, and
-    the limit 1 beyond."""
+    exp(2i n theta) at theta = arctan2(1, xi) within |xi| <= XI_SATURATION,
+    and at theta's limits 0 (xi > 0) and pi (xi < 0) beyond."""
     def unit(xi):
         inner = np.abs(xi) <= XI_SATURATION
-        xf = np.where(inner, xi, 0.0)
-        return np.where(inner, np.exp(n * (principal_log(xf + 1j) - principal_log(xf - 1j))),
-                        1.0 + 0j)
+        theta = np.where(inner, np.arctan2(1.0, xi), np.where(xi > 0.0, 0.0, math.pi))
+        return np.exp(2j * n * theta)
 
     return unit
 
@@ -759,7 +757,7 @@ class TestLoopEvaluator:
         assert grids[0] is grids[1] is grids[2] and grids[3] is not grids[0]
         tables = []
         for grid in (grids[0], grids[3]):
-            arrays = [grid.seg_index, grid.t, grid.last, grid.wide, grid.xi, *grid.unit]
+            arrays = list(grid)
             for a in arrays:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -792,7 +790,7 @@ class TestLoopEvaluator:
         # phase steps pi and -pi would sum to a winding of 0
         jump = SimpleNamespace(
             boundary=lambda xi: np.where(np.abs(xi - 0.5) < 0.2, -1.0 + 0j, 1.0 + 0j),
-            unit_values=lambda inner, *tables: np.ones(inner.shape, dtype=complex))
+            unit_values=lambda theta: np.ones(theta.shape, dtype=complex))
         loop = contour_mod._loop(jump, 64)
         seg_index, t, values = loop.arrays()
         assert len(loop.unresolved) == 2 and loop.min_modulus == 1.0

@@ -2,22 +2,26 @@ import cmath
 import math
 import pickle
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whml.errors import DomainError
-from whml.specfun import AccuracyOverflow, principal_power
+from whml.contour import _RationalSymbol
+from whml.errors import DomainError, PoleError
+from whml.specfun import principal_power
 from whml.symbols import (
     XI_SATURATION,
     Regime,
     SpectralParams,
+    beta_term,
     c1p_inf,
     c2p_inf,
     gamma1_mellin_term,
     mellin_symbol_residual,
     sine_ratio,
+    unit_tables,
     wh_c1,
     wh_c2,
 )
@@ -238,6 +242,25 @@ class TestMellinSymbolResidual:
             mellin_symbol_residual(0.5, -0.9, 0.0, 2.0)
 
 
+class TestBetaTerm:
+    def test_tiny_alpha_has_no_pole(self):
+        # 2a = 2e-14 lies within complex_beta's pole band, but B(sigma + i xi, 2a)
+        # has no pole for sigma > 0 and a > 0
+        val = beta_term(1e-14, 0.5, np.array([0.0, 3.0]))
+        assert np.isfinite(val).all()
+        expect = (math.sin(math.pi * 1e-14) / math.pi * math.gamma(0.5) * math.gamma(2e-14)
+                  / math.gamma(0.5 + 2e-14))
+        assert val[0] == pytest.approx(expect, rel=1e-12)
+
+    def test_sigma_not_positive_is_refused(self):
+        # the domain is Re(sigma + i xi) > 0, off the real axis too
+        for sigma, xi in ((0.0, 0.0), (-0.5, 1.0), (0.0, 2.0), (math.nan, 0.0)):
+            with pytest.raises(PoleError):
+                beta_term(0.3, sigma, xi)
+        with pytest.raises(PoleError):
+            beta_term(0.3, np.array([0.5, -0.25]), 1.0)
+
+
 class TestArrayViews:
     def test_array_call_equals_scalar_calls(self):
         from whml.symbols import gamma1_mellin_term
@@ -318,6 +341,107 @@ def _admissible(draw):
     return SpectralParams(alpha, p, s)
 
 
+# every closed form of the unit factor is this close to 40-digit mpmath, in
+# relative terms: its phase 2 nu theta, below 4 pi, rounds to about 1e-15
+ORACLE_REL = 4e-15
+EPS = np.finfo(float).eps
+
+
+def _mp_factors(sp, xi):
+    """(c1, c2) at the float xi by 40-digit mpmath from the three principal
+    powers (mpmath has no signed zero, so -0.0 is 0), or the one-sided
+    limits at +-inf."""
+    with mp.workdps(40):
+        a, s, m = mp.mpf(sp.alpha), mp.mpf(sp.s), sp.m
+        if math.isinf(xi):
+            c1 = mp.mpc(1) if xi > 0 else mp.expjpi(2 * (m - s + a))
+            return c1, mp.expjpi(-a) * (1 if xi > 0 else mp.expjpi(2 * (m - s + 2 * a)))
+        x = mp.mpf(xi)
+        tail = mp.power(mp.mpc(x, -1), s - 2 * a - m) * mp.power(mp.mpc(x, 1), m - s)
+        return (1 + x * x) ** a * tail, mp.power(mp.mpc(0, -x), 2 * a) * tail
+
+
+def _relative_error(got: complex, want) -> float:
+    """|got - want| / |want|, and |got| where want is 0."""
+    with mp.workdps(40):
+        err = abs(mp.mpc(got) - want)
+        return float(err / abs(want) if want != 0 else err)
+
+
+def _three_powers(sp, x):
+    """c1 as the composition of three principal powers: the old route."""
+    a, s, m = sp.alpha, sp.s, sp.m
+    return (principal_power(1.0 + x * x, a) * principal_power(x - 1j, s - 2.0 * a - m)
+            * principal_power(x + 1j, m - s))
+
+
+def _few_ulp(x):
+    """How far the three principal powers may stray from the closed form:
+    16 ulp at xi = 0 (7.3 seen on 20,000 edge triples), growing with their
+    log-space exponents, of the size of log(1 + xi^2), whose rounding each
+    exp carries into the product."""
+    return 16.0 * EPS * (1.0 + np.log1p(x * x))
+
+
+# ORACLE_XI: +-0, +-inf, and +-[1e-12, 1e12], three magnitudes a decade
+_DECADES = np.logspace(-12.0, 12.0, 73)
+ORACLE_XI = np.concatenate([[0.0, -0.0, np.inf, -np.inf], _DECADES, -_DECADES])
+
+
+def _oracle_triples():
+    """12 seeded triples in each window, alpha down to 1e-4."""
+    rng = np.random.default_rng(2017)
+    out = []
+    for k in range(24):
+        high = k % 2
+        a = float(10.0 ** rng.uniform(-4.0, math.log10(0.5 + 0.5 * high)))
+        p = float(math.exp(rng.uniform(math.log(1.05), math.log(20.0))))
+        s = float(rng.uniform(high + 1.0 / p + 1e-3, high + 1.0 + 1.0 / p - 1e-3))
+        out.append(SpectralParams(a, p, s))
+    return out
+
+
+class TestUnitFactorOracles:
+    """The closed forms exp(2i nu arctan2(1, xi)) of c1 and
+    (1 + xi^-2)^(-a) exp(i(2 nu arctan2(1, xi) - pi a sgn xi)) of c2 against
+    40-digit mpmath, and c1 against the three principal powers."""
+
+    @pytest.mark.parametrize("sp", _oracle_triples(), ids=str)
+    def test_wiener_hopf_factors_against_mpmath(self, sp):
+        c1, c2 = wh_c1(ORACLE_XI, sp), wh_c2(ORACLE_XI, sp)
+        for x, got1, got2 in zip(ORACLE_XI.tolist(), c1.tolist(), c2.tolist()):
+            want1, want2 = _mp_factors(sp, x)
+            assert _relative_error(got1, want1) <= ORACLE_REL, (x, got1)
+            assert _relative_error(got2, want2) <= ORACLE_REL, (x, got2)
+        assert c2[0] == 0 and c2[1] == 0
+
+    @pytest.mark.parametrize("sp", _oracle_triples(), ids=str)
+    def test_loop_unit_against_mpmath(self, sp):
+        # the limits beyond the saturation, the value within it
+        unit = sp.loop_symbol.unit(ORACLE_XI)
+        beyond = np.copysign(np.inf, ORACLE_XI)
+        for x, far, got in zip(ORACLE_XI.tolist(), beyond.tolist(), unit.tolist()):
+            want = _mp_factors(sp, x if abs(x) <= XI_SATURATION else far)[0]
+            assert _relative_error(got, want) <= ORACLE_REL, (x, got)
+
+    @pytest.mark.parametrize("sp", _oracle_triples(), ids=str)
+    def test_wh_c1_against_the_three_principal_powers(self, sp):
+        x = ORACLE_XI[np.isfinite(ORACLE_XI)]
+        assert (np.abs(wh_c1(x, sp) - _three_powers(sp, x)) <= _few_ulp(x)).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 255, 1024])
+    def test_validation_unit_against_mpmath(self, n):
+        # (xi+i)^n (xi-i)^(-n) is the same kernel at nu = n; its phase
+        # 2 n theta rounds to an ulp of up to 2 pi n, so the bound grows with n
+        unit = _RationalSymbol(n).unit_values(unit_tables(ORACLE_XI))
+        bound = ORACLE_REL * max(1.0, n / 2.0)
+        with mp.workdps(40):
+            for x, got in zip(ORACLE_XI.tolist(), unit.tolist()):
+                inner = abs(x) <= XI_SATURATION
+                want = (mp.mpc(x, 1) / mp.mpc(x, -1)) ** n if inner else mp.mpc(1)
+                assert _relative_error(got, want) <= bound, (x, got)
+
+
 class TestLoopSymbol:
     @settings(max_examples=300, deadline=None)
     @given(_admissible())
@@ -333,40 +457,53 @@ class TestLoopSymbol:
         boundary = sym.boundary(XI_PROBES)
         assert boundary.tobytes() == composed.tobytes()
         assert np.isfinite(boundary).all()
-        # the unit factor without zero masks against the masked powers,
-        # and wh_c1's limits beyond the same saturation
+        # the unit factor is wh_c1's kernel within the saturation, bytes and
+        # all, and wh_c1's limits beyond; it is within ORACLE_REL of 40-digit
+        # mpmath there and within a few ulp of the three principal powers
         xs = np.append(XI_PROBES, [np.inf, -np.inf])
         unit = sym.unit(xs)
         inner = np.abs(xs) <= XI_SATURATION
         xf = xs[inner]
-        a, s, m = sp.alpha, sp.s, sp.m
-        masked = (principal_power(1.0 + xf * xf, a) * principal_power(xf - 1j, s - 2.0 * a - m)
-                  * principal_power(xf + 1j, m - s))
-        assert unit[inner].tobytes() == masked.tobytes()
+        assert unit[inner].tobytes() == wh_c1(xf, sp).tobytes()
         assert unit[~inner].tobytes() == wh_c1(np.copysign(np.inf, xs[~inner]), sp).tobytes()
         assert np.isfinite(unit).all()
         assert unit[-2] == 1.0 and unit[-1] == cmath.exp(2j * math.pi * sp.nu)
+        for x, got in zip(xf.tolist(), unit[inner].tolist()):
+            assert _relative_error(got, _mp_factors(sp, x)[0]) <= ORACLE_REL, x
+        assert (np.abs(unit[inner] - _three_powers(sp, xf)) <= _few_ulp(xf)).all()
 
-    def test_unit_takes_the_limits_where_wh_c1_overflows(self):
-        # beyond XI_SATURATION the unit factor is its one-sided limit, so
-        # 1 + xi^2 cannot overflow; wh_c1, which has no saturation, still
-        # refuses the overflow
+    def test_unit_takes_the_limits_beyond_the_saturation(self):
+        # beyond XI_SATURATION the unit factor is its one-sided limit; wh_c1,
+        # which has no saturation, returns its value, since its closed form
+        # has no 1 + xi^2 to overflow
         sp = SpectralParams(0.75, 2.0, 2.3)
         unit = sp.loop_symbol.unit(np.array([1e200, -1e200]))
         assert unit.tobytes() == wh_c1(np.array([np.inf, -np.inf]), sp).tobytes()
         assert unit[0] == 1.0 and unit[1] == cmath.exp(2j * math.pi * sp.nu)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(AccuracyOverflow):
-                wh_c1(np.array([1e200]), sp)
+        far = wh_c1(np.array([1e200, -1e200]), sp)
+        # c1(xi) = exp(2i nu arctan2(1, xi)), about 1 + 2i nu / xi out there
+        assert far[0].real == 1.0 and far[0].imag == pytest.approx(2.0 * sp.nu / 1e200, rel=1e-15)
+        assert far[1] == unit[1]  # pi - 1e-200 rounds to pi
+
+    @settings(max_examples=300, deadline=None)
+    @given(_admissible())
+    def test_unit_jump_at_the_saturation_is_bounded(self, sp):
+        # |e^(i phi) - 1| <= |phi| and arctan2(1, |xi|) < 1/|xi|, so across
+        # +-XI_SATURATION the unit factor moves by at most
+        # 2 |nu| / XI_SATURATION, plus the rounding of its two values
+        for edge in (XI_SATURATION, -XI_SATURATION):
+            pair = sp.loop_symbol.unit(np.array([edge, np.nextafter(edge, 2.0 * edge)]))
+            assert abs(pair[1] - pair[0]) <= 2.0 * abs(sp.nu) / XI_SATURATION + 2.0 * ORACLE_REL
 
     def test_no_pole_scan_at_tiny_alpha(self):
         # 2a = 2e-14 lies within complex_beta's 1e-13 pole band, but the
-        # beta factor has no pole for a > 0: the loop gets its values
+        # beta factor has no pole for a > 0: the public Mellin factor and the
+        # loop get the same values
         from whml.contour import build_loop, winding_number
-        from whml.errors import PoleError
         sp = SpectralParams(1e-14, 2.0, 0.9)
-        with pytest.raises(PoleError):
-            gamma1_mellin_term(0.0, sp)
+        x = XI_PROBES[np.abs(XI_PROBES) <= XI_SATURATION]
+        composed = c1p_inf(x, sp) + gamma1_mellin_term(x, sp) * c2p_inf(x, sp)
+        assert sp.loop_symbol.boundary(x).tobytes() == composed.tobytes()
         assert np.isfinite(sp.loop_symbol.boundary(XI_PROBES)).all()
         assert winding_number(build_loop(sp, 64)) == 0
 
