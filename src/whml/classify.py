@@ -47,7 +47,12 @@ def _inadmissible(alpha: float, p: float, s: float, reason: str) -> Classificati
 
 
 def classify(alpha: float, p: float, s: float, mode: str = "theorem") -> ClassificationReport:
-    """Classify one parameter triple; mode is theorem, numeric or both."""
+    """Classify one parameter triple; mode is theorem, numeric or both.
+
+    The boundary value has the mirror symmetry boundary(-xi) = e^(2 pi i
+    nu) conj(boundary(xi)), so |boundary| is even and xi = 0, the touching
+    point THEOREM mode reads, is always a stationary point of the modulus
+    whose minimum NUMERIC mode polishes."""
     mode = mode.lower() if isinstance(mode, str) else mode
     if mode not in ("theorem", "numeric", "both"):
         raise DomainError(f"unknown classification mode {mode!r}")

@@ -20,8 +20,8 @@ read-only: a grid near the point cap holds tens of MB.
 One refinement pass per level bisects every interval of the loop whose
 phase increment is not branch-safe; an interval still turning by pi/2 or
 more at width 1e-12 is recorded on the loop, and the winding refuses it.
-The minimum modulus is polished once, at assembly, by a zoom whose passes
-reuse the moduli at their two ends.
+The minimum modulus is polished once, at assembly, by a zoom whose later
+passes each try a narrow window about a parabola's vertex first.
 """
 
 from __future__ import annotations
@@ -62,9 +62,12 @@ _PHASE_CAP = math.pi / 2.0
 _JUNCTION_TOL = 1e-6
 _MIN_WIDTH = 1e-12
 _POLISH_POINTS = 65
-# np.linspace(a, b, _POLISH_POINTS) is _RAMP * step + a with its last point
-# set to b, for step = (b - a) / (_POLISH_POINTS - 1) > 0
-_RAMP = np.arange(_POLISH_POINTS, dtype=float)
+# a polish window's points, and its half-width as a fraction of [a, b];
+# its argmin is read in _WINDOW_ORDER, so an inner point wins a tie
+_WINDOW_POINTS = 9
+_WINDOW_SHRINK = 1024
+_WINDOW_ORDER = np.r_[1:_WINDOW_POINTS - 1, 0, _WINDOW_POINTS - 1]
+_RAMPS = {n: np.arange(n, dtype=float) for n in (_POLISH_POINTS, _WINDOW_POINTS)}
 
 
 class Segment(enum.Enum):
@@ -106,8 +109,9 @@ class SymbolLoop:
     phase by pi/2 or more, at width 1e-12 or less.  An empty loop is
     refused, and so are arrays that are not 1-D or differ in length,
     segment indices that are not integers or lie outside SEGMENT_ORDER,
-    t that is nan or outside [0, 1], and values whose modulus is nan or
-    infinite.
+    t that is nan or outside [0, 1], values whose modulus is nan or
+    infinite, and a min_modulus that is nan or outside [0, the smallest
+    sample's].
     """
 
     def __init__(self, segment_index, t, values, closure_gap, junction_gaps,
@@ -134,8 +138,12 @@ class SymbolLoop:
         self._points = None
         self.closure_gap = closure_gap
         self.junction_gaps = tuple(junction_gaps)
+        smallest = float(np.min(np.abs(values)))
         if min_modulus is None:
-            min_modulus = float(np.min(np.abs(values)))
+            min_modulus = smallest
+        if not 0.0 <= min_modulus <= smallest:  # nan fails too
+            raise DomainError(f"a symbol loop's min_modulus must lie in [0, {smallest!r}], "
+                              f"the least sample modulus, got {min_modulus!r}")
         self.min_modulus = min_modulus
         self.unresolved = tuple(int(i) for i in unresolved)
 
@@ -378,14 +386,25 @@ def min_modulus(loop: SymbolLoop) -> float:
     return loop.min_modulus
 
 
+def _linspace(a: float, b: float, n: int) -> np.ndarray:
+    """np.linspace(a, b, n) for a <= b, from a cached ramp: the same bits."""
+    x = _RAMPS[n] * ((b - a) / (n - 1)) + a
+    x[-1] = b
+    return x
+
+
 def _polished_min_modulus(polish, seg_index, t, values) -> float:
-    """Minimum |value| over the refined loop, polished by a zoom search on
-    [a, b], the discrete argmin's two parameter intervals on its own
-    segment k: each pass takes _POLISH_POINTS equally spaced points and
-    keeps the two cells around their argmin (at least 32-fold narrower),
-    until b - a < 1e-14.  The pass's ends a and b are points already
-    evaluated, so it evaluates only the inner points, in one polish(k, t)
-    call, and reuses the moduli at its ends."""
+    """Minimum |value| over the refined loop, polished on [a, b], the
+    discrete argmin's two parameter intervals on its own segment k, until
+    b - a < 1e-14.  Each pass is one polish(k, t) call and keeps the two
+    cells around its argmin j.  A zoom pass takes _POLISH_POINTS equally
+    spaced points and evaluates the inner ones.  After a pass with an inner
+    j, a window of _WINDOW_POINTS points across vertex +- (b - a) /
+    _WINDOW_SHRINK, within [a, b], about the vertex of the parabola through
+    |value|^2 at j - 1, j, j + 1 (Brent 1973, ch. 5), is tried first; if
+    its argmin is a window end inside (a, b) it missed and a zoom follows,
+    and after two misses every pass zooms.  Returns the least modulus
+    sampled, so never more than the discrete minimum."""
     mods = np.abs(values)
     i = int(np.argmin(mods))
     best = float(mods[i])
@@ -395,15 +414,30 @@ def _polished_min_modulus(polish, seg_index, t, values) -> float:
     hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
     a, b = float(t[lo]), float(t[hi])
     ends = mods[lo], mods[hi]
+    zoom, misses = True, 0
     while b - a >= 1e-14:
-        x = _RAMP * ((b - a) / (_POLISH_POINTS - 1)) + a
-        x[-1] = b
-        mods = np.empty(_POLISH_POINTS)
-        mods[0], mods[-1] = ends
-        mods[1:-1] = np.abs(polish(k, x[1:-1]))
-        j = int(np.argmin(mods))
+        if zoom:
+            x = _linspace(a, b, _POLISH_POINTS)
+            mods = np.empty(_POLISH_POINTS)
+            mods[0], mods[-1] = ends
+            mods[1:-1] = np.abs(polish(k, x[1:-1]))
+            j = int(np.argmin(mods))
+        else:
+            x0, x1, x2 = x[j - 1:j + 2].tolist()
+            f0, f1, f2 = (mods[j - 1:j + 2] ** 2).tolist()
+            d0, d2 = (f0 - f1) * (x2 - x1), (f2 - f1) * (x1 - x0)
+            if d0 + d2 > 0:  # else the three are level and x1 is the vertex
+                x1 += 0.5 * (d0 * (x2 - x1) - d2 * (x1 - x0)) / (d0 + d2)
+            vertex, w = min(max(x1, a), b), (b - a) / _WINDOW_SHRINK
+            x = _linspace(max(a, vertex - w), min(b, vertex + w), _WINDOW_POINTS)
+            mods = np.abs(polish(k, x))
+            j = int(_WINDOW_ORDER[np.argmin(mods[_WINDOW_ORDER])])
         best = min(best, float(mods[j]))
-        lo, hi = max(j - 1, 0), min(j + 1, _POLISH_POINTS - 1)
+        if not (zoom or 0 < j < _WINDOW_POINTS - 1 or x[j] == a or x[j] == b):
+            zoom, misses = True, misses + 1
+            continue
+        zoom = misses == 2 or not 0 < j < x.size - 1
+        lo, hi = max(j - 1, 0), min(j + 1, x.size - 1)
         a, b = float(x[lo]), float(x[hi])
         ends = mods[lo], mods[hi]
     return best

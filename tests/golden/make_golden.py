@@ -16,7 +16,8 @@ reported) with
     PYTHONPATH=src python tests/golden/make_golden.py
 
 and list what a change moves, old -> new, without writing anything (for
-`loops.txt`, the fields of each loop that moved), with
+`loops.txt`, the fields of each loop that moved, a numeric one with its
+relative change), with
 
     PYTHONPATH=src python tests/golden/make_golden.py --diff
 """
@@ -204,7 +205,7 @@ def _label_and_fields(line: str):
 
 def moved_loop_fields(name: str, old: str, new: str) -> list:
     """One line per loop of digest `name` whose fields moved, naming each
-    moved field old -> new (a hash by its first 12 hex digits).  A change
+    moved field old -> new (see _moved_field).  A change
     in the number of lines, or of a line's label or field names, is
     reported whole."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
@@ -218,11 +219,20 @@ def moved_loop_fields(name: str, old: str, new: str) -> list:
         if label != new_label or olds.keys() != news.keys():
             out.append(f"{name}:{lineno}: {was} -> {now}")
             continue
-        width = {"grid": 12, "values": 12}
         out.append(f"{name}:{lineno} {label}: " + ", ".join(
-            f"{k} {olds[k][:width.get(k)]} -> {news[k][:width.get(k)]}"
-            for k in olds if olds[k] != news[k]))
+            _moved_field(k, olds[k], news[k]) for k in olds if olds[k] != news[k]))
     return out
+
+
+def _moved_field(key: str, old: str, new: str) -> str:
+    """One moved digest field, old -> new: a hash by its first 12 hex
+    digits, and a numeric field with its relative change when old is not 0."""
+    if key in ("grid", "values"):
+        return f"{key} {old[:12]} -> {new[:12]}"
+    text = f"{key} {old} -> {new}"
+    if key in ("min", "points", "unresolved") and float(old) != 0.0:
+        text += f" ({(float(new) - float(old)) / abs(float(old)):+.1e})"
+    return text
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

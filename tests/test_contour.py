@@ -170,6 +170,75 @@ class TestMinModulus:
             assert mm == pytest.approx(_golden_reference(loop, sp), rel=1e-13, abs=5e-15), triple
             assert mm <= float(np.min(np.abs(loop.values()))), triple
 
+    @pytest.mark.parametrize("n_base", [64, 256, 1024])
+    def test_within_rounding_of_the_zoom_on_the_digest(self, monkeypatch, n_base):
+        # the zoom is the oracle of the polish: on every loop of
+        # tests/golden/loops.txt the two minima differ by at most 1e-13
+        # relative or 16 u S, where S = |c1p| + |gamma1 c2p| at the discrete
+        # argmin is the boundary value's own rounding scale
+        u = 2.0 ** -52
+        for triple, loop, (polish, seg_index, t, values) in _digest_polishes(monkeypatch, n_base):
+            sp = SpectralParams(*triple)
+            zoom = _zoom_min_modulus(polish, seg_index, t, values)
+            i = int(np.argmin(np.abs(values)))
+            assert seg_index[i] == 0, triple
+            xi = math.tan(math.pi * (float(t[i]) - 0.5))
+            scale = abs(complex(c1p_inf(xi, sp))) + abs(
+                complex(gamma1_mellin_term(xi, sp) * c2p_inf(xi, sp)))
+            assert abs(loop.min_modulus - zoom) <= max(1e-13 * zoom, 16.0 * u * scale), triple
+            assert loop.min_modulus <= abs(values[i]), triple
+
+    def test_digest_brackets_lie_far_inside_the_saturation(self, monkeypatch):
+        # the boundary value jumps at |xi| = XI_SATURATION, but every
+        # minimum of the digest's loops at n_base 256 is polished on G1
+        # within |xi| <= 10 (2.3 measured), so the jump moves no minimum
+        for triple, _, (_, seg_index, t, values) in _digest_polishes(monkeypatch, 256):
+            i = int(np.argmin(np.abs(values)))
+            assert seg_index[i - 1] == seg_index[i] == seg_index[i + 1] == 0, triple
+            xi = np.tan(np.pi * (t[i - 1:i + 2] - 0.5))
+            assert np.max(np.abs(xi)) <= 10.0, triple
+
+
+def _zoom_min_modulus(polish, seg_index, t, values) -> float:
+    """The zoom polish that the parabola windows replaced, kept as the
+    oracle of the polished minimum: on [a, b], the discrete argmin's two
+    parameter intervals on its own segment k, each pass evaluates the
+    _POLISH_POINTS points of linspace(a, b) through polish(k, x) and keeps
+    the two cells around their argmin, until b - a < 1e-14.  Returns the
+    least modulus of every sample."""
+    mods = np.abs(values)
+    i = int(np.argmin(mods))
+    best = float(mods[i])
+    k = int(seg_index[i])
+    lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
+    hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
+    a, b = float(t[lo]), float(t[hi])
+    n = contour_mod._POLISH_POINTS
+    while b - a >= 1e-14:
+        x = np.linspace(a, b, n)
+        mods = np.abs(polish(k, x))
+        j = int(np.argmin(mods))
+        best = min(best, float(mods[j]))
+        a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, n - 1)])
+    return best
+
+
+def _digest_polishes(monkeypatch, n_base):
+    """(triple, loop, polish arguments) of every loop of the triples of
+    tests/golden/loops.txt at n_base: the arguments are those of the
+    loop's own call of _polished_min_modulus, its evaluator included."""
+    from golden.make_golden import loop_triples
+    seen = []
+    polished = contour_mod._polished_min_modulus
+
+    def recording(*args):
+        seen.append(args)
+        return polished(*args)
+
+    monkeypatch.setattr(contour_mod, "_polished_min_modulus", recording)
+    return [(triple, build_loop(SpectralParams(*triple), n_base), seen[-1])
+            for triple in loop_triples()]
+
 
 class TestWinding:
     def test_validation_symbols(self):
@@ -317,6 +386,21 @@ class TestExport:
         with pytest.raises(DomainError, match="a symbol loop"):
             SymbolLoop(seg_index, t, values, 0.0, (0.0,) * 6)
 
+    @pytest.mark.parametrize("min_modulus", [math.nan, math.inf, -1.0, 5.0, 1.0 + 1e-15],
+                             ids=["nan", "inf", "-1", "5", "above by 1e-15"])
+    def test_min_modulus_outside_the_samples_rejected(self, min_modulus):
+        # a nan minimum passed the not-Fredholm test and wound 0; the least
+        # sample modulus here is 1
+        with pytest.raises(DomainError, match="min_modulus must lie in"):
+            SymbolLoop([0, 0, 0], [0.0, 0.5, 1.0], [1, 1j, -1], 0.0, (0.0,) * 6,
+                       min_modulus=min_modulus)
+
+    @pytest.mark.parametrize("min_modulus", [0.0, 0.5, 1.0])
+    def test_min_modulus_within_the_samples_kept(self, min_modulus):
+        loop = SymbolLoop([0, 0, 0], [0.0, 0.5, 1.0], [1, 1j, -1], 0.0, (0.0,) * 6,
+                          min_modulus=min_modulus)
+        assert loop.min_modulus == min_modulus
+
 
 README_TRIPLES = ((0.75, 2.0, 2.3), (0.4, 2.0, 1.4), (0.75, 2.0, 2.2), (0.25, 4.0, 0.7))
 
@@ -448,8 +532,11 @@ def _recording(monkeypatch) -> list:
 def _split_calls(calls, loop):
     """The evaluations of one assembly, split into the base grid and the
     refinement passes, which evaluate every loop point exactly once, and
-    the polish passes, each the inner points of a grid on the minimum's own
-    segment."""
+    the polish passes on the minimum's own segment: a zoom pass, the inner
+    points of a grid, first, then each pass either a zoom pass or a window
+    of equally spaced points inside the span of the pass before it, at
+    most 4 / _WINDOW_SHRINK of that pass's spacing wide (the span of a zoom
+    pass reaching one spacing past its inner points)."""
     seg_index, t, _ = loop.arrays()
     done = 0
     for j, (_, tc) in enumerate(calls):
@@ -464,8 +551,20 @@ def _split_calls(calls, loop):
     order = np.lexsort((t_all, seg_all))
     assert np.array_equal(seg_all[order], seg_index) and np.array_equal(t_all[order], t)
     k = seg_index[int(np.argmin(np.abs(loop.values())))]
-    for sc, tc in polish:
-        assert tc.size == contour_mod._POLISH_POINTS - 2 and np.all(sc == k)
+    zoom = contour_mod._POLISH_POINTS - 2
+    for n, (sc, tc) in enumerate(polish):
+        assert np.all(sc == k)
+        if n == 0 or tc.size == zoom:
+            assert tc.size == zoom
+            continue
+        assert tc.size == contour_mod._WINDOW_POINTS
+        step = np.diff(tc)
+        assert np.all(step >= 0.0) and np.ptp(step) <= 1e-15
+        before = polish[n - 1][1]
+        h = (before[-1] - before[0]) / (before.size - 1)
+        reach = h if before.size == zoom else 0.0
+        assert before[0] - reach - 1e-15 <= tc[0] and tc[-1] <= before[-1] + reach + 1e-15
+        assert tc[-1] - tc[0] <= 4.0 * h / contour_mod._WINDOW_SHRINK * (1.0 + 1e-9) + 1e-15
     return refine, polish
 
 
@@ -632,8 +731,8 @@ def _reference_assemble(boundary, unit, n_base):
     """The loop of a (boundary, unit) pair assembled with no tables and
     none of the contour's evaluators: a fresh base grid evaluated through
     the restated segment maps, every refinement pass testing the widths
-    anew, and every polish pass evaluating all _POLISH_POINTS points of
-    its linspace."""
+    anew, and the polish restated, every zoom pass evaluating all
+    _POLISH_POINTS points of its linspace."""
     f = functools.partial(_reference_values, boundary, unit)
     counts = [n_base, max(2, n_base // 8)] * 3
     seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)), counts)
@@ -661,13 +760,37 @@ def _reference_assemble(boundary, unit, n_base):
     lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
     hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
     a, b = float(t[lo]), float(t[hi])
-    n = contour_mod._POLISH_POINTS
+    x, misses = None, 0
     while b - a >= 1e-14:
-        x = np.linspace(a, b, n)
-        mods = np.abs(f(np.full(n, k), x))
-        j = int(np.argmin(mods))
-        best = min(best, float(mods[j]))
-        a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, n - 1)])
+        window = None
+        if x is not None and misses < 2 and 0 < j < len(x) - 1:
+            # the window about the vertex of the parabola through |v|^2 at
+            # the last pass's argmin and its two neighbours
+            (x0, x1, x2), (f0, f1, f2) = x[j - 1:j + 2], mods[j - 1:j + 2] ** 2
+            d0, d2 = (f0 - f1) * (x2 - x1), (f2 - f1) * (x1 - x0)
+            vertex = x1
+            if d0 + d2 > 0:
+                vertex = x1 + 0.5 * (d0 * (x2 - x1) - d2 * (x1 - x0)) / (d0 + d2)
+            w = (b - a) / contour_mod._WINDOW_SHRINK
+            window = np.linspace(max(a, vertex - w), min(b, vertex + w),
+                                 contour_mod._WINDOW_POINTS)
+            wmods = np.abs(f(np.full(window.size, k), window))
+            best = min(best, float(wmods.min()))
+            # the argmin, an inner point when one ties with an end
+            j = 1 + int(np.argmin(wmods[1:-1]))
+            if min(wmods[0], wmods[-1]) < wmods[j]:
+                j = 0 if wmods[0] <= wmods[-1] else len(window) - 1
+            if 0 < j < len(window) - 1 or window[j] in (a, b):
+                x, mods = window, wmods
+            else:
+                window, misses = None, misses + 1
+        if window is None:
+            n = contour_mod._POLISH_POINTS
+            x = np.linspace(a, b, n)
+            mods = np.abs(f(np.full(n, k), x))
+            j = int(np.argmin(mods))
+            best = min(best, float(mods[j]))
+        a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, len(x) - 1)])
     return SymbolLoop(seg_index, t, v, gaps[-1], gaps, best, np.flatnonzero(turning))
 
 
@@ -778,11 +901,10 @@ class TestLoopEvaluator:
     def test_polish_grid_is_linspace(self):
         rng = np.random.default_rng(24)
         lo = rng.uniform(0.0, 1.0, 4000)
-        width = 10.0 ** rng.uniform(-14.0, 0.0, 4000)
-        for a, b in zip(lo.tolist(), (lo + width).tolist()):
-            x = contour_mod._RAMP * ((b - a) / (contour_mod._POLISH_POINTS - 1)) + a
-            x[-1] = b
-            assert np.array_equal(x, np.linspace(a, b, contour_mod._POLISH_POINTS)), (a, b)
+        width = np.append(10.0 ** rng.uniform(-17.0, 0.0, 3999), 0.0)
+        for n in (contour_mod._POLISH_POINTS, contour_mod._WINDOW_POINTS):
+            for a, b in zip(lo.tolist(), (lo + width).tolist()):
+                assert np.array_equal(contour_mod._linspace(a, b, n), np.linspace(a, b, n)), (a, b)
 
     def test_unresolved_phase_jump_is_refused(self):
         # a symbol of modulus 1 that jumps by pi at xi = 0.3 and back at

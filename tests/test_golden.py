@@ -43,8 +43,18 @@ def test_loop_diff_names_each_moved_field():
     new = (old.replace("min=0.25", "min=0.5").replace("b" * 64, "e" * 64)
            .replace("winding=-n", "winding=3:ResolutionError"))
     assert moved_loop_fields("loops.txt", old, new) == [
-        "loops.txt:1 0.5 2.0 2.2 n_base=64: min 0.25 -> 0.5, values bbbbbbbbbbbb -> eeeeeeeeeeee",
+        "loops.txt:1 0.5 2.0 2.2 n_base=64: min 0.25 -> 0.5 (+1.0e+00), "
+        "values bbbbbbbbbbbb -> eeeeeeeeeeee",
         "loops.txt:3 validation orders=1..64 n_base=64: winding -n -> 3:ResolutionError",
+    ]
+    # a numeric field's relative change; none from 0
+    counts = (old.replace("min=0.25", "min=0.50757107523713060")
+              .replace("points=216 unresolved=0", "points=200 unresolved=0"))
+    moved = (counts.replace("min=0.50757107523713060", "min=0.50757107523713337")
+             .replace("points=200 unresolved=0", "points=199 unresolved=2"))
+    assert moved_loop_fields("loops.txt", counts, moved) == [
+        "loops.txt:1 0.5 2.0 2.2 n_base=64: min 0.50757107523713060 -> 0.50757107523713337 "
+        "(+5.5e-15), points 200 -> 199 (-5.0e-03), unresolved 0 -> 2",
     ]
     refused = new.replace("winding=0 min=0.5", "refused=NotFredholmError min=0.5")
     assert moved_loop_fields("loops.txt", old, refused)[0].startswith("loops.txt:1: 0.5 2.0")

@@ -495,6 +495,27 @@ class TestLoopSymbol:
             pair = sp.loop_symbol.unit(np.array([edge, np.nextafter(edge, 2.0 * edge)]))
             assert abs(pair[1] - pair[0]) <= 2.0 * abs(sp.nu) / XI_SATURATION + 2.0 * ORACLE_REL
 
+    @pytest.mark.parametrize("sp", _oracle_triples(), ids=str)
+    def test_mirror_symmetry(self, sp):
+        # tanh(pi xi) is odd, B(conj z, 2a) = conj B(z, 2a) and the phases
+        # e^(i pi nu) and e^(i pi (nu' - a)) are equal, so boundary(-xi) =
+        # e^(2 pi i nu) conj(boundary(xi)); theta(-xi) = pi - theta(xi) gives
+        # the same for the unit factor; the limits beyond the saturation
+        # keep it.  Bounds: 8 ulp of |c1p| + |gamma1 c2p|, the boundary
+        # value's rounding scale, and 2 ulp of 1 + 2 pi |nu|, the size of
+        # the unit factor's phase (5.5 and 2.8 ulp seen)
+        xs = np.abs(np.concatenate([ORACLE_XI, [XI_SATURATION, 2.75, 0.37]]))
+        xs = np.append(xs, np.nextafter(XI_SATURATION, np.inf))
+        sym, turn = sp.loop_symbol, cmath.exp(2j * math.pi * sp.nu)
+        inner = xs <= XI_SATURATION
+        scale = np.ones(xs.shape)
+        x = xs[inner]
+        scale[inner] = np.abs(c1p_inf(x, sp)) + np.abs(gamma1_mellin_term(x, sp) * c2p_inf(x, sp))
+        mirror = sym.boundary(-xs) - turn * np.conj(sym.boundary(xs))
+        assert (np.abs(mirror) <= 8.0 * EPS * scale).all()
+        mirror = sym.unit(-xs) - turn * np.conj(sym.unit(xs))
+        assert (np.abs(mirror) <= 2.0 * EPS * (1.0 + 2.0 * math.pi * abs(sp.nu))).all()
+
     def test_no_pole_scan_at_tiny_alpha(self):
         # 2a = 2e-14 lies within complex_beta's 1e-13 pole band, but the
         # beta factor has no pole for a > 0: the public Mellin factor and the
