@@ -8,20 +8,23 @@ compactified through a tan of t past the symbol's saturation, beyond which
 the symbol itself takes its one-sided limits, so these are the infinite
 junctions.  The loop is one array of (segment index, t) pairs: each segment
 only maps t to xi.  A loop symbol is any object with boundary(xi), its
-value on the boundary segment, and unit_values(unit_tables(xi)), its
-unit-modulus factor on the five others from theta = arctan2(1, xi): a
-triple's LoopSymbol, or the rational validation symbol, both on the kernel
-symbols.unit_phase.  One function, _loop, builds every loop.  The base grid
-does not depend on the symbol: it keeps the G1 xi and the theta of the
-other points, so the base values are one boundary and one unit_values call
-on those.  One function evaluates points on one segment, for a refinement
+value on the boundary segment, unit_values(unit_tables(xi)), its
+unit-modulus factor on the five others from theta = arctan2(1, xi), and
+rounding_scale(xi), the scale of the rounding error of one boundary value:
+a triple's LoopSymbol, or the rational validation symbol, both on the
+kernel symbols.unit_phase.  One function, _loop, builds every loop.  The
+base grid does not depend on the symbol: it keeps the G1 xi and the theta
+of the other points, so the base values are one boundary and one
+unit_values call on those.  One function evaluates points on one segment, for a refinement
 pass, a polish pass or eval_segment.  The grid built last is kept,
 read-only: a grid near the point cap holds tens of MB.
 One refinement pass per level bisects every interval of the loop whose
 phase increment is not branch-safe; an interval still turning by pi/2 or
 more at width 1e-12 is recorded on the loop, and the winding refuses it.
-The minimum modulus is polished once, at assembly, by a zoom whose later
-passes each try a narrow window about a parabola's vertex first.
+The minimum modulus is polished once, at assembly, in two evaluator
+calls: a Chebyshev interpolant of the discrete minimum's bracket, whose
+minimum Newton's method finds, and a check of the value there; the zoom
+is the fallback when the check fails.
 """
 
 from __future__ import annotations
@@ -61,13 +64,30 @@ _MAX_POINTS = 10 ** 6
 _PHASE_CAP = math.pi / 2.0
 _JUNCTION_TOL = 1e-6
 _MIN_WIDTH = 1e-12
+# the fallback zoom's grid
 _POLISH_POINTS = 65
-# a polish window's points, and its half-width as a fraction of [a, b];
-# its argmin is read in _WINDOW_ORDER, so an inner point wins a tie
-_WINDOW_POINTS = 9
-_WINDOW_SHRINK = 1024
-_WINDOW_ORDER = np.r_[1:_WINDOW_POINTS - 1, 0, _WINDOW_POINTS - 1]
-_RAMPS = {n: np.arange(n, dtype=float) for n in (_POLISH_POINTS, _WINDOW_POINTS)}
+# the polish's interpolant of the minimum's bracket, mapped onto s in [-1, 1]:
+# the Chebyshev points of the first kind; the cosine matrix from samples
+# there to Chebyshev coefficients, and the matrix from those to monomial
+# coefficients (applied one after the other: their product has entries up
+# to 9e4, which cost the coefficients digits); the interpolant's values on
+# a grid of _START_POINTS s, where Newton starts.  The check allows
+# _CHECK_ULPS ulp of the rounding scale.  At 12 points the sine ratios'
+# pole, min(1/p, 1 - 1/p) off the real xi axis, made seven digest loops at
+# n_base 256 (p from 14 to 19) fail the check.
+_CHEB_POINTS = 16
+_CHEB_ANGLES = np.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
+_CHEB_NODES = np.cos(_CHEB_ANGLES)
+_CHEB_COSINES = np.cos(np.outer(np.arange(_CHEB_POINTS), _CHEB_ANGLES)) * (2.0 / _CHEB_POINTS)
+_CHEB_COSINES[0] *= 0.5
+_CHEB_TO_MONOMIAL = np.column_stack(
+    [np.pad(np.polynomial.chebyshev.cheb2poly(e), (0, _CHEB_POINTS))[:_CHEB_POINTS]
+     for e in np.eye(_CHEB_POINTS)])
+_START_POINTS = 129
+_START_VALUES = np.polynomial.chebyshev.chebvander(
+    np.linspace(-1.0, 1.0, _START_POINTS), _CHEB_POINTS - 1) @ _CHEB_COSINES
+_NEWTON_STEPS = 8
+_CHECK_ULPS = 128
 
 
 class Segment(enum.Enum):
@@ -130,7 +150,8 @@ class SymbolLoop:
                               f"0..{len(SEGMENT_ORDER) - 1}")
         if not ((t >= 0.0) & (t <= 1.0)).all():  # nan fails both
             raise DomainError("a symbol loop's t must lie in [0, 1]")
-        if not (np.abs(values) < math.inf).all():  # nan fails too
+        moduli = np.abs(values)
+        if not (moduli < math.inf).all():  # nan fails too
             raise DomainError("a symbol loop's values must have a finite modulus")
         self._arrays = (seg_index.astype(np.intp, copy=False), t, values)
         for a in self._arrays:
@@ -138,7 +159,7 @@ class SymbolLoop:
         self._points = None
         self.closure_gap = closure_gap
         self.junction_gaps = tuple(junction_gaps)
-        smallest = float(np.min(np.abs(values)))
+        smallest = float(np.min(moduli))
         if min_modulus is None:
             min_modulus = smallest
         if not 0.0 <= min_modulus <= smallest:  # nan fails too
@@ -206,6 +227,21 @@ def _segment_values(sym, k, t):
     one sym.boundary(xi) call on G1 or one unit kernel call on the others."""
     xi = _SEGMENT_XI[k](t)
     return sym.boundary(xi) if k == 0 else sym.unit_values(unit_tables(xi))
+
+
+class _SegmentEvaluator(NamedTuple):
+    """A loop symbol as the polish reads it: polish(k, t) is
+    _segment_values, and polish.scale(k, t) the scale of the rounding error
+    of the value at one t: sym.rounding_scale(xi) on G1, 1 on the others,
+    where the value is a unit-modulus phase."""
+
+    sym: object
+
+    def __call__(self, k, t):
+        return _segment_values(self.sym, k, t)
+
+    def scale(self, k, t: float) -> float:
+        return self.sym.rounding_scale(float(_xi_line(t))) if k == 0 else 1.0
 
 
 def _loop_values(sym, seg_index, t):
@@ -338,9 +374,9 @@ def _loop(sym, n_base) -> SymbolLoop:
         raise ResolutionError(
             f"junction gaps {junction_gaps} exceed {_JUNCTION_TOL}"
         )
-    polish = functools.partial(_segment_values, sym)
     return SymbolLoop(seg_index, t, values, junction_gaps[-1], junction_gaps,
-                      _polished_min_modulus(polish, seg_index, t, values), unresolved)
+                      _polished_min_modulus(_SegmentEvaluator(sym), seg_index, t, values),
+                      unresolved)
 
 
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
@@ -360,6 +396,9 @@ class _RationalSymbol:
 
     def unit_values(self, theta) -> np.ndarray:
         return unit_phase(self._n, theta)
+
+    def rounding_scale(self, xi: float) -> float:
+        return 1.0
 
 
 def build_validation_loop(n: int, n_base: int = 256) -> SymbolLoop:
@@ -386,60 +425,97 @@ def min_modulus(loop: SymbolLoop) -> float:
     return loop.min_modulus
 
 
-def _linspace(a: float, b: float, n: int) -> np.ndarray:
-    """np.linspace(a, b, n) for a <= b, from a cached ramp: the same bits."""
-    x = _RAMPS[n] * ((b - a) / (n - 1)) + a
-    x[-1] = b
-    return x
-
-
 def _polished_min_modulus(polish, seg_index, t, values) -> float:
     """Minimum |value| over the refined loop, polished on [a, b], the
-    discrete argmin's two parameter intervals on its own segment k, until
-    b - a < 1e-14.  Each pass is one polish(k, t) call and keeps the two
-    cells around its argmin j.  A zoom pass takes _POLISH_POINTS equally
-    spaced points and evaluates the inner ones.  After a pass with an inner
-    j, a window of _WINDOW_POINTS points across vertex +- (b - a) /
-    _WINDOW_SHRINK, within [a, b], about the vertex of the parabola through
-    |value|^2 at j - 1, j, j + 1 (Brent 1973, ch. 5), is tried first; if
-    its argmin is a window end inside (a, b) it missed and a zoom follows,
-    and after two misses every pass zooms.  Returns the least modulus
-    sampled, so never more than the discrete minimum."""
+    discrete argmin's two parameter intervals on its own segment k, in two
+    polish(k, x) calls, or by the zoom when the check below fails.
+
+    1. The interpolant: p, the polynomial through the values at the
+       _CHEB_POINTS Chebyshev points of the first kind on [a, b], in s =
+       (x - mid) / half.  On the bracket the value is analytic in t, so p
+       converges geometrically in the number of points (Trefethen, 2013,
+       ch. 8).  Newton on Re(conj(p) p') from the least |p| on a grid of s
+       gives x*.
+    2. The check: the values at x* and its two float neighbours.
+
+    The check.  Each value carries a rounding error of a few ulp of its
+    rounding scale S (polish.scale: |c1p| + |gamma1 c2p| on the boundary
+    segment, bounded by taking |gamma1| at xi = 0, and 1 on the
+    unit-modulus others).  p weights the samples by Lagrange polynomials
+    whose moduli sum to at most 2.8 at 16 Chebyshev points (the Lebesgue
+    constant), so where p resolves the value, |p(x*) - v(x*)| is a few
+    times that: 3.5 ulp of S in the median over the loop digest at n_base
+    256, and 45 at most at n_base 256 and 1024.  _CHECK_ULPS = 128 leaves a
+    margin of about three.  Where p does not resolve the value, as across
+    the saturation edge or on a bracket that reaches toward a pole of the
+    sine ratios (p above 6 at n_base 64), it misses by more: by 142 ulp and
+    up on the digest, where 22 loops at n_base 64 fall back.  Then the zoom
+    (_zoom_min_modulus) polishes [a, b] again.
+
+    Returns the least modulus sampled: the discrete minimum, the Chebyshev
+    and check samples and any zoom's, so never more than the discrete
+    minimum.
+    """
     mods = np.abs(values)
     i = int(np.argmin(mods))
-    best = float(mods[i])
-
+    # |v| of an array and of one complex may round an ulp apart; take the less
+    best = min(float(mods[i]), abs(complex(values[i])))
     k = int(seg_index[i])
     lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
     hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
     a, b = float(t[lo]), float(t[hi])
-    ends = mods[lo], mods[hi]
-    zoom, misses = True, 0
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    v = polish(k, mid + half * _CHEB_NODES)
+    coeffs = (_CHEB_TO_MONOMIAL @ (_CHEB_COSINES @ v)).tolist()[::-1]
+    s = 2.0 * int(np.argmin(np.abs(_START_VALUES @ v))) / (_START_POINTS - 1) - 1.0
+    x = min(max(mid + half * _newton_min(coeffs, s), a), b)
+    check = polish(k, np.array([math.nextafter(x, a), x, math.nextafter(x, b)]))
+    best = min(best, float(np.min(np.abs(v))), float(np.min(np.abs(check))))
+    p = _horner(coeffs, (x - mid) / half)[0]
+    if abs(p - check[1]) <= _CHECK_ULPS * 2.0 ** -52 * polish.scale(k, x):
+        return best
+    return min(best, _zoom_min_modulus(polish, k, a, b))
+
+
+def _horner(coeffs, s: float) -> tuple:
+    """p(s), p'(s) and p''(s) / 2 of the polynomial with the monomial
+    coefficients coeffs, the highest first."""
+    p = dp = ddp = 0j
+    for c in coeffs:
+        ddp = ddp * s + dp
+        dp = dp * s + p
+        p = p * s + c
+    return p, dp, ddp
+
+
+def _newton_min(coeffs, s: float) -> float:
+    """Newton's method on g = Re(conj(p) p'), half of d|p|^2/ds, from s, kept
+    in [-1, 1]: at most _NEWTON_STEPS steps, stopping once a step is below
+    1e-14 or where g' = |p'|^2 + Re(conj(p) p'') is not positive."""
+    for _ in range(_NEWTON_STEPS):
+        p, dp, ddp = _horner(coeffs, s)
+        pc = p.conjugate()
+        slope = abs(dp) ** 2 + 2.0 * (pc * ddp).real
+        if not slope > 0.0:
+            break
+        step = (pc * dp).real / slope
+        s = min(max(s - step, -1.0), 1.0)
+        if abs(step) < 1e-14:
+            break
+    return s
+
+
+def _zoom_min_modulus(polish, k: int, a: float, b: float) -> float:
+    """The least modulus of a zoom on [a, b] of segment k: each pass
+    evaluates the _POLISH_POINTS points of linspace(a, b) and keeps the two
+    cells around their argmin, until b - a < 1e-14."""
+    best = math.inf
     while b - a >= 1e-14:
-        if zoom:
-            x = _linspace(a, b, _POLISH_POINTS)
-            mods = np.empty(_POLISH_POINTS)
-            mods[0], mods[-1] = ends
-            mods[1:-1] = np.abs(polish(k, x[1:-1]))
-            j = int(np.argmin(mods))
-        else:
-            x0, x1, x2 = x[j - 1:j + 2].tolist()
-            f0, f1, f2 = (mods[j - 1:j + 2] ** 2).tolist()
-            d0, d2 = (f0 - f1) * (x2 - x1), (f2 - f1) * (x1 - x0)
-            if d0 + d2 > 0:  # else the three are level and x1 is the vertex
-                x1 += 0.5 * (d0 * (x2 - x1) - d2 * (x1 - x0)) / (d0 + d2)
-            vertex, w = min(max(x1, a), b), (b - a) / _WINDOW_SHRINK
-            x = _linspace(max(a, vertex - w), min(b, vertex + w), _WINDOW_POINTS)
-            mods = np.abs(polish(k, x))
-            j = int(_WINDOW_ORDER[np.argmin(mods[_WINDOW_ORDER])])
+        x = np.linspace(a, b, _POLISH_POINTS)
+        mods = np.abs(polish(k, x))
+        j = int(np.argmin(mods))
         best = min(best, float(mods[j]))
-        if not (zoom or 0 < j < _WINDOW_POINTS - 1 or x[j] == a or x[j] == b):
-            zoom, misses = True, misses + 1
-            continue
-        zoom = misses == 2 or not 0 < j < x.size - 1
-        lo, hi = max(j - 1, 0), min(j + 1, x.size - 1)
-        a, b = float(x[lo]), float(x[hi])
-        ends = mods[lo], mods[hi]
+        a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, _POLISH_POINTS - 1)])
     return best
 
 

@@ -294,6 +294,14 @@ class LoopSymbol:
         self._nu = nu
         # wh_c1 at -inf and +inf: the boundary value's limits at xi > 0 and xi < 0
         self._c1_limits = unit_phase(nu, np.array([math.pi, 0.0]))
+        # for rounding_scale: the sine terms of the denominator and of the
+        # two numerators as float pairs, and |gamma1| at xi = 0, its largest
+        # (the beta integral bounds |B(sigma + i xi, 2a)| by B(sigma, 2a))
+        self._sine_pairs = [(float(sin), float(icos.imag))
+                            for sin, icos in (self._den, self._c1_num, self._c2_num)]
+        sigma = sp.beta_sigma
+        self._gamma1_bound = math.sin(math.pi * a) / math.pi * math.exp(
+            math.lgamma(sigma) + math.lgamma(2.0 * a) - math.lgamma(sigma + 2.0 * a))
 
     def boundary(self, xi: np.ndarray) -> np.ndarray:
         """The symbol on the boundary segment at a float array of xi."""
@@ -319,6 +327,17 @@ class LoopSymbol:
         c2p = self._c2_phase * ((sin_2 - icos_2 * t) / den)
         gamma1 = -(self._beta_scale * np.exp(self._beta.log(self._sigma + i_xi)))
         return c1p + gamma1 * c2p
+
+    def rounding_scale(self, xi: float) -> float:
+        """A bound on |c1p| + |gamma1 c2p| at one float xi, the scale of the
+        rounding error of boundary(xi): the sine ratios' moduli at xi, and
+        |gamma1| at xi = 0; 1 beyond the saturation, where the boundary
+        value is a unit-modulus limit."""
+        if not _unsaturated(xi):
+            return 1.0
+        t = math.tanh(math.pi * xi)
+        den, c1, c2 = (math.hypot(sin, cos * t) for sin, cos in self._sine_pairs)
+        return (c1 + self._gamma1_bound * c2) / den
 
     def unit(self, xi: np.ndarray) -> np.ndarray:
         """The unit-modulus factor wh_c1 at a float array of xi."""

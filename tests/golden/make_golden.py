@@ -17,7 +17,8 @@ reported) with
 
 and list what a change moves, old -> new, without writing anything (for
 `loops.txt`, the fields of each loop that moved, a numeric one with its
-relative change), with
+relative change, and a min also as a multiple of 16 u S, u = 2^-52 and S
+the loop's rounding scale at its discrete argmin), with
 
     PYTHONPATH=src python tests/golden/make_golden.py --diff
 """
@@ -39,7 +40,7 @@ import numpy as np
 from whml.cli import cli_main
 from whml.contour import build_loop, build_validation_loop, winding_number
 from whml.errors import DomainError, NotFredholmError, ResolutionError
-from whml.symbols import SpectralParams
+from whml.symbols import SpectralParams, c1p_inf, c2p_inf, gamma1_mellin_term
 from whml.transcend import alpha_c
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
@@ -203,11 +204,13 @@ def _label_and_fields(line: str):
     return label, dict(field.split("=", 1) for field in rest.split())
 
 
-def moved_loop_fields(name: str, old: str, new: str) -> list:
+def moved_loop_fields(name: str, old: str, new: str, scale_of=None) -> list:
     """One line per loop of digest `name` whose fields moved, naming each
-    moved field old -> new (see _moved_field).  A change
-    in the number of lines, or of a line's label or field names, is
-    reported whole."""
+    moved field old -> new (see _moved_field); with scale_of, a function of
+    a line's label such as label_rounding_scale, a moved min also gets its
+    change as a multiple of 16 u S, S = scale_of(label).  A change in the
+    number of lines, or of a line's label or field names, is reported
+    whole."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if len(old_lines) != len(new_lines):
         return [f"{name}: {len(old_lines)} lines -> {len(new_lines)} lines"]
@@ -219,20 +222,48 @@ def moved_loop_fields(name: str, old: str, new: str) -> list:
         if label != new_label or olds.keys() != news.keys():
             out.append(f"{name}:{lineno}: {was} -> {now}")
             continue
+        moved = [k for k in olds if olds[k] != news[k]]
+        scale = scale_of(label) if scale_of and "min" in moved else None
         out.append(f"{name}:{lineno} {label}: " + ", ".join(
-            _moved_field(k, olds[k], news[k]) for k in olds if olds[k] != news[k]))
+            _moved_field(k, olds[k], news[k], scale) for k in moved))
     return out
 
 
-def _moved_field(key: str, old: str, new: str) -> str:
+def _moved_field(key: str, old: str, new: str, scale=None) -> str:
     """One moved digest field, old -> new: a hash by its first 12 hex
-    digits, and a numeric field with its relative change when old is not 0."""
+    digits, and a numeric field with its relative change when old is not 0;
+    a min with a rounding scale S also with |new - old| / (16 u S)."""
     if key in ("grid", "values"):
         return f"{key} {old[:12]} -> {new[:12]}"
     text = f"{key} {old} -> {new}"
+    notes = []
     if key in ("min", "points", "unresolved") and float(old) != 0.0:
-        text += f" ({(float(new) - float(old)) / abs(float(old)):+.1e})"
-    return text
+        notes.append(f"{(float(new) - float(old)) / abs(float(old)):+.1e}")
+    if key == "min" and scale is not None:
+        notes.append(f"{abs(float(new) - float(old)) / (16.0 * 2.0 ** -52 * scale):.2g} x 16uS")
+    return text + (f" ({', '.join(notes)})" if notes else "")
+
+
+def rounding_scale(sp: SpectralParams, loop) -> float:
+    """The rounding scale of a loop's minimum: S = |c1p| + |gamma1 c2p| of
+    the public factors at its discrete argmin on the boundary segment, and
+    1 at an argmin on a unit-modulus segment."""
+    seg_index, t, values = loop.arrays()
+    i = int(np.argmin(np.abs(values)))
+    if seg_index[i] != 0:
+        return 1.0
+    xi = math.tan(math.pi * (float(t[i]) - 0.5))
+    return abs(complex(c1p_inf(xi, sp))) + abs(complex(gamma1_mellin_term(xi, sp) * c2p_inf(xi, sp)))
+
+
+def label_rounding_scale(label: str) -> float:
+    """rounding_scale of the loop a loops.txt line labels; 1 for a
+    validation line, whose values all have modulus 1."""
+    if label.startswith("validation"):
+        return 1.0
+    *triple, n_base = label.split()
+    sp = SpectralParams(*map(float, triple))
+    return rounding_scale(sp, build_loop(sp, int(n_base.split("=")[1])))
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -279,8 +310,11 @@ def main(argv=None) -> int:
         text = text_of()
         if argv:
             old = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-            moved = moved_loop_fields if name == "loops.txt" else moved_values
-            for line in moved(name, old, text):
+            if name == "loops.txt":
+                moved = moved_loop_fields(name, old, text, label_rounding_scale)
+            else:
+                moved = moved_values(name, old, text)
+            for line in moved:
                 print(line)
         else:
             (GOLDEN_DIR / name).write_text(text, encoding="utf-8")

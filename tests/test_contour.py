@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import whml.contour as contour_mod
 from whml.contour import (
@@ -198,10 +200,59 @@ class TestMinModulus:
             xi = np.tan(np.pi * (t[i - 1:i + 2] - 0.5))
             assert np.max(np.abs(xi)) <= 10.0, triple
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_within_rounding_of_the_zoom_anywhere(self, data):
+        # both windows at n_base 256, alpha from 1e-4, p from 1.05 to 20 and
+        # s across the window or at s_c +- 10^-k for k = 3 to 12: the polish
+        # is never above the discrete minimum and within max(1e-13 m, 16 u S)
+        # of the zoom
+        from golden.make_golden import rounding_scale
+        from whml.transcend import alpha_c
+        low = data.draw(st.booleans(), "low")
+        alpha = 10.0 ** data.draw(st.floats(-4.0, math.log10(0.499 if low else 0.999)), "log10 alpha")
+        p = data.draw(st.floats(1.05, 20.0), "p")
+        if not low and data.draw(st.booleans(), "near s_c"):
+            gap = data.draw(st.sampled_from([-1.0, 1.0]), "side") * 10.0 ** -data.draw(
+                st.integers(3, 12), "k")
+            s = 1.0 + 1.0 / p + alpha_c(alpha) + gap
+            assume(1.0 + 1.0 / p < s < 2.0 + 1.0 / p)
+        else:
+            s = (0.0 if low else 1.0) + 1.0 / p + data.draw(st.floats(1e-3, 1.0 - 1e-3), "s - edge")
+        sp = SpectralParams(alpha, p, s)
+        loop = build_loop(sp, 256)
+        seg_index, t, values = loop.arrays()
+        polish = contour_mod._SegmentEvaluator(sp.loop_symbol)
+        zoom = _zoom_min_modulus(polish, seg_index, t, values)
+        i = int(np.argmin(np.abs(values)))
+        assert loop.min_modulus <= min(abs(values[i]), float(np.abs(values)[i]))
+        bound = max(1e-13 * zoom, 16.0 * 2.0 ** -52 * rounding_scale(sp, loop))
+        assert abs(loop.min_modulus - zoom) <= bound
+
+    @pytest.mark.parametrize("n_base, zooms", [(64, 22), (256, 0), (1024, 0)])
+    def test_zoom_fallbacks_on_the_digest(self, monkeypatch, n_base, zooms):
+        # the count of polishes that fall back to the zoom on the loops of
+        # tests/golden/loops.txt: none at n_base 256 and 1024; at 64 the
+        # brackets are four times wider, and all 22 misses are minima near
+        # xi = 0 where the sine ratios' pole, min(1/p, 1 - 1/p) off the real
+        # axis, lies within 0.16 of it (p from 6.6 to 19, and 1.06)
+        from golden.make_golden import loop_triples
+        calls = []
+        zoom = contour_mod._zoom_min_modulus
+
+        def counting(*args):
+            calls.append(args)
+            return zoom(*args)
+
+        monkeypatch.setattr(contour_mod, "_zoom_min_modulus", counting)
+        for triple in loop_triples():
+            build_loop(SpectralParams(*triple), n_base)
+        assert len(calls) == zooms
+
 
 def _zoom_min_modulus(polish, seg_index, t, values) -> float:
-    """The zoom polish that the parabola windows replaced, kept as the
-    oracle of the polished minimum: on [a, b], the discrete argmin's two
+    """The zoom polish, kept as the oracle of the polished minimum and
+    restated from the polish's fallback: on [a, b], the discrete argmin's two
     parameter intervals on its own segment k, each pass evaluates the
     _POLISH_POINTS points of linspace(a, b) through polish(k, x) and keeps
     the two cells around their argmin, until b - a < 1e-14.  Returns the
@@ -522,6 +573,7 @@ def _recording(monkeypatch) -> list:
             calls.append((np.full(x.shape, k), x.copy()))
             return polish(k, x)
 
+        recording_polish.scale = polish.scale
         return polished(recording_polish, seg_index, t, values)
 
     monkeypatch.setattr(contour_mod, "_refine", recording_refine)
@@ -532,12 +584,13 @@ def _recording(monkeypatch) -> list:
 def _split_calls(calls, loop):
     """The evaluations of one assembly, split into the base grid and the
     refinement passes, which evaluate every loop point exactly once, and
-    the polish passes on the minimum's own segment: a zoom pass, the inner
-    points of a grid, first, then each pass either a zoom pass or a window
-    of equally spaced points inside the span of the pass before it, at
-    most 4 / _WINDOW_SHRINK of that pass's spacing wide (the span of a zoom
-    pass reaching one spacing past its inner points)."""
-    seg_index, t, _ = loop.arrays()
+    the polish passes on the minimum's own segment: the Chebyshev points of
+    the first kind on [a, b], the discrete argmin's two intervals; then a
+    point x* of [a, b] with its two float neighbours, toward a and toward b;
+    then, only if the polish falls back, the zoom: passes of
+    _POLISH_POINTS equally spaced points, the first across [a, b] and each
+    later one within the span of the one before."""
+    seg_index, t, values = loop.arrays()
     done = 0
     for j, (_, tc) in enumerate(calls):
         done += tc.size
@@ -550,21 +603,25 @@ def _split_calls(calls, loop):
     t_all = np.concatenate([tc for _, tc in refine])
     order = np.lexsort((t_all, seg_all))
     assert np.array_equal(seg_all[order], seg_index) and np.array_equal(t_all[order], t)
-    k = seg_index[int(np.argmin(np.abs(loop.values())))]
-    zoom = contour_mod._POLISH_POINTS - 2
-    for n, (sc, tc) in enumerate(polish):
+    i = int(np.argmin(np.abs(values)))
+    k = seg_index[i]
+    a = t[i - 1] if i > 0 and seg_index[i - 1] == k else t[i]
+    b = t[i + 1] if i + 1 < t.size and seg_index[i + 1] == k else t[i]
+    for sc, _ in polish:
         assert np.all(sc == k)
-        if n == 0 or tc.size == zoom:
-            assert tc.size == zoom
-            continue
-        assert tc.size == contour_mod._WINDOW_POINTS
-        step = np.diff(tc)
-        assert np.all(step >= 0.0) and np.ptp(step) <= 1e-15
-        before = polish[n - 1][1]
-        h = (before[-1] - before[0]) / (before.size - 1)
-        reach = h if before.size == zoom else 0.0
-        assert before[0] - reach - 1e-15 <= tc[0] and tc[-1] <= before[-1] + reach + 1e-15
-        assert tc[-1] - tc[0] <= 4.0 * h / contour_mod._WINDOW_SHRINK * (1.0 + 1e-9) + 1e-15
+    n = contour_mod._CHEB_POINTS
+    nodes = (a + b) / 2 + (b - a) / 2 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    assert np.array_equal(polish[0][1], nodes)
+    prev, x, after = polish[1][1]
+    assert a <= x <= b
+    assert prev == math.nextafter(x, a) and after == math.nextafter(x, b)
+    lo, hi = a, b
+    for _, tc in polish[2:]:
+        assert tc.size == contour_mod._POLISH_POINTS
+        assert lo <= tc[0] and tc[-1] <= hi and np.ptp(np.diff(tc)) <= 1e-15
+        lo, hi = tc[0], tc[-1]
+    if len(polish) > 2:
+        assert (polish[2][1][0], polish[2][1][-1]) == (a, b)
     return refine, polish
 
 
@@ -667,10 +724,11 @@ class TestArrayAssembly:
 
 
 def _composed_symbol(sp):
-    """The (boundary, unit) pair composed of the public factors, the
-    reference of the loop's evaluator: c1p_inf + gamma1_mellin_term *
+    """The (boundary, unit, scale) triple composed of the public factors,
+    the reference of the loop's evaluator: c1p_inf + gamma1_mellin_term *
     c2p_inf on the boundary segment and wh_c1 on the five others, within
-    |xi| <= XI_SATURATION, and wh_c1's one-sided limits beyond."""
+    |xi| <= XI_SATURATION, and wh_c1's one-sided limits beyond; scale is
+    the bound of LoopSymbol.rounding_scale at one xi."""
     def boundary(xi):
         inner = np.abs(xi) <= XI_SATURATION
         x = xi[inner]
@@ -684,7 +742,14 @@ def _composed_symbol(sp):
         inner = np.abs(xi) <= XI_SATURATION
         return wh_c1(np.where(inner, xi, np.copysign(np.inf, xi)), sp)
 
-    return boundary, unit
+    def scale(xi):
+        # |c1p| + |gamma1 c2p|, with |gamma1| at xi = 0, its largest
+        if abs(xi) > XI_SATURATION:
+            return 1.0
+        gamma1 = abs(complex(gamma1_mellin_term(0.0, sp)))
+        return abs(complex(c1p_inf(xi, sp))) + gamma1 * abs(complex(c2p_inf(xi, sp)))
+
+    return boundary, unit, scale
 
 
 def _gate_triples():
@@ -727,12 +792,13 @@ def _reference_values(boundary, unit, seg_index, t):
     return out
 
 
-def _reference_assemble(boundary, unit, n_base):
+def _reference_assemble(boundary, unit, n_base, scale):
     """The loop of a (boundary, unit) pair assembled with no tables and
     none of the contour's evaluators: a fresh base grid evaluated through
     the restated segment maps, every refinement pass testing the widths
-    anew, and the polish restated, every zoom pass evaluating all
-    _POLISH_POINTS points of its linspace."""
+    anew, and the polish restated on the contour's interpolation matrices,
+    checked against scale(xi), the boundary value's rounding scale, and
+    falling back to _zoom_min_modulus."""
     f = functools.partial(_reference_values, boundary, unit)
     counts = [n_base, max(2, n_base // 8)] * 3
     seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)), counts)
@@ -755,42 +821,45 @@ def _reference_assemble(boundary, unit, n_base):
 
     mods = np.abs(v)
     i = int(np.argmin(mods))
-    best = float(mods[i])
+    best = min(float(mods[i]), abs(complex(v[i])))
     k = seg_index[i]
     lo = i - 1 if i > 0 and seg_index[i - 1] == k else i
     hi = i + 1 if i + 1 < len(t) and seg_index[i + 1] == k else i
     a, b = float(t[lo]), float(t[hi])
-    x, misses = None, 0
-    while b - a >= 1e-14:
-        window = None
-        if x is not None and misses < 2 and 0 < j < len(x) - 1:
-            # the window about the vertex of the parabola through |v|^2 at
-            # the last pass's argmin and its two neighbours
-            (x0, x1, x2), (f0, f1, f2) = x[j - 1:j + 2], mods[j - 1:j + 2] ** 2
-            d0, d2 = (f0 - f1) * (x2 - x1), (f2 - f1) * (x1 - x0)
-            vertex = x1
-            if d0 + d2 > 0:
-                vertex = x1 + 0.5 * (d0 * (x2 - x1) - d2 * (x1 - x0)) / (d0 + d2)
-            w = (b - a) / contour_mod._WINDOW_SHRINK
-            window = np.linspace(max(a, vertex - w), min(b, vertex + w),
-                                 contour_mod._WINDOW_POINTS)
-            wmods = np.abs(f(np.full(window.size, k), window))
-            best = min(best, float(wmods.min()))
-            # the argmin, an inner point when one ties with an end
-            j = 1 + int(np.argmin(wmods[1:-1]))
-            if min(wmods[0], wmods[-1]) < wmods[j]:
-                j = 0 if wmods[0] <= wmods[-1] else len(window) - 1
-            if 0 < j < len(window) - 1 or window[j] in (a, b):
-                x, mods = window, wmods
-            else:
-                window, misses = None, misses + 1
-        if window is None:
-            n = contour_mod._POLISH_POINTS
-            x = np.linspace(a, b, n)
-            mods = np.abs(f(np.full(n, k), x))
-            j = int(np.argmin(mods))
-            best = min(best, float(mods[j]))
-        a, b = float(x[max(j - 1, 0)]), float(x[min(j + 1, len(x) - 1)])
+
+    def on_k(x):
+        return f(np.full(x.size, k), x)
+
+    def horner(s):
+        # p, p' and p'' / 2 at s from the monomial coefficients
+        p = dp = ddp = 0j
+        for c in coeffs[::-1]:
+            ddp, dp, p = ddp * s + dp, dp * s + p, p * s + c
+        return p, dp, ddp
+
+    mid, half = (a + b) / 2, (b - a) / 2
+    w = on_k(mid + half * contour_mod._CHEB_NODES)
+    coeffs = (contour_mod._CHEB_TO_MONOMIAL @ (contour_mod._CHEB_COSINES @ w)).tolist()
+    start = np.linspace(-1.0, 1.0, contour_mod._START_POINTS)
+    s = float(start[np.argmin(np.abs(contour_mod._START_VALUES @ w))])
+    for _ in range(contour_mod._NEWTON_STEPS):
+        # Newton on Re(conj(p) p'), while its derivative is positive
+        p, dp, ddp = horner(s)
+        slope = abs(dp) ** 2 + 2.0 * (p.conjugate() * ddp).real
+        if not slope > 0.0:
+            break
+        step = (p.conjugate() * dp).real / slope
+        s = min(max(s - step, -1.0), 1.0)
+        if abs(step) < 1e-14:
+            break
+    x = min(max(mid + half * s, a), b)
+    check = on_k(np.array([math.nextafter(x, a), x, math.nextafter(x, b)]))
+    best = min(best, float(np.min(np.abs(w))), float(np.min(np.abs(check))))
+    xi = float(_REFERENCE_XI[Segment.G1](np.array(x)))
+    rounding = scale(xi) if k == 0 else 1.0
+    limit = contour_mod._CHECK_ULPS * 2.0 ** -52 * rounding
+    if abs(horner((x - mid) / half)[0] - check[1]) > limit:
+        best = min(best, _zoom_min_modulus(lambda k, x: on_k(x), seg_index, t, v))
     return SymbolLoop(seg_index, t, v, gaps[-1], gaps, best, np.flatnonzero(turning))
 
 
@@ -840,29 +909,36 @@ class TestLoopEvaluator:
         for triple in _gate_triples():
             sp = SpectralParams(*triple)
             loop = build_loop(sp, n_base)
-            _assert_same_loop(loop, _reference_assemble(*_composed_symbol(sp), n_base), triple)
+            boundary, unit, scale = _composed_symbol(sp)
+            _assert_same_loop(loop, _reference_assemble(boundary, unit, n_base, scale), triple)
             assert loop.unresolved == (), triple
 
     @pytest.mark.parametrize("n_base", [64, 128, 256, 1024])
     def test_validation_loop_equals_the_reference_assembly(self, n_base):
         for n in (1, 2, 3, 4, n_base):
             loop = build_validation_loop(n, n_base)
-            _assert_same_loop(loop, _reference_assemble(_ones, _validation_unit(n), n_base),
+            _assert_same_loop(loop, _reference_assemble(_ones, _validation_unit(n), n_base,
+                                                          lambda xi: 1.0),
                               (n, n_base))
 
     def test_polish_past_the_saturation_takes_the_limits(self, monkeypatch):
         # a boundary value falling from 1 at xi = 0 to 0.1 at |xi| =
         # XI_SATURATION, beyond which the loop takes the limits 1 (nu = 0):
-        # the polish zooms on the saturation edge with points on both sides
+        # no polynomial resolves the saturation edge, so the check fails and
+        # the zoom polishes the bracket with points on both sides
         def falling(self, tanh_pi_xi, i_xi):
             return (1.0 - 0.9 * (i_xi.imag / XI_SATURATION) ** 2) + 0j
 
         monkeypatch.setattr(LoopSymbol, "boundary_kernel", falling)
         sp = SpectralParams(0.25, 2.0, 2.25)
         assert sp.nu == 0.0
+        calls = _recording(monkeypatch)
         loop = build_loop(sp)
+        _, polish = _split_calls(calls, loop)
+        assert len(polish) > 2
         sym = sp.loop_symbol
-        _assert_same_loop(loop, _reference_assemble(sym.boundary, sym.unit, 256), sp)
+        _assert_same_loop(loop, _reference_assemble(sym.boundary, sym.unit, 256,
+                                                    sym.rounding_scale), sp)
         assert loop.min_modulus == pytest.approx(0.1, abs=1e-6)
 
     def test_base_tables_are_built_once_per_n_base_and_read_only(self, monkeypatch):
@@ -898,13 +974,29 @@ class TestLoopEvaluator:
         build_loop(sp, 64)
         assert contour_mod._tabled_grid.cache_info().currsize == 1
 
-    def test_polish_grid_is_linspace(self):
+    def test_polish_interpolant_is_exact_on_polynomials(self):
+        # from its samples at the Chebyshev points, the polish's matrices
+        # give back every polynomial of degree below _CHEB_POINTS: its values
+        # on the start grid, and through the monomial coefficients and
+        # _horner its value, derivative and half second derivative on [-1, 1]
+        # (random complex coefficients of modulus about 1; measured errors
+        # 4e-14, 4e-14, 6e-13 and 2e-11 relative to the derivatives)
+        n = contour_mod._CHEB_POINTS
+        nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        assert np.array_equal(contour_mod._CHEB_NODES, nodes)
+        start = np.linspace(-1.0, 1.0, contour_mod._START_POINTS)
         rng = np.random.default_rng(24)
-        lo = rng.uniform(0.0, 1.0, 4000)
-        width = np.append(10.0 ** rng.uniform(-17.0, 0.0, 3999), 0.0)
-        for n in (contour_mod._POLISH_POINTS, contour_mod._WINDOW_POINTS):
-            for a, b in zip(lo.tolist(), (lo + width).tolist()):
-                assert np.array_equal(contour_mod._linspace(a, b, n), np.linspace(a, b, n)), (a, b)
+        for degree in range(n):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            poly = np.polynomial.Polynomial(coeffs)
+            samples = poly(nodes)
+            assert np.max(np.abs(contour_mod._START_VALUES @ samples - poly(start))) <= 1e-12
+            mono = contour_mod._CHEB_TO_MONOMIAL @ (contour_mod._CHEB_COSINES @ samples)
+            for s in np.linspace(-1.0, 1.0, 21).tolist():
+                got = contour_mod._horner(mono[::-1].tolist(), s)
+                want = (poly(s), poly.deriv()(s), poly.deriv(2)(s) / 2)
+                for g, w, tol in zip(got, want, (1e-12, 1e-11, 1e-9)):
+                    assert abs(g - w) <= tol * max(1.0, abs(w)), (degree, s)
 
     def test_unresolved_phase_jump_is_refused(self):
         # a symbol of modulus 1 that jumps by pi at xi = 0.3 and back at
@@ -912,7 +1004,8 @@ class TestLoopEvaluator:
         # phase steps pi and -pi would sum to a winding of 0
         jump = SimpleNamespace(
             boundary=lambda xi: np.where(np.abs(xi - 0.5) < 0.2, -1.0 + 0j, 1.0 + 0j),
-            unit_values=lambda theta: np.ones(theta.shape, dtype=complex))
+            unit_values=lambda theta: np.ones(theta.shape, dtype=complex),
+            rounding_scale=lambda xi: 1.0)
         loop = contour_mod._loop(jump, 64)
         seg_index, t, values = loop.arrays()
         assert len(loop.unresolved) == 2 and loop.min_modulus == 1.0

@@ -56,6 +56,12 @@ def test_loop_diff_names_each_moved_field():
         "loops.txt:1 0.5 2.0 2.2 n_base=64: min 0.50757107523713060 -> 0.50757107523713337 "
         "(+5.5e-15), points 200 -> 199 (-5.0e-03), unresolved 0 -> 2",
     ]
+    # with a rounding scale S, a moved min also as a multiple of 16 u S
+    scaled = moved_loop_fields("loops.txt", counts, moved, {"0.5 2.0 2.2 n_base=64": 0.25}.get)
+    assert scaled == [
+        "loops.txt:1 0.5 2.0 2.2 n_base=64: min 0.50757107523713060 -> 0.50757107523713337 "
+        "(+5.5e-15, 3.1 x 16uS), points 200 -> 199 (-5.0e-03), unresolved 0 -> 2",
+    ]
     refused = new.replace("winding=0 min=0.5", "refused=NotFredholmError min=0.5")
     assert moved_loop_fields("loops.txt", old, refused)[0].startswith("loops.txt:1: 0.5 2.0")
     assert moved_loop_fields("loops.txt", old, old) == []

@@ -472,6 +472,24 @@ class TestLoopSymbol:
             assert _relative_error(got, _mp_factors(sp, x)[0]) <= ORACLE_REL, x
         assert (np.abs(unit[inner] - _three_powers(sp, xf)) <= _few_ulp(xf)).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(_admissible())
+    def test_rounding_scale_bounds_the_two_terms(self, sp):
+        # |c1p| + |gamma1 c2p| of the public factors is at most the bound,
+        # and meets it at xi = 0, where |gamma1| is largest, both to 1e-13
+        # relative (the bound's |gamma1| takes three real lgamma, the
+        # factors one complex log-beta), at |xi| <= 100, where the loop's
+        # minima lie and the log-beta keeps that accuracy; beyond the
+        # saturation the boundary value is a unit-modulus limit
+        sym = sp.loop_symbol
+        xs = np.concatenate([XI_PROBES, ORACLE_XI])
+        x = xs[np.abs(xs) <= 100.0]
+        terms = np.abs(c1p_inf(x, sp)) + np.abs(gamma1_mellin_term(x, sp) * c2p_inf(x, sp))
+        bound = np.array([sym.rounding_scale(v) for v in x.tolist()])
+        assert (terms <= bound * (1.0 + 1e-13)).all()
+        assert bound[0] == pytest.approx(terms[0], rel=1e-13)
+        assert sym.rounding_scale(ABOVE_SATURATION) == sym.rounding_scale(-np.inf) == 1.0
+
     def test_unit_takes_the_limits_beyond_the_saturation(self):
         # beyond XI_SATURATION the unit factor is its one-sided limit; wh_c1,
         # which has no saturation, returns its value, since its closed form
