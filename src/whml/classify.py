@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .contour import FREDHOLM_TOL, build_loop, min_modulus, winding_number
-from .errors import DomainError
+from .errors import DomainError, NotFredholmError
 from .reports import ClassificationReport
 from .symbols import Regime, SpectralParams
 from .transcend import alpha_c as compute_alpha_c
@@ -113,10 +113,10 @@ def classify(alpha: float, p: float, s: float, mode: str = "theorem") -> Classif
         loop = build_loop(sp)
         mm = min_modulus(loop)
         notes.append(f"numeric loop min modulus {mm:.3e} (tolerance {FREDHOLM_TOL:g})")
-        if mm <= FREDHOLM_TOL:
+        try:
+            w = winding_number(loop)
+        except NotFredholmError:  # mm is at most FREDHOLM_TOL
             return dict(fredholm=False)
-        # reads the cached minimum modulus, which clears the same tolerance
-        w = winding_number(loop)
         shift = 0 if sp.regime is Regime.LOW else 1
         return dict(fredholm=True, winding=w, index=-w - shift,
                     kernel_trivial=None, invertible=None)

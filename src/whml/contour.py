@@ -1,23 +1,22 @@
 """Assembly of the generalized-symbol loop, its minimum modulus, and the
 winding number that carries the Fredholm index.
 
-The loop lives on a six-segment closed contour.  Four segments are exact
-(constants or the unit-modulus factor alone); the boundary segment mixes the
-loop-function interpolants with the Mellin factor.  Each curved segment is
-compactified through a tan of t past the symbol's saturation, beyond which
-the symbol itself takes its one-sided limits, so these are the infinite
-junctions.  The loop is one array of (segment index, t) pairs: each segment
-only maps t to xi.  A loop symbol is any object with boundary(xi), its
-value on the boundary segment, unit_values(unit_tables(xi)), its
-unit-modulus factor on the five others from theta = arctan2(1, xi), and
+The loop lives on a six-segment closed contour.  On the boundary segment
+G1 the symbol mixes the loop-function interpolants with the Mellin factor;
+on the five others it is the unit-modulus factor alone.  Each segment maps
+t onto the symbol's own argument: G1 to xi through a tan, past the
+symbol's saturation, and the others to theta = arctan2(1, xi), linear in
+t.  The loop is one array of (segment index, t) pairs.  A loop symbol is
+any object with boundary(xi), its value on the boundary segment,
+unit_values(theta), its unit-modulus factor on the five others, and
 rounding_scale(xi), the scale of the rounding error of one boundary value:
 a triple's LoopSymbol, or the rational validation symbol, both on the
 kernel symbols.unit_phase.  One function, _loop, builds every loop.  The
 base grid does not depend on the symbol: it keeps the G1 xi and the theta
 of the other points, so the base values are one boundary and one
-unit_values call on those.  One function evaluates points on one segment, for a refinement
-pass, a polish pass or eval_segment.  The grid built last is kept,
-read-only: a grid near the point cap holds tens of MB.
+unit_values call on those.  One function evaluates points on one segment,
+for a refinement pass, a polish pass or eval_segment.  The grid built last
+is kept, read-only: a grid near the point cap holds tens of MB.
 One refinement pass per level bisects every interval of the loop whose
 phase increment is not branch-safe; an interval still turning by pi/2 or
 more at width 1e-12 is recorded on the loop, and the winding refuses it.
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, NotFredholmError, ResolutionError, is_integer
 from .specfun import scalar_or_array
-from .symbols import SpectralParams, unit_phase, unit_tables
+from .symbols import SpectralParams, unit_phase
 # the loop reads the symbol through SpectralParams.loop_symbol; these names
 # stay importable from this module, where perfbench's tracer looks them up
 from .symbols import c1p_inf, c2p_inf, gamma1_mellin_term, wh_c1  # noqa: F401
@@ -191,42 +190,40 @@ def _xi_line(t):
     return np.tan(np.pi * (t - 0.5))
 
 
-def _lambda_down(t):
-    """Half-line coordinate running from about 1.6e16 (t=0) to 0 (t=1)."""
-    return np.tan(np.pi * (1.0 - t) / 2.0)
-
-
-# xi(t) of each segment in SEGMENT_ORDER; the symbol is its boundary value
-# at xi on G1 and its unit-modulus factor at xi on the five others
-_SEGMENT_XI = (
-    _xi_line,                                  # G1
-    lambda t: np.full(t.shape, -np.inf),       # G2P
-    lambda t: -_lambda_down(t),                # G3P
-    lambda t: np.zeros(t.shape),               # G4
-    lambda t: _lambda_down(1.0 - t),           # G3M
-    lambda t: np.full(t.shape, np.inf),        # G2M
+# the symbol's argument at t on each segment in SEGMENT_ORDER: xi on G1 and
+# theta = arctan2(1, xi) on the others, for xi from -inf to 0 on G3P, from 0
+# to +inf on G3M, and at -inf, 0 and +inf on G2P, G4 and G2M
+_SEGMENT_ARG = (
+    _xi_line,                                  # G1, xi
+    lambda t: np.full(t.shape, np.pi),         # G2P, theta
+    lambda t: np.pi * (1.0 - t / 2.0),         # G3P
+    lambda t: np.full(t.shape, np.pi / 2.0),   # G4
+    lambda t: np.pi * (1.0 - t) / 2.0,         # G3M
+    lambda t: np.zeros(t.shape),               # G2M
 )
 
 
-def _segment_xi(seg_index, t):
-    """xi at the (segment index, t) pairs, and the number of G1 pairs,
-    which lead.  seg_index is nondecreasing, as along the loop, so each
-    segment present is one run of pairs, mapped to xi as a slice."""
+def _segment_args(seg_index, t):
+    """The symbol's argument at the (segment index, t) pairs, and the
+    number of G1 pairs, which lead and take xi.  seg_index is nondecreasing,
+    as along the loop, so each segment present is one run of pairs, mapped
+    as a slice."""
     ends = np.searchsorted(seg_index, np.arange(1, len(SEGMENT_ORDER) + 1)).tolist()
-    xi = np.empty(t.shape)
+    arg = np.empty(t.shape)
     start = 0
-    for xi_of, end in zip(_SEGMENT_XI, ends):
+    for arg_of, end in zip(_SEGMENT_ARG, ends):
         if end > start:
-            xi[start:end] = xi_of(t[start:end])
+            arg[start:end] = arg_of(t[start:end])
         start = end
-    return xi, ends[0]
+    return arg, ends[0]
 
 
 def _segment_values(sym, k, t):
-    """Symbol values at the parameters t of segment k: one map to xi and
-    one sym.boundary(xi) call on G1 or one unit kernel call on the others."""
-    xi = _SEGMENT_XI[k](t)
-    return sym.boundary(xi) if k == 0 else sym.unit_values(unit_tables(xi))
+    """Symbol values at the parameters t of segment k: one map to the
+    segment's argument and one sym.boundary(xi) call on G1 or one
+    sym.unit_values(theta) call on the others."""
+    arg = _SEGMENT_ARG[k](t)
+    return sym.boundary(arg) if k == 0 else sym.unit_values(arg)
 
 
 class _SegmentEvaluator(NamedTuple):
@@ -246,29 +243,34 @@ class _SegmentEvaluator(NamedTuple):
 
 def _loop_values(sym, seg_index, t):
     """Symbol values at the (segment index, t) pairs: one sym.boundary(xi)
-    call for the G1 points and one unit kernel call for the others.  Pairs
-    on one segment, as in most refinement passes, go to _segment_values."""
+    call for the G1 points and one sym.unit_values(theta) call for the
+    others.  Pairs on one segment, as in most refinement passes, go to
+    _segment_values."""
     k = seg_index[0]
     if k == seg_index[-1]:
         return _segment_values(sym, k, t)
-    xi, g1 = _segment_xi(seg_index, t)
-    out = np.empty(t.shape, dtype=complex)
+    return _argument_values(sym, *_segment_args(seg_index, t))
+
+
+def _argument_values(sym, arg, g1):
+    """Symbol values at the arguments arg, the first g1 of them G1 xi and
+    at least one theta after them."""
+    out = np.empty(arg.shape, dtype=complex)
     if g1 > 0:
-        out[:g1] = sym.boundary(xi[:g1])
-    out[g1:] = sym.unit_values(unit_tables(xi[g1:]))
+        out[:g1] = sym.boundary(arg[:g1])
+    out[g1:] = sym.unit_values(arg[g1:])
     return out
 
 
 class _BaseGrid(NamedTuple):
-    """The loop's base grid at one n_base, and the parts of the symbol on
-    it that depend on xi alone; every array is read-only."""
+    """The loop's base grid at one n_base, with the symbol's argument at
+    its points; every array is read-only."""
 
     seg_index: np.ndarray
     t: np.ndarray
     last: np.ndarray  # each segment's last index; -1 closes G2M on G1
     wide: np.ndarray  # diff(t) > _MIN_WIDTH: the intervals refinement may split
-    xi: np.ndarray    # xi at the G1 points, which lead
-    unit: np.ndarray  # symbols.unit_tables of the other points
+    arg: np.ndarray   # xi at the G1 points, which lead, theta at the others
 
 
 def _base_grid(n_base) -> _BaseGrid:
@@ -291,10 +293,9 @@ def _tabled_grid(n_base: int) -> _BaseGrid:
         )
     seg_index = np.repeat(np.arange(len(SEGMENT_ORDER)), counts)
     t = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts[:2]] * 3)
-    xi, g1 = _segment_xi(seg_index, t)
     last = np.append(np.flatnonzero(np.diff(seg_index)), -1)
-    grid = _BaseGrid(seg_index, t, last, np.diff(t) > _MIN_WIDTH, xi[:g1],
-                     unit_tables(xi[g1:]))
+    arg = _segment_args(seg_index, t)[0]
+    grid = _BaseGrid(seg_index, t, last, np.diff(t) > _MIN_WIDTH, arg)
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -357,13 +358,10 @@ def _check_count(what: str, value, least: int) -> None:
 
 def _loop(sym, n_base) -> SymbolLoop:
     """The refined loop of a loop symbol: an object with boundary(xi) and
-    unit_values(unit_tables(xi)), as LoopSymbol has.  Its base values are
-    read from the base grid's xi-only tables."""
+    unit_values(theta), as LoopSymbol has.  Its base values are read at
+    the base grid's tabled arguments, G1's up to its last index."""
     grid = _base_grid(n_base)
-    g1 = grid.xi.size
-    values = np.empty(grid.t.shape, dtype=complex)
-    values[:g1] = sym.boundary(grid.xi)
-    values[g1:] = sym.unit_values(grid.unit)
+    values = _argument_values(sym, grid.arg, grid.last[0] + 1)
     f = functools.partial(_loop_values, sym)
     seg_index, t, values, unresolved = _refine(f, grid.seg_index, grid.t, values, grid.wide,
                                                _MAX_POINTS - grid.t.size)

@@ -15,12 +15,11 @@ arctan2(1, xi), nu = m - s + a: one kernel, unit_phase, for wh_c1, the loop
 and the validation symbol; the three principal powers are its oracle.
 
 The loop reads the symbol through one LoopSymbol per triple
-(SpectralParams.loop_symbol): the boundary value and the unit factor as
-array functions of xi, with every xi-free constant computed once, equal bit
-for bit to the public factors above, which stay as its oracles; both take
-the one-sided limits beyond XI_SATURATION, by one rule.  The unit factor
-reads xi only through theta (unit_tables), which a caller that evaluates
-many triples on one set of xi, as the loop's base grid does, computes once.
+(SpectralParams.loop_symbol): the boundary value as an array function of
+xi, which takes the one-sided limits beyond XI_SATURATION, and the unit
+factor as one of theta, which the loop's segments map their parameter to
+directly; every xi-free constant is computed once, and both equal the
+public factors above bit for bit, which stay as their oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "Regime",
     "SpectralParams",
     "LoopSymbol",
-    "unit_tables",
     "unit_phase",
     "XI_SATURATION",
     "wh_c1",
@@ -55,15 +53,17 @@ __all__ = [
 ]
 
 
-# beyond this |xi| the loop takes the symbol's one-sided limits.  The Mellin
-# term falls only like |xi|^(-2 alpha), so just inside, the boundary value is
-# still 2.0e-13 off its limit at (0.75, 2, 2.3), 6.1e-6 at (0.3, 2, 1.2), and
-# 0.075 / 0.34 / 0.50 at p = 2, alpha 0.05 / 0.01 / 1e-4; no audit sees the jump
+# beyond this |xi| the loop's boundary value takes its one-sided limits.  The
+# Mellin term falls only like |xi|^(-2 alpha), so just inside, the boundary
+# value is still 2.0e-13 off its limit at (0.75, 2, 2.3), 6.1e-6 at (0.3, 2,
+# 1.2), and 0.075 / 0.34 / 0.50 at p = 2, alpha 0.05 / 0.01 / 1e-4; no audit
+# sees the jump
 XI_SATURATION = 1e8
 
 
 def _unsaturated(xi) -> np.ndarray:
-    """|xi| <= XI_SATURATION, where the loop evaluates the symbol (not nan)."""
+    """|xi| <= XI_SATURATION, where the loop evaluates the boundary value
+    (not nan)."""
     return np.abs(xi) <= XI_SATURATION
 
 
@@ -249,28 +249,21 @@ def gamma1_mellin_term(xi, sp: SpectralParams):
     return scalar_or_array(-beta_term(sp.alpha, sp.beta_sigma, xi))
 
 
-def unit_tables(xi: np.ndarray) -> np.ndarray:
-    """theta = arctan2(1, xi), all of LoopSymbol.unit that depends on xi,
-    read-only; beyond XI_SATURATION its limits, 0 (xi > 0) and pi."""
-    theta = np.where(_unsaturated(xi), np.arctan2(1.0, xi), np.where(xi > 0.0, 0.0, math.pi))
-    theta.flags.writeable = False
-    return theta
-
-
 class LoopSymbol:
     """The generalized symbol of one triple as the loop reads it, as two
-    array functions of real xi: `boundary` on the boundary segment and
-    `unit`, the unit-modulus factor wh_c1, on the five others.
+    array functions: `boundary` of real xi on the boundary segment and
+    `unit_values` of theta = arctan2(1, xi), the unit-modulus factor wh_c1,
+    on the five others.
 
     Within |xi| <= XI_SATURATION `boundary` is c1p_inf + gamma1_mellin_term
-    * c2p_inf and `unit` is wh_c1; beyond, each is a one-sided limit of
-    wh_c1: e^(2 pi i nu) for `boundary` at xi > 0 and `unit` at xi < 0, else
-    1.  Everything free of xi is computed once here: the sine terms of 1/p,
-    1/p + nu and 1/p + nu', the phases e^(i pi nu) and e^(i pi (nu' - a)),
-    loggamma(2a), sin(pi a)/pi, sigma and the limits of wh_c1.  A boundary
-    point costs one denominator shared by the two sine ratios, two loggamma
-    calls and one exp; a unit point one complex exp on the theta of
-    unit_tables.  The kernels make the public factors' floating-point
+    * c2p_inf; beyond, it is a one-sided limit of wh_c1: e^(2 pi i nu) at
+    xi > 0, else 1.  `unit_values` is wh_c1's kernel and needs no limit:
+    theta is finite at xi = +-inf.  Everything free of xi is computed once
+    here: the sine terms of 1/p, 1/p + nu and 1/p + nu', the phases
+    e^(i pi nu) and e^(i pi (nu' - a)), loggamma(2a), sin(pi a)/pi, sigma
+    and the limits of wh_c1.  A boundary point costs one denominator shared
+    by the two sine ratios, two loggamma calls and one exp; a unit point one
+    complex exp.  The kernels make the public factors' floating-point
     operations in the same order, so they equal them bit for bit.
 
     As in beta_term, one check, sigma = beta_sigma > 0, stands for a beta
@@ -339,13 +332,8 @@ class LoopSymbol:
         den, c1, c2 = (math.hypot(sin, cos * t) for sin, cos in self._sine_pairs)
         return (c1 + self._gamma1_bound * c2) / den
 
-    def unit(self, xi: np.ndarray) -> np.ndarray:
-        """The unit-modulus factor wh_c1 at a float array of xi."""
-        _refuse_nan(xi, "Wiener-Hopf factor")
-        return self.unit_values(unit_tables(xi))
-
     def unit_values(self, theta) -> np.ndarray:
-        """`unit` from the theta of unit_tables: its kernel."""
+        """The unit-modulus factor wh_c1 at an array of theta = arctan2(1, xi)."""
         return unit_phase(self._nu, theta)
 
 

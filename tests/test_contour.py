@@ -200,6 +200,25 @@ class TestMinModulus:
             xi = np.tan(np.pi * (t[i - 1:i + 2] - 0.5))
             assert np.max(np.abs(xi)) <= 10.0, triple
 
+    def test_saturation_jump_moves_no_winding_on_the_digest(self):
+        # between |xi| = 12 and the limit the boundary value takes beyond
+        # |xi| = XI_SATURATION, on both sides, the digest's loops at n_base
+        # 256 turn the phase by less than pi/4 (0.0146 rad measured) and
+        # stay no nearer the origin than the loop's minimum (a ratio of
+        # 1.0003 at least): the jump to the limit, which the loop's chords
+        # to its two G1 ends cross, moves no winding and no minimum
+        from golden.make_golden import loop_triples
+        far = np.append(np.geomspace(12.0, XI_SATURATION, 200),
+                        np.nextafter(XI_SATURATION, np.inf))
+        for triple in loop_triples():
+            sp = SpectralParams(*triple)
+            loop = build_loop(sp, 256)
+            for xi in (far, -far):
+                v = sp.loop_symbol.boundary(xi)
+                turned = np.cumsum(np.angle(v[1:] / v[:-1]))
+                assert np.max(np.abs(turned)) < math.pi / 4.0, triple
+                assert np.min(np.abs(v)) >= loop.min_modulus, triple
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_within_rounding_of_the_zoom_anywhere(self, data):
@@ -726,9 +745,10 @@ class TestArrayAssembly:
 def _composed_symbol(sp):
     """The (boundary, unit, scale) triple composed of the public factors,
     the reference of the loop's evaluator: c1p_inf + gamma1_mellin_term *
-    c2p_inf on the boundary segment and wh_c1 on the five others, within
-    |xi| <= XI_SATURATION, and wh_c1's one-sided limits beyond; scale is
-    the bound of LoopSymbol.rounding_scale at one xi."""
+    c2p_inf on the boundary segment within |xi| <= XI_SATURATION, and
+    wh_c1's one-sided limits beyond; exp(2i nu theta), wh_c1's closed form,
+    at theta on the five others; scale is the bound of
+    LoopSymbol.rounding_scale at one xi."""
     def boundary(xi):
         inner = np.abs(xi) <= XI_SATURATION
         x = xi[inner]
@@ -738,9 +758,8 @@ def _composed_symbol(sp):
             out[~inner] = wh_c1(np.where(xi[~inner] > 0.0, -np.inf, np.inf), sp)
         return out
 
-    def unit(xi):
-        inner = np.abs(xi) <= XI_SATURATION
-        return wh_c1(np.where(inner, xi, np.copysign(np.inf, xi)), sp)
+    def unit(theta):
+        return np.exp(2j * sp.nu * theta)
 
     def scale(xi):
         # |c1p| + |gamma1 c2p|, with |gamma1| at xi = 0, its largest
@@ -766,11 +785,22 @@ def _gate_triples():
     return out
 
 
-# the t -> xi map of each segment, restated in the contour's floating-point
-# operations: G1 runs over the whole line, G3P from -inf to 0 and G3M from 0
-# to +inf, and G2P, G4 and G2M sit at -inf, 0 and +inf
-_REFERENCE_XI = {
+# the map from t to the symbol's argument on each segment, restated in the
+# contour's floating-point operations: xi on G1, over the whole line, and
+# theta = arctan2(1, xi) on the five others, where G3P runs xi from -inf to
+# 0 and G3M from 0 to +inf, and G2P, G4 and G2M sit at -inf, 0 and +inf
+_REFERENCE_ARG = {
     Segment.G1: lambda t: np.tan(np.pi * (t - 0.5)),
+    Segment.G2P: lambda t: np.full(t.shape, np.pi),
+    Segment.G3P: lambda t: np.pi * (1.0 - t / 2.0),
+    Segment.G4: lambda t: np.full(t.shape, np.pi / 2.0),
+    Segment.G3M: lambda t: np.pi * (1.0 - t) / 2.0,
+    Segment.G2M: lambda t: np.zeros(t.shape),
+}
+
+# the t -> xi maps of the five unit segments through tan, the oracle of
+# their theta maps: G3P from -1.6e16 to 0 and G3M from 0 to 1.6e16
+_TAN_XI = {
     Segment.G2P: lambda t: np.full(t.shape, -np.inf),
     Segment.G3P: lambda t: -np.tan(np.pi * (1.0 - t) / 2.0),
     Segment.G4: lambda t: np.zeros(t.shape),
@@ -780,15 +810,15 @@ _REFERENCE_XI = {
 
 
 def _reference_values(boundary, unit, seg_index, t):
-    """The values of a (boundary, unit) pair of functions of xi at the
-    (segment index, t) pairs: boundary(xi) on G1 and unit(xi) on the five
-    other segments, one call per segment."""
+    """The values of a boundary function of xi and a unit function of
+    theta at the (segment index, t) pairs: boundary(xi) on G1 and
+    unit(theta) on the five other segments, one call per segment."""
     out = np.empty(t.shape, dtype=complex)
     for k, seg in enumerate(SEGMENT_ORDER):
         on = seg_index == k
         if on.any():
-            xi = _REFERENCE_XI[seg](t[on])
-            out[on] = boundary(xi) if seg is Segment.G1 else unit(xi)
+            arg = _REFERENCE_ARG[seg](t[on])
+            out[on] = boundary(arg) if seg is Segment.G1 else unit(arg)
     return out
 
 
@@ -855,7 +885,7 @@ def _reference_assemble(boundary, unit, n_base, scale):
     x = min(max(mid + half * s, a), b)
     check = on_k(np.array([math.nextafter(x, a), x, math.nextafter(x, b)]))
     best = min(best, float(np.min(np.abs(w))), float(np.min(np.abs(check))))
-    xi = float(_REFERENCE_XI[Segment.G1](np.array(x)))
+    xi = float(_REFERENCE_ARG[Segment.G1](np.array(x)))
     rounding = scale(xi) if k == 0 else 1.0
     limit = contour_mod._CHECK_ULPS * 2.0 ** -52 * rounding
     if abs(horner((x - mid) / half)[0] - check[1]) > limit:
@@ -875,11 +905,8 @@ def _assert_same_loop(loop, ref, what):
 
 def _validation_unit(n):
     """The unit factor of build_validation_loop(n), in its operations:
-    exp(2i n theta) at theta = arctan2(1, xi) within |xi| <= XI_SATURATION,
-    and at theta's limits 0 (xi > 0) and pi (xi < 0) beyond."""
-    def unit(xi):
-        inner = np.abs(xi) <= XI_SATURATION
-        theta = np.where(inner, np.arctan2(1.0, xi), np.where(xi > 0.0, 0.0, math.pi))
+    exp(2i n theta)."""
+    def unit(theta):
         return np.exp(2j * n * theta)
 
     return unit
@@ -891,10 +918,12 @@ def _ones(xi):
 
 def test_only_symbols_computes_the_boundary_value():
     # LoopSymbol.boundary does the boundary value's xi-only work, and
-    # symbols owns the saturation of every segment; contour maps t to xi
-    # and calls the symbol, every loop's through the one protocol
+    # symbols owns its saturation; contour maps t to the symbol's argument,
+    # with no limit at xi = +-inf, and calls the symbol, every loop's
+    # through the one protocol
     text = Path(contour_mod.__file__).read_text(encoding="utf-8")
-    names = ("tanh", "boundary_kernel", "XI_SATURATION", "copysign", "isfinite", ".unit(")
+    names = ("tanh", "boundary_kernel", "XI_SATURATION", "copysign", "isfinite",
+             "np.arctan2", "np.inf")
     assert [name for name in names if name in text] == []
 
 
@@ -921,6 +950,18 @@ class TestLoopEvaluator:
                                                           lambda xi: 1.0),
                               (n, n_base))
 
+    @pytest.mark.parametrize("n_base", [64, 256, 1024])
+    def test_theta_maps_are_arctan2_of_the_tan_maps(self, n_base):
+        # on the five unit segments theta(t) is arctan2(1, xi(t)) of the
+        # t -> xi maps through tan, to within 1 ulp of pi, at the base
+        # grid's points and at the midpoints the first refinement adds
+        ulp = np.spacing(math.pi)
+        t = np.linspace(0.0, 1.0, 2 * n_base - 1)
+        for k, seg in enumerate(SEGMENT_ORDER[1:], start=1):
+            theta = contour_mod._SEGMENT_ARG[k](t)
+            oracle = np.arctan2(1.0, _TAN_XI[seg](t))
+            assert np.max(np.abs(theta - oracle)) <= ulp, seg
+
     def test_polish_past_the_saturation_takes_the_limits(self, monkeypatch):
         # a boundary value falling from 1 at xi = 0 to 0.1 at |xi| =
         # XI_SATURATION, beyond which the loop takes the limits 1 (nu = 0):
@@ -937,7 +978,7 @@ class TestLoopEvaluator:
         _, polish = _split_calls(calls, loop)
         assert len(polish) > 2
         sym = sp.loop_symbol
-        _assert_same_loop(loop, _reference_assemble(sym.boundary, sym.unit, 256,
+        _assert_same_loop(loop, _reference_assemble(sym.boundary, sym.unit_values, 256,
                                                     sym.rounding_scale), sp)
         assert loop.min_modulus == pytest.approx(0.1, abs=1e-6)
 

@@ -21,7 +21,6 @@ from whml.symbols import (
     gamma1_mellin_term,
     mellin_symbol_residual,
     sine_ratio,
-    unit_tables,
     wh_c1,
     wh_c2,
 )
@@ -417,12 +416,11 @@ class TestUnitFactorOracles:
 
     @pytest.mark.parametrize("sp", _oracle_triples(), ids=str)
     def test_loop_unit_against_mpmath(self, sp):
-        # the limits beyond the saturation, the value within it
-        unit = sp.loop_symbol.unit(ORACLE_XI)
-        beyond = np.copysign(np.inf, ORACLE_XI)
-        for x, far, got in zip(ORACLE_XI.tolist(), beyond.tolist(), unit.tolist()):
-            want = _mp_factors(sp, x if abs(x) <= XI_SATURATION else far)[0]
-            assert _relative_error(got, want) <= ORACLE_REL, (x, got)
+        # the loop reads the unit factor at theta = arctan2(1, xi), which
+        # is finite at xi = +-inf, so the limits need no rule of their own
+        unit = sp.loop_symbol.unit_values(np.arctan2(1.0, ORACLE_XI))
+        for x, got in zip(ORACLE_XI.tolist(), unit.tolist()):
+            assert _relative_error(got, _mp_factors(sp, x)[0]) <= ORACLE_REL, (x, got)
 
     @pytest.mark.parametrize("sp", _oracle_triples(), ids=str)
     def test_wh_c1_against_the_three_principal_powers(self, sp):
@@ -433,12 +431,11 @@ class TestUnitFactorOracles:
     def test_validation_unit_against_mpmath(self, n):
         # (xi+i)^n (xi-i)^(-n) is the same kernel at nu = n; its phase
         # 2 n theta rounds to an ulp of up to 2 pi n, so the bound grows with n
-        unit = _RationalSymbol(n).unit_values(unit_tables(ORACLE_XI))
+        unit = _RationalSymbol(n).unit_values(np.arctan2(1.0, ORACLE_XI))
         bound = ORACLE_REL * max(1.0, n / 2.0)
         with mp.workdps(40):
             for x, got in zip(ORACLE_XI.tolist(), unit.tolist()):
-                inner = abs(x) <= XI_SATURATION
-                want = (mp.mpc(x, 1) / mp.mpc(x, -1)) ** n if inner else mp.mpc(1)
+                want = (mp.mpc(x, 1) / mp.mpc(x, -1)) ** n if math.isfinite(x) else mp.mpc(1)
                 assert _relative_error(got, want) <= bound, (x, got)
 
 
@@ -457,20 +454,19 @@ class TestLoopSymbol:
         boundary = sym.boundary(XI_PROBES)
         assert boundary.tobytes() == composed.tobytes()
         assert np.isfinite(boundary).all()
-        # the unit factor is wh_c1's kernel within the saturation, bytes and
-        # all, and wh_c1's limits beyond; it is within ORACLE_REL of 40-digit
-        # mpmath there and within a few ulp of the three principal powers
-        xs = np.append(XI_PROBES, [np.inf, -np.inf])
-        unit = sym.unit(xs)
-        inner = np.abs(xs) <= XI_SATURATION
-        xf = xs[inner]
-        assert unit[inner].tobytes() == wh_c1(xf, sp).tobytes()
-        assert unit[~inner].tobytes() == wh_c1(np.copysign(np.inf, xs[~inner]), sp).tobytes()
+        # the unit factor at theta = arctan2(1, xi) is wh_c1 at xi, bytes
+        # and all, limits included; it is within ORACLE_REL of 40-digit
+        # mpmath and, on the probes, within a few ulp of the three principal
+        # powers
+        xs = np.append(XI_PROBES, [1e200, -1e200, np.inf, -np.inf])
+        unit = sym.unit_values(np.arctan2(1.0, xs))
+        assert unit.tobytes() == wh_c1(xs, sp).tobytes()
         assert np.isfinite(unit).all()
         assert unit[-2] == 1.0 and unit[-1] == cmath.exp(2j * math.pi * sp.nu)
-        for x, got in zip(xf.tolist(), unit[inner].tolist()):
+        for x, got in zip(xs.tolist(), unit.tolist()):
             assert _relative_error(got, _mp_factors(sp, x)[0]) <= ORACLE_REL, x
-        assert (np.abs(unit[inner] - _three_powers(sp, xf)) <= _few_ulp(xf)).all()
+        probes = unit[:XI_PROBES.size]
+        assert (np.abs(probes - _three_powers(sp, XI_PROBES)) <= _few_ulp(XI_PROBES)).all()
 
     @settings(max_examples=300, deadline=None)
     @given(_admissible())
@@ -490,38 +486,15 @@ class TestLoopSymbol:
         assert bound[0] == pytest.approx(terms[0], rel=1e-13)
         assert sym.rounding_scale(ABOVE_SATURATION) == sym.rounding_scale(-np.inf) == 1.0
 
-    def test_unit_takes_the_limits_beyond_the_saturation(self):
-        # beyond XI_SATURATION the unit factor is its one-sided limit; wh_c1,
-        # which has no saturation, returns its value, since its closed form
-        # has no 1 + xi^2 to overflow
-        sp = SpectralParams(0.75, 2.0, 2.3)
-        unit = sp.loop_symbol.unit(np.array([1e200, -1e200]))
-        assert unit.tobytes() == wh_c1(np.array([np.inf, -np.inf]), sp).tobytes()
-        assert unit[0] == 1.0 and unit[1] == cmath.exp(2j * math.pi * sp.nu)
-        far = wh_c1(np.array([1e200, -1e200]), sp)
-        # c1(xi) = exp(2i nu arctan2(1, xi)), about 1 + 2i nu / xi out there
-        assert far[0].real == 1.0 and far[0].imag == pytest.approx(2.0 * sp.nu / 1e200, rel=1e-15)
-        assert far[1] == unit[1]  # pi - 1e-200 rounds to pi
-
-    @settings(max_examples=300, deadline=None)
-    @given(_admissible())
-    def test_unit_jump_at_the_saturation_is_bounded(self, sp):
-        # |e^(i phi) - 1| <= |phi| and arctan2(1, |xi|) < 1/|xi|, so across
-        # +-XI_SATURATION the unit factor moves by at most
-        # 2 |nu| / XI_SATURATION, plus the rounding of its two values
-        for edge in (XI_SATURATION, -XI_SATURATION):
-            pair = sp.loop_symbol.unit(np.array([edge, np.nextafter(edge, 2.0 * edge)]))
-            assert abs(pair[1] - pair[0]) <= 2.0 * abs(sp.nu) / XI_SATURATION + 2.0 * ORACLE_REL
-
     @pytest.mark.parametrize("sp", _oracle_triples(), ids=str)
     def test_mirror_symmetry(self, sp):
         # tanh(pi xi) is odd, B(conj z, 2a) = conj B(z, 2a) and the phases
         # e^(i pi nu) and e^(i pi (nu' - a)) are equal, so boundary(-xi) =
-        # e^(2 pi i nu) conj(boundary(xi)); theta(-xi) = pi - theta(xi) gives
-        # the same for the unit factor; the limits beyond the saturation
-        # keep it.  Bounds: 8 ulp of |c1p| + |gamma1 c2p|, the boundary
-        # value's rounding scale, and 2 ulp of 1 + 2 pi |nu|, the size of
-        # the unit factor's phase (5.5 and 2.8 ulp seen)
+        # e^(2 pi i nu) conj(boundary(xi)); the limits beyond the saturation
+        # keep it.  The unit factor's mirror is theta -> pi - theta, which
+        # gives the same.  Bounds: 8 ulp of |c1p| + |gamma1 c2p|, the
+        # boundary value's rounding scale, and 2 ulp of 1 + 2 pi |nu|, the
+        # size of the unit factor's phase (5.5 and 2.8 ulp seen)
         xs = np.abs(np.concatenate([ORACLE_XI, [XI_SATURATION, 2.75, 0.37]]))
         xs = np.append(xs, np.nextafter(XI_SATURATION, np.inf))
         sym, turn = sp.loop_symbol, cmath.exp(2j * math.pi * sp.nu)
@@ -531,7 +504,8 @@ class TestLoopSymbol:
         scale[inner] = np.abs(c1p_inf(x, sp)) + np.abs(gamma1_mellin_term(x, sp) * c2p_inf(x, sp))
         mirror = sym.boundary(-xs) - turn * np.conj(sym.boundary(xs))
         assert (np.abs(mirror) <= 8.0 * EPS * scale).all()
-        mirror = sym.unit(-xs) - turn * np.conj(sym.unit(xs))
+        theta = np.arctan2(1.0, xs)
+        mirror = sym.unit_values(math.pi - theta) - turn * np.conj(sym.unit_values(theta))
         assert (np.abs(mirror) <= 2.0 * EPS * (1.0 + 2.0 * math.pi * abs(sp.nu))).all()
 
     def test_no_pole_scan_at_tiny_alpha(self):
