@@ -62,6 +62,7 @@ def classify(alpha: float, p: float, s: float, mode: str = "theorem") -> Classif
         raise DomainError("classify requires 1 < p < infinity")
     if not math.isfinite(s):
         raise DomainError("classify requires finite s")
+    alpha, p, s = float(alpha), float(p), float(s)  # numpy scalars report as floats
 
     inv_p = 1.0 / p
     for boundary, tag in ((inv_p, "s = 1/p"), (1.0 + inv_p, "s = 1 + 1/p"),
@@ -90,9 +91,9 @@ def classify(alpha: float, p: float, s: float, mode: str = "theorem") -> Classif
             )
 
     def theorem_verdict():
-        # the boundary value at xi = 0, where the symbol touches zero at
-        # s = 1/p in LOW and at the critical smoothness in HIGH
-        touch = abs(sp.loop_symbol.boundary(np.zeros(1))[0])
+        # the boundary value at xi = 0 (tanh(pi xi) = i xi = 0), where the symbol
+        # touches zero at s = 1/p in LOW and at the critical smoothness in HIGH
+        touch = abs(sp.loop_symbol.boundary_kernel(np.zeros(1), np.zeros(1, dtype=complex))[0])
         if touch <= FREDHOLM_TOL:
             edge = "s = 1/p" if crit is None else f"critical smoothness {crit:.12g}"
             notes.append(

@@ -19,7 +19,8 @@ for a refinement pass, a polish pass or eval_segment.  The grid built last
 is kept, read-only: a grid near the point cap holds tens of MB.
 One refinement pass per level bisects every interval of the loop whose
 phase increment is not branch-safe; an interval still turning by pi/2 or
-more at width 1e-12 is recorded on the loop, and the winding refuses it.
+more at width 1e-12 is recorded on the loop, and the winding refuses it;
+else it sums the last pass's phase increments, which the loop keeps.
 The minimum modulus is polished once, at assembly, in two evaluator
 calls: a Chebyshev interpolant of the discrete minimum's bracket, whose
 minimum Newton's method finds, and a check of the value there; the zoom
@@ -149,21 +150,25 @@ class SymbolLoop:
                               f"0..{len(SEGMENT_ORDER) - 1}")
         if not ((t >= 0.0) & (t <= 1.0)).all():  # nan fails both
             raise DomainError("a symbol loop's t must lie in [0, 1]")
-        moduli = np.abs(values)
-        if not (moduli < math.inf).all():  # nan fails too
-            raise DomainError("a symbol loop's values must have a finite modulus")
-        self._arrays = (seg_index.astype(np.intp, copy=False), t, values)
-        for a in self._arrays:
-            a.flags.writeable = False
-        self._points = None
-        self.closure_gap = closure_gap
-        self.junction_gaps = tuple(junction_gaps)
-        smallest = float(np.min(moduli))
+        smallest = float(np.min(_finite_moduli(values)))
         if min_modulus is None:
             min_modulus = smallest
         if not 0.0 <= min_modulus <= smallest:  # nan fails too
             raise DomainError(f"a symbol loop's min_modulus must lie in [0, {smallest!r}], "
                               f"the least sample modulus, got {min_modulus!r}")
+        self._keep((seg_index.astype(np.intp, copy=False), t, values),
+                   _closed_steps(values), closure_gap, junction_gaps, min_modulus, unresolved)
+
+    def _keep(self, arrays, increments, closure_gap, junction_gaps, min_modulus, unresolved):
+        # _loop calls this on a bare instance: its arrays have by construction
+        # all the above but finite moduli, which _loop checks itself
+        self._arrays = arrays
+        self._increments = increments  # _closed_steps of the values
+        for a in (*arrays, increments):
+            a.flags.writeable = False
+        self._points = None
+        self.closure_gap = closure_gap
+        self.junction_gaps = tuple(junction_gaps)
         self.min_modulus = min_modulus
         self.unresolved = tuple(int(i) for i in unresolved)
 
@@ -182,6 +187,21 @@ class SymbolLoop:
     def values(self) -> np.ndarray:
         """Read-only array of the point values, in traversal order."""
         return self._arrays[2]
+
+
+def _finite_moduli(values) -> np.ndarray:
+    """|values|, refused unless every modulus is finite."""
+    moduli = np.abs(values)
+    if not (moduli < math.inf).all():  # nan fails too
+        raise DomainError("a symbol loop's values must have a finite modulus")
+    return moduli
+
+
+def _closed_steps(v) -> np.ndarray:
+    """angle(v[i + 1] / v[i]) around the closed polyline v, the last from
+    v[-1] to v[0]; meaningless at a zero value, which the winding refuses."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.angle(np.concatenate((v[1:], v[:1])) / v)
 
 
 def _xi_line(t):
@@ -326,18 +346,16 @@ def _refine(f, seg_index: np.ndarray, t: np.ndarray, v: np.ndarray, wide: np.nda
     only on the interval's own endpoints, so every segment's grid does not
     depend on the order of the splits.  Raises once more than `budget`
     points would be added.  Also returns the indices of the intervals left
-    turning by at least _PHASE_CAP.
+    turning by at least _PHASE_CAP, and the last pass's _closed_steps.
     """
     added = 0
     while True:
-        v0, v1 = v[:-1], v[1:]
-        nonzero = (v0 != 0) & (v1 != 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dphi = np.where(nonzero, np.abs(np.angle(v1 / v0)), math.pi)
-        turning = dphi >= _PHASE_CAP
+        steps = _closed_steps(v)
+        nonzero = (v[:-1] != 0) & (v[1:] != 0)
+        turning = np.where(nonzero, np.abs(steps[:-1]), math.pi) >= _PHASE_CAP
         idx = np.flatnonzero(turning & wide)
         if idx.size == 0:
-            return seg_index, t, v, np.flatnonzero(turning)
+            return seg_index, t, v, np.flatnonzero(turning), steps
         added += idx.size
         if added > budget:
             raise ResolutionError(
@@ -363,8 +381,8 @@ def _loop(sym, n_base) -> SymbolLoop:
     grid = _base_grid(n_base)
     values = _argument_values(sym, grid.arg, grid.last[0] + 1)
     f = functools.partial(_loop_values, sym)
-    seg_index, t, values, unresolved = _refine(f, grid.seg_index, grid.t, values, grid.wide,
-                                               _MAX_POINTS - grid.t.size)
+    seg_index, t, values, unresolved, steps = _refine(
+        f, grid.seg_index, grid.t, values, grid.wide, _MAX_POINTS - grid.t.size)
     # each segment's last point against the next one's first, G2M closing on G1
     last = grid.last if t is grid.t else np.append(np.flatnonzero(np.diff(seg_index)), -1)
     junction_gaps = np.abs(values[last] - values[last + 1]).tolist()
@@ -372,9 +390,12 @@ def _loop(sym, n_base) -> SymbolLoop:
         raise ResolutionError(
             f"junction gaps {junction_gaps} exceed {_JUNCTION_TOL}"
         )
-    return SymbolLoop(seg_index, t, values, junction_gaps[-1], junction_gaps,
-                      _polished_min_modulus(_SegmentEvaluator(sym), seg_index, t, values),
-                      unresolved)
+    mods = _finite_moduli(values)
+    loop = SymbolLoop.__new__(SymbolLoop)
+    loop._keep((seg_index, t, values), steps, junction_gaps[-1], junction_gaps,
+               _polished_min_modulus(_SegmentEvaluator(sym), seg_index, t, values, mods),
+               unresolved)
+    return loop
 
 
 def build_loop(sp: SpectralParams, n_base: int = 256) -> SymbolLoop:
@@ -423,10 +444,11 @@ def min_modulus(loop: SymbolLoop) -> float:
     return loop.min_modulus
 
 
-def _polished_min_modulus(polish, seg_index, t, values) -> float:
-    """Minimum |value| over the refined loop, polished on [a, b], the
-    discrete argmin's two parameter intervals on its own segment k, in two
-    polish(k, x) calls, or by the zoom when the check below fails.
+def _polished_min_modulus(polish, seg_index, t, values, mods) -> float:
+    """Minimum |value| over the refined loop, whose moduli are mods,
+    polished on [a, b], the discrete argmin's two parameter intervals on its
+    own segment k, in two polish(k, x) calls, or by the zoom when the check
+    below fails.
 
     1. The interpolant: p, the polynomial through the values at the
        _CHEB_POINTS Chebyshev points of the first kind on [a, b], in s =
@@ -454,7 +476,6 @@ def _polished_min_modulus(polish, seg_index, t, values) -> float:
     and check samples and any zoom's, so never more than the discrete
     minimum.
     """
-    mods = np.abs(values)
     i = int(np.argmin(mods))
     # |v| of an array and of one complex may round an ulp apart; take the less
     best = min(float(mods[i]), abs(complex(values[i])))
@@ -524,7 +545,7 @@ def winding_number(loop: SymbolLoop) -> int:
     FREDHOLM_TOL) and every interval of it to turn the phase by less than
     pi/2 (none left unresolved by the refinement); the accumulated phase
     must land on an integer multiple of 2 pi to within 1 percent.  Reads
-    the minimum modulus kept on the loop.
+    the minimum modulus and sums the phase increments kept on the loop.
     """
     if loop.min_modulus <= FREDHOLM_TOL:
         raise NotFredholmError(
@@ -538,10 +559,7 @@ def winding_number(loop: SymbolLoop) -> int:
             f"more at width {_MIN_WIDTH:g}, the first on "
             f"{SEGMENT_ORDER[seg_index[i]].value} from t = {float(t[i]):.17g}"
         )
-    vals = loop.values()
-    closed = np.append(vals, vals[0])
-    increments = np.angle(closed[1:] / closed[:-1])
-    total = float(np.sum(increments)) / (2.0 * math.pi)
+    total = float(np.sum(loop._increments)) / (2.0 * math.pi)
     rounded = round(total)
     if abs(total - rounded) > 0.01:
         raise ResolutionError(

@@ -111,7 +111,7 @@ class PartialBeta:
     no finiteness check, for callers whose arguments keep it finite."""
 
     def __init__(self, b):
-        if not np.all(np.asarray(b) > 0.0):
+        if not (np.asarray(b) > 0.0).all():  # nan fails too
             raise DomainError("PartialBeta requires b > 0")
         self._b = np.asarray(b, dtype=complex)
         self._log_gamma_b = _sp.loggamma(self._b)

@@ -273,26 +273,26 @@ class LoopSymbol:
     """
 
     def __init__(self, sp: SpectralParams):
-        if not sp.beta_sigma > 0.0:
-            raise PoleError(f"beta argument sigma = {sp.beta_sigma!r} is not positive")
-        inv_p, nu, nu_p, a = 1.0 / sp.p, sp.nu, sp.nu_prime, sp.alpha
-        self._den = _sine_terms(inv_p)
-        self._c1_num = _sine_terms(inv_p + nu)
-        self._c2_num = _sine_terms(inv_p + nu_p)
+        sigma, nu, nu_p, a = sp.beta_sigma, sp.nu, sp.nu_prime, sp.alpha
+        if not sigma > 0.0:
+            raise PoleError(f"beta argument sigma = {sigma!r} is not positive")
+        inv_p = 1.0 / sp.p
+        # _sine_terms of 1/p, 1/p + nu and 1/p + nu', and sin(pi a), in one call each
+        angles = math.pi * np.array([inv_p, inv_p + nu, inv_p + nu_p, a])
+        sin, cos = np.sin(angles), np.cos(angles)
+        self._den, self._c1_num, self._c2_num = zip(sin[:3], 1j * cos[:3])
         self._c1_phase = cmath.exp(1j * math.pi * nu)
         self._c2_phase = cmath.exp(1j * math.pi * (nu_p - a))
-        self._sigma = np.asarray(sp.beta_sigma, dtype=float)
-        self._beta = PartialBeta(2.0 * np.asarray(a))
-        self._beta_scale = np.sin(math.pi * np.asarray(a)) / math.pi
+        self._sigma = sigma
+        self._beta = PartialBeta(2.0 * a)
+        self._beta_scale = sin[3] / math.pi
         self._nu = nu
         # wh_c1 at -inf and +inf: the boundary value's limits at xi > 0 and xi < 0
         self._c1_limits = unit_phase(nu, np.array([math.pi, 0.0]))
         # for rounding_scale: the sine terms of the denominator and of the
         # two numerators as float pairs, and |gamma1| at xi = 0, its largest
         # (the beta integral bounds |B(sigma + i xi, 2a)| by B(sigma, 2a))
-        self._sine_pairs = [(float(sin), float(icos.imag))
-                            for sin, icos in (self._den, self._c1_num, self._c2_num)]
-        sigma = sp.beta_sigma
+        self._sine_pairs = list(zip(sin[:3].tolist(), cos[:3].tolist()))
         self._gamma1_bound = math.sin(math.pi * a) / math.pi * math.exp(
             math.lgamma(sigma) + math.lgamma(2.0 * a) - math.lgamma(sigma + 2.0 * a))
 

@@ -96,6 +96,7 @@ def alpha_c(alpha: float) -> float:
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha_c requires 0 < alpha < 1")
+    alpha = float(alpha)  # a numpy scalar would make every step numpy arithmetic
     lo = 1.0 if alpha < 0.5 else 2.0 * alpha
     hi = 1.0 + alpha
     mid = 0.5 * (lo + hi)
@@ -106,10 +107,10 @@ def alpha_c(alpha: float) -> float:
     # near alpha -> 1 the root hugs a gamma pole where the residual slope is
     # steep, and any coarser stop would leave a visible residual
     while lo < mid < hi:
-        # te_residual_zero's pole guard on 2a - tau, which is negative on
-        # the whole interval; its guard on 1 + tau cannot fire, as tau > 1
+        # te_residual_zero's guard abs(x - round(x)) < 1e-12 on x in (-1, 0);
+        # its guard on 1 + tau cannot fire, as tau > 1
         x = two_a - mid
-        if abs(x - round(x)) < 1e-12:
+        if x > -1e-12 or x + 1.0 < 1e-12:
             raise _unresolvable(alpha)
         if gamma(x) * gamma(1.0 + mid) * sin(pi * (alpha - mid)) > at_zero:
             lo = mid

@@ -76,6 +76,21 @@ class TestClassifyTheorem:
         b = classify(0.3, 2.0, 1.0, mode="both").to_json()
         assert a == b
 
+    @pytest.mark.parametrize("mode", ["theorem", "both"])
+    @pytest.mark.parametrize("triple", [(0.5, 2.0, 2.2), (0.3, 2.0, 1.0), (0.75, 2.0, 1.2),
+                                        (0.3, 2.0, 1.5)])
+    def test_numpy_scalars_report_as_the_floats(self, triple, mode):
+        rep = classify(*map(np.float64, triple), mode=mode)
+        assert repr(rep) == repr(classify(*triple, mode=mode))
+        assert type(rep.bounded) is bool
+        if rep.alpha_c is not None:
+            assert type(rep.alpha_c) is float and type(rep.critical_s) is float
+
+    def test_numpy_scalar_refusal_names_the_float(self):
+        with pytest.raises(DomainError) as refused:
+            classify(np.float64(5e-13), 2.0, 2.2)
+        assert str(refused.value) == "alpha_c(5e-13) is not resolvable at float precision"
+
 
 class TestClassifyNumeric:
     def test_numeric_leaves_kernel_unset(self):

@@ -295,8 +295,9 @@ def _zoom_min_modulus(polish, seg_index, t, values) -> float:
 
 def _digest_polishes(monkeypatch, n_base):
     """(triple, loop, polish arguments) of every loop of the triples of
-    tests/golden/loops.txt at n_base: the arguments are those of the
-    loop's own call of _polished_min_modulus, its evaluator included."""
+    tests/golden/loops.txt at n_base: the arguments are the first four of
+    the loop's own call of _polished_min_modulus, (polish, seg_index, t,
+    values), its evaluator included."""
     from golden.make_golden import loop_triples
     seen = []
     polished = contour_mod._polished_min_modulus
@@ -306,7 +307,7 @@ def _digest_polishes(monkeypatch, n_base):
         return polished(*args)
 
     monkeypatch.setattr(contour_mod, "_polished_min_modulus", recording)
-    return [(triple, build_loop(SpectralParams(*triple), n_base), seen[-1])
+    return [(triple, build_loop(SpectralParams(*triple), n_base), seen[-1][:4])
             for triple in loop_triples()]
 
 
@@ -358,6 +359,75 @@ class TestWinding:
                 above = SpectralParams(a, p, 1.0 + 1.0 / p + 0.5 * (crit_off + 1.0))
                 assert winding_number(build_loop(below, 128)) == -1
                 assert winding_number(build_loop(above, 128)) == 0
+
+
+def _winding_outcome(loop):
+    """The winding, or the refusal's type and message."""
+    try:
+        return winding_number(loop)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _assert_one_winding_path(loop, what):
+    # the same arrays through the public constructor, which computes the
+    # phase increments itself, give the same increments and the same
+    # winding or refusal as the increments of the refinement's last pass
+    rebuilt = SymbolLoop(*loop.arrays(), loop.closure_gap, loop.junction_gaps,
+                         loop.min_modulus, loop.unresolved)
+    assert loop._increments.tobytes() == rebuilt._increments.tobytes(), what
+    assert _winding_outcome(loop) == _winding_outcome(rebuilt), what
+
+
+_JUMP = SimpleNamespace(
+    boundary=lambda xi: np.where(np.abs(xi - 0.5) < 0.2, -1.0 + 0j, 1.0 + 0j),
+    unit_values=lambda theta: np.ones(theta.shape, dtype=complex),
+    rounding_scale=lambda xi: 1.0)
+
+
+class TestOneWindingPath:
+    @pytest.mark.parametrize("n_base", [64, 256, 1024])
+    def test_built_loops_wind_as_the_constructor_does(self, n_base):
+        from golden.make_golden import loop_triples
+        outcomes = set()
+        for triple in loop_triples():
+            loop = build_loop(SpectralParams(*triple), n_base)
+            _assert_one_winding_path(loop, triple)
+            outcomes.add(type(_winding_outcome(loop)))
+        # 12 of the digest's near-critical triples are refused as not Fredholm
+        assert outcomes == {int, tuple}
+        orders = range(1, 65) if n_base == 64 else (1, 2, 3, 4, n_base)
+        for n in orders:
+            _assert_one_winding_path(build_validation_loop(n, n_base), (n, n_base))
+
+    def test_unresolved_refusal_is_the_constructors(self):
+        loop = contour_mod._loop(_JUMP, 64)
+        assert loop.unresolved
+        _assert_one_winding_path(loop, "jump")
+
+    def test_the_closing_increment_is_summed(self):
+        # a built loop closes on a junction, where its last value and its
+        # first differ by at most the junction tolerance; a symbol tilted by
+        # 5e-7 rad on the boundary segment makes that last increment nonzero
+        tilted = SimpleNamespace(
+            boundary=lambda xi: np.full(xi.shape, cmath.exp(5e-7j)),
+            unit_values=lambda theta: np.ones(theta.shape, dtype=complex),
+            rounding_scale=lambda xi: 1.0)
+        loop = contour_mod._loop(tilted, 64)
+        assert loop.closure_gap > 0.0 and loop._increments[-1] == pytest.approx(5e-7)
+        _assert_one_winding_path(loop, "tilted")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, -math.inf)],
+                             ids=["inf", "nan", "-inf j"])
+    def test_a_value_without_a_finite_modulus_is_refused(self, bad):
+        # _loop makes the one check of the constructor's that its own
+        # construction does not guarantee
+        fake = SimpleNamespace(
+            boundary=lambda xi: np.where(np.abs(xi) < 0.5, bad, 1.0 + 0j),
+            unit_values=lambda theta: np.ones(theta.shape, dtype=complex),
+            rounding_scale=lambda xi: 1.0)
+        with pytest.raises(DomainError, match="values must have a finite modulus"):
+            contour_mod._loop(fake, 64)
 
 
 class TestCrossModuleIdentity:
@@ -578,22 +648,22 @@ def _recording(monkeypatch) -> list:
     calls = []
     refine, polished = contour_mod._refine, contour_mod._polished_min_modulus
 
-    def recording_refine(f, seg_index, t, v, wide, budget):
+    def recording_refine(f, seg_index, t, *rest):
         calls.append((seg_index.copy(), t.copy()))
 
         def recording_f(k, tm):
             calls.append((k.copy(), tm.copy()))
             return f(k, tm)
 
-        return refine(recording_f, seg_index, t, v, wide, budget)
+        return refine(recording_f, seg_index, t, *rest)
 
-    def recording_polished(polish, seg_index, t, values):
+    def recording_polished(polish, *rest):
         def recording_polish(k, x):
             calls.append((np.full(x.shape, k), x.copy()))
             return polish(k, x)
 
         recording_polish.scale = polish.scale
-        return polished(recording_polish, seg_index, t, values)
+        return polished(recording_polish, *rest)
 
     monkeypatch.setattr(contour_mod, "_refine", recording_refine)
     monkeypatch.setattr(contour_mod, "_polished_min_modulus", recording_polished)
@@ -1043,11 +1113,7 @@ class TestLoopEvaluator:
         # a symbol of modulus 1 that jumps by pi at xi = 0.3 and back at
         # 0.7: the refinement stops at width 1e-12 on both jumps, whose
         # phase steps pi and -pi would sum to a winding of 0
-        jump = SimpleNamespace(
-            boundary=lambda xi: np.where(np.abs(xi - 0.5) < 0.2, -1.0 + 0j, 1.0 + 0j),
-            unit_values=lambda theta: np.ones(theta.shape, dtype=complex),
-            rounding_scale=lambda xi: 1.0)
-        loop = contour_mod._loop(jump, 64)
+        loop = contour_mod._loop(_JUMP, 64)
         seg_index, t, values = loop.arrays()
         assert len(loop.unresolved) == 2 and loop.min_modulus == 1.0
         for i in loop.unresolved:

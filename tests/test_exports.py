@@ -1,10 +1,12 @@
 """Every exported name resolves: each name in a whml module's __all__, and
 each name whml/__init__.py imports from a submodule.  A deleted function
 whose __all__ entry was left behind fails here, not only under
-`from whml.<module> import *`."""
+`from whml.<module> import *`.  The package attribute `whml.classify` is the
+function, and the module is reached through importlib."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -31,3 +33,17 @@ def test_package_imports_resolve():
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_module_named_like_its_function():
+    # whml/__init__.py re-exports classify under its submodule's name, so
+    # `import whml.classify as m` binds the function; importlib reaches the
+    # module, where perfbench's tracer replaces the names classify calls
+    import whml.classify as bound
+
+    module = importlib.import_module("whml.classify")
+    assert bound is whml.classify is module.classify
+    assert not inspect.ismodule(bound)
+    assert inspect.ismodule(module) and module.__name__ == "whml.classify"
+    for name in ("build_loop", "min_modulus", "winding_number", "compute_alpha_c"):
+        assert callable(getattr(module, name)), name

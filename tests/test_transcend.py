@@ -1,3 +1,4 @@
+import inspect
 import math
 import threading
 
@@ -244,6 +245,72 @@ class TestRootBitForBit:
     @settings(max_examples=500, deadline=None)
     def test_property(self, a):
         assert _outcome(alpha_c, a) == _outcome(_bisect_residual, a)
+
+
+class TestFloatAlpha:
+    # a numpy scalar alpha is taken as a float once, after the checks
+    @pytest.mark.parametrize("a", [0.7, 0.3, 0.5, 1e-8, 5e-13])
+    def test_numpy_scalar_alpha_as_the_float(self, a):
+        assert _outcome(alpha_c, np.float64(a)) == _outcome(alpha_c, a)
+        assert _outcome(lambda a: critical_s(a, 2.0), np.float64(a)) == _outcome(
+            lambda a: critical_s(a, 2.0), a)
+
+    def test_root_and_refusal_are_the_floats(self):
+        assert type(alpha_c(np.float64(0.7))) is float
+        assert type(critical_s(np.float64(0.7), 2.0)) is float
+        with pytest.raises(DomainError) as refused:
+            alpha_c(np.float64(5e-13))
+        assert str(refused.value) == "alpha_c(5e-13) is not resolvable at float precision"
+
+
+def _residual_guard(x):
+    """te_residual_zero's pole guard on x = 2a - tau."""
+    return abs(x - round(x)) < 1e-12
+
+
+def _alpha_c_guard(x):
+    """alpha_c's form of the same guard, for x in (-1, 0]."""
+    return x > -1e-12 or x + 1.0 < 1e-12
+
+
+class TestPoleGuard:
+    # alpha_c bisects tau in (1, 1 + a) for a < 1/2 and (2a, 1 + a) above,
+    # so x = 2a - tau lies in (-1, 0]; there its guard is the residual's
+    def test_alpha_c_uses_the_guard(self):
+        assert "if x > -1e-12 or x + 1.0 < 1e-12:" in inspect.getsource(alpha_c)
+
+    @given(st.one_of(st.floats(-1.0, 0.0, exclude_min=True),
+                     st.floats(-1.0, -1.0 + 2e-12, exclude_min=True),
+                     st.floats(-2e-12, 0.0)))
+    @settings(max_examples=1000, deadline=None)
+    def test_property(self, x):
+        assert _alpha_c_guard(x) == _residual_guard(x)
+
+    @pytest.mark.parametrize("edge", [0.0, -1.0])
+    def test_floats_at_the_threshold(self, edge):
+        # every float in 64 ulp either side of edge +- 1e-12 inside (-1, 0]
+        xs = []
+        for centre in (edge - 1e-12, edge + 1e-12):
+            x = centre
+            for _ in range(64):
+                x = math.nextafter(x, -math.inf)
+            for _ in range(129):
+                xs.append(x)
+                x = math.nextafter(x, math.inf)
+        xs = [x for x in xs if -1.0 < x <= 0.0]
+        assert len(xs) == 129 and any(map(_residual_guard, xs)) and not all(map(_residual_guard, xs))
+        for x in xs:
+            assert _alpha_c_guard(x) == _residual_guard(x), x.hex()
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_window_ends(self, a):
+        # x reaches -1 only at an end of a window that holds no float
+        lo = 1.0 if a < 0.5 else 2.0 * a
+        for tau in (lo, 1.0 + a):
+            x = 2.0 * a - tau
+            assert -1.0 <= x <= 0.0
+            assert _alpha_c_guard(x) == _residual_guard(x), (a, tau)
 
 
 class TestArgBetaSeries:
